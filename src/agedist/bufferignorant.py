@@ -18,6 +18,7 @@ import numpy as np
 
 from .model import Geometric, Model
 from .sim import SimConfig, SimResult, simulate_bit_policy
+from .solver import average_cost_solve
 
 TIE_TOL = 1e-12
 MAX_ITERS = 1000
@@ -96,35 +97,24 @@ class BIPolicySolution:
 
 
 def _bi_evaluate(source: BinarySource, actions: np.ndarray, L: int, eta_w: float, distortion: bool):
-    """Dense evaluation of a length policy, truncated at L with tail charging."""
+    """Dense evaluation of a length policy, truncated at L with tail charging; h(1) = 0."""
     p = source.p
     pb = 1.0 - p
-    # unknowns: h(2..L) then lambda; reference h(1) = 0
-    n = L
-    A = np.zeros((n, n))
-    rhs = np.zeros(n)
+    # state l - 1 is buffer length l
+    P = np.zeros((L, L))
+    cost = np.zeros(L)
     for l in range(1, L + 1):
-        r_idx = l - 1
-        if l >= 2:
-            A[r_idx, l - 2] += 1.0
-        A[r_idx, n - 1] += 1.0
         s = int(actions[l])
         rest = l - s
-        const = eta_w * rest
+        cost[l - 1] = eta_w * rest
         if distortion:
-            const += source.mu_v * p * max(s - source.N, 0)
-            const += source.mu_v * pb ** (L - rest)  # mu_V * p * E[(Z - (L - rest))^+]
+            cost[l - 1] += source.mu_v * p * max(s - source.N, 0)
+            cost[l - 1] += source.mu_v * pb ** (L - rest)  # mu_V * p * E[(Z - (L - rest))^+]
         for k in range(1, L - rest):
-            nxt = rest + k
-            if nxt >= 2:
-                A[r_idx, nxt - 2] -= p * pb ** (k - 1)
-        A[r_idx, L - 2] -= pb ** (L - rest - 1)  # Pr(Z >= L - rest) lands on the cap
-        rhs[r_idx] = const
-    u = np.linalg.solve(A, rhs)
-    lam = float(u[n - 1])
-    h = np.zeros(L + 1)
-    h[2:] = u[: L - 1]
-    return lam, h
+            P[l - 1, rest + k - 1] += p * pb ** (k - 1)
+        P[l - 1, L - 1] += pb ** (L - rest - 1)  # Pr(Z >= L - rest) lands on the cap
+    lam, u = average_cost_solve(P, cost)
+    return lam, np.concatenate(([0.0], u))
 
 
 def bi_policy_iteration(

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,37 +159,100 @@ def _c1_pass(model: Model, tree: StateTree, h_levels, eta_w: float, distortion: 
 
 
 # ---------------------------------------------------------------------------
+# chain policies: the action table and its reduced-system bookkeeping
+# ---------------------------------------------------------------------------
+
+
+def _chain_actions(tree: StateTree, takes) -> list[np.ndarray]:
+    """Chain-form action table from per-level "send oldest" masks.
+
+    A state of level ``l`` sends its oldest packet (action 1) where
+    ``takes[l]`` is set and otherwise takes its parent's action plus one;
+    levels past the end of ``takes`` chain throughout, so no masks gives
+    send-latest.  Level 0 holds the root's placeholder action 0, which makes
+    every level-1 action 1.
+    """
+    actions = [np.zeros(1, dtype=np.int32)]
+    for l in range(1, tree.K + 1):
+        chain = actions[l - 1][tree.parent_index(l, np.arange(tree.level_size[l]))] + 1
+        actions.append(np.where(takes[l], 1, chain).astype(np.int32) if l < len(takes) else chain)
+    return actions
+
+
+class _Chain(NamedTuple):
+    """Reduced-system bookkeeping of a chain policy.
+
+    ``cost[l][i]`` is the edge cost b1/mu accumulated from the node up to its
+    nearest B1 ancestor, ``po[l][i]`` that ancestor's position in ``b1`` (-1
+    when the chain ends at a singleton), and ``b1`` lists the states of
+    length >= 2 that send their oldest packet, level by level.
+    """
+
+    cost: list[np.ndarray]
+    po: list[np.ndarray]
+    b1: list[tuple[int, int]]
+
+
+def _chain(model: Model, tree: StateTree, actions) -> _Chain:
+    """Check that ``actions`` is a chain policy on ``tree``; derive its bookkeeping.
+
+    Every state of length >= 2 must send its oldest packet or take its
+    parent's action plus one, and length-1 states take action 1; anything
+    else cannot be represented by the reduced system and is rejected.
+    """
+    if len(actions) != tree.K + 1:
+        raise ValueError(
+            f"action table has {len(actions)} levels, expected {tree.K + 1} (levels 0..{tree.K})"
+        )
+    for l, acts in enumerate(actions):
+        if np.shape(acts) != (tree.level_size[l],):
+            raise ValueError(
+                f"action table level {l} has shape {np.shape(acts)}, "
+                f"expected ({tree.level_size[l]},)"
+            )
+    if not np.all(np.asarray(actions[1]) == 1):
+        raise ValueError("action table level 1: length-1 states must take action 1")
+    mu = model.mu
+    cost = [np.zeros(n) for n in tree.level_size[:2]]
+    po = [np.full(n, -1, dtype=np.int64) for n in tree.level_size[:2]]
+    b1: list[tuple[int, int]] = []
+    for l in range(2, tree.K + 1):
+        acts = np.asarray(actions[l])
+        idx = np.arange(tree.level_size[l])
+        par = tree.parent_index(l, idx)
+        is_b1 = acts == 1
+        ok = is_b1 | (acts == np.asarray(actions[l - 1])[par] + 1)
+        if not np.all(ok):
+            bad = int(np.flatnonzero(~ok)[0])
+            raise ValueError(
+                f"action table level {l} is not chain-structured at state {tree.entries_of(l, bad)}"
+            )
+        b1mu = tree.values[tree.first_digit(l, idx)] / mu
+        cost.append(np.where(is_b1, 0.0, cost[l - 1][par] + b1mu))
+        new = np.flatnonzero(is_b1)
+        po.append(po[l - 1][par])
+        po[l][new] = len(b1) + np.arange(len(new))
+        b1.extend((l, int(j)) for j in new)
+    return _Chain(cost, po, b1)
+
+
+# ---------------------------------------------------------------------------
 # chain-policy evaluation: linear system over B1
 # ---------------------------------------------------------------------------
 
 
-def _init_send_latest(model: Model, tree: StateTree) -> None:
-    """Install s(b) = l(b): every node chains to its parent, B1 is empty."""
-    mu = model.mu
-    tree.action[1][:] = 1
-    tree.cost[1][:] = 0.0
-    tree.po[1][:] = -1
-    for l in range(2, tree.K + 1):
-        idx = np.arange(tree.level_size[l])
-        par = tree.parent_index(l, idx)
-        tree.action[l][:] = tree.action[l - 1][par] + 1
-        tree.cost[l][:] = tree.cost[l - 1][par] + tree.values[tree.first_digit(l, idx)] / mu
-        tree.po[l][:] = -1
-    tree.b1_list = []
-
-
-def _evaluate_chain(model: Model, tree: StateTree, eta_w: float, distortion: bool):
+def _evaluate_chain(model: Model, tree: StateTree, chain: _Chain, eta_w: float, distortion: bool):
     """Solve the reduced system with unknowns {h(b') : b' in B1} + lambda.
 
     Relies on the chain identity: every node's relative value equals its
     accumulated edge cost plus the value of its nearest B1 ancestor (zero if
     that ancestor is a singleton).  Edge costs vanish in age-only mode.
     """
-    m_unknown = len(tree.b1_list)
+    m_unknown = len(chain.b1)
     n = m_unknown + 1
     A = np.zeros((n, n))
     rhs = np.zeros(n)
-    rows = list(tree.b1_list) + [(1, 0)]
+    rows = list(chain.b1) + [(1, 0)]
     for r, (l, i) in enumerate(rows):
         if r < m_unknown:
             A[r, r] += 1.0
@@ -201,8 +266,8 @@ def _evaluate_chain(model: Model, tree: StateTree, eta_w: float, distortion: boo
             size = tree.m**k
             wts = w * tree.wprob[k]
             if distortion:
-                const += float(wts @ tree.cost[level][start : start + size])
-            cols = tree.po[level][start : start + size]
+                const += float(wts @ chain.cost[level][start : start + size])
+            cols = chain.po[level][start : start + size]
             contrib = np.bincount(cols + 1, weights=wts, minlength=m_unknown + 1)
             A[r, :m_unknown] -= contrib[1 : m_unknown + 1]
         rhs[r] = const
@@ -217,74 +282,56 @@ def _evaluate_chain(model: Model, tree: StateTree, eta_w: float, distortion: boo
     upad = np.concatenate(([0.0], u[:m_unknown]))
     h_levels = [np.zeros(sz) for sz in tree.level_size]
     for l in range(1, tree.K + 1):
-        h_levels[l] = upad[tree.po[l] + 1]
+        h_levels[l] = upad[chain.po[l] + 1]
         if distortion:
-            h_levels[l] = h_levels[l] + tree.cost[l]
+            h_levels[l] = h_levels[l] + chain.cost[l]
     return lam, h_levels
 
 
-def _check_residuals(model, tree, h_levels, lam, eta_w, distortion) -> float:
+def _check_residuals(model, tree, b1, h_levels, lam, eta_w, distortion) -> float:
     """Re-derive C_h(b,1) through the kappa route and check B1 equations."""
     c1 = _c1_pass(model, tree, h_levels, eta_w, distortion)
     worst = abs(lam - float(c1[1][0]))
-    for l, i in tree.b1_list:
+    for l, i in b1:
         worst = max(worst, abs(float(h_levels[l][i]) + lam - float(c1[l][i])))
     return worst
+
+
+def _evaluate(model: Model, tree: StateTree, actions, eta: float):
+    """(lambda, h, B1) of a chain policy, gated on the kappa-route residuals."""
+    chain = _chain(model, tree, actions)
+    lam, h_levels = _evaluate_chain(model, tree, chain, eta, True)
+    worst = _check_residuals(model, tree, chain.b1, h_levels, lam, eta, True)
+    if worst > RESIDUAL_TOL:
+        raise RuntimeError(
+            f"policy evaluation residual {worst:.3e} exceeds {RESIDUAL_TOL} (eta={eta}, K={tree.K})"
+        )
+    return lam, h_levels, chain.b1
 
 
 def evaluate_policy(model: Model, tree: StateTree, actions, eta: float):
     """Evaluate a chain-structured stationary policy; returns (lambda, h).
 
-    ``actions`` is a per-level list of action arrays.  Policies produced by
-    the improvement step always satisfy s(b) in {1, s(parent)+1}; anything
-    else cannot be represented by the reduced system and is rejected.
+    ``actions`` is a per-level list of action arrays (levels 0..K).  Policies
+    produced by the improvement step always satisfy s(b) in {1, s(parent)+1};
+    anything else is rejected with a ValueError naming the level.  The table
+    is recorded as ``tree.last_actions`` for ``evaluate_components``.
     """
-    _install_actions(model, tree, actions)
-    lam, h_levels = _evaluate_chain(model, tree, eta, True)
-    worst = _check_residuals(model, tree, h_levels, lam, eta, True)
-    if worst > RESIDUAL_TOL:
-        raise RuntimeError(f"policy evaluation residual {worst:.3e} exceeds {RESIDUAL_TOL}")
-    tree.h = h_levels
+    lam, h_levels, _ = _evaluate(model, tree, actions, eta)
+    tree.last_actions = [np.array(a, dtype=np.int32) for a in actions]
     return lam, h_levels
 
 
 def evaluate_components(model: Model, tree: StateTree, actions=None):
-    """(delta_e, d) of the installed (or given) policy via two synthetic solves."""
-    if actions is not None:
-        _install_actions(model, tree, actions)
-    delta_e, _ = _evaluate_chain(model, tree, 1.0, False)
-    d, _ = _evaluate_chain(model, tree, 0.0, True)
+    """(delta_e, d) of the given policy (default ``tree.last_actions``) via two synthetic solves."""
+    if actions is None:
+        actions = tree.last_actions
+        if actions is None:
+            raise ValueError("no action table given and none recorded on the tree")
+    chain = _chain(model, tree, actions)
+    delta_e, _ = _evaluate_chain(model, tree, chain, 1.0, False)
+    d, _ = _evaluate_chain(model, tree, chain, 0.0, True)
     return delta_e, d
-
-
-def _install_actions(model: Model, tree: StateTree, actions) -> None:
-    """Set cost/po/b1 bookkeeping for an explicit chain-form action table."""
-    mu = model.mu
-    if not np.all(np.asarray(actions[1]) == 1):
-        raise ValueError("length-1 states must take action 1")
-    tree.action[1][:] = 1
-    tree.cost[1][:] = 0.0
-    tree.po[1][:] = -1
-    tree.b1_list = []
-    for l in range(2, tree.K + 1):
-        acts = np.asarray(actions[l], dtype=np.int32)
-        idx = np.arange(tree.level_size[l])
-        par = tree.parent_index(l, idx)
-        chain = tree.action[l - 1][par] + 1
-        is_b1 = acts == 1
-        if not np.all(is_b1 | (acts == chain)):
-            bad = int(np.flatnonzero(~(is_b1 | (acts == chain)))[0])
-            raise ValueError(
-                f"action table is not chain-structured at state {tree.entries_of(l, bad)}"
-            )
-        b1mu = tree.values[tree.first_digit(l, idx)] / mu
-        tree.action[l][:] = acts
-        tree.cost[l][:] = np.where(is_b1, 0.0, tree.cost[l - 1][par] + b1mu)
-        po = tree.po[l - 1][par].copy()
-        new = np.flatnonzero(is_b1)
-        po[new] = len(tree.b1_list) + np.arange(len(new))
-        tree.po[l][:] = po
-        tree.b1_list.extend((l, int(j)) for j in new)
 
 
 # ---------------------------------------------------------------------------
@@ -292,53 +339,42 @@ def _install_actions(model: Model, tree: StateTree, actions) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _policy_improve(model: Model, tree: StateTree, h_levels, lam: float, eta: float) -> bool:
-    """One improvement sweep; updates the tree's policy fields in place.
+def _improve(model: Model, tree: StateTree, h_levels, lam: float, eta: float) -> list[np.ndarray]:
+    """One improvement sweep; returns the per-level "send oldest" masks.
 
-    Returns True when any action changed.  A node switches to sending its
-    oldest packet only when that is strictly better than inheriting the
-    parent's best by more than the tie guard, and when the reach bound for
-    the oldest packet's importance permits it; ties therefore stay with the
-    freshest feasible packet.
+    A node switches to sending its oldest packet only when that is strictly
+    better than inheriting the parent's best by more than the tie guard, and
+    when the reach bound for the oldest packet's importance permits it; ties
+    therefore stay with the freshest feasible packet.
     """
     mu = model.mu
     kvals = model.reach_bounds(eta)
     kappa = _kappa_pass(model, tree, h_levels, True)
-    changed = False
-
-    tree.action[1][:] = 1
-    tree.temp[1][:] = lam
-    tree.cost[1][:] = 0.0
-    tree.po[1][:] = -1
-    b1_list: list[tuple[int, int]] = []
+    takes = [np.zeros(1, dtype=bool), np.ones(tree.level_size[1], dtype=bool)]
+    best = np.full(tree.level_size[1], lam)  # C_h(b, s(b)) of the previous level
     for l in range(2, tree.K + 1):
         idx = np.arange(tree.level_size[l])
         par = tree.parent_index(l, idx)
         first = tree.first_digit(l, idx)
-        b1mu = tree.values[first] / mu
-        per_parent = _c1_per_parent(model, tree, h_levels, kappa, l)
-        c1 = eta * (l - 1) + per_parent[par]
-        chain_val = tree.temp[l - 1][par] + b1mu
+        c1 = eta * (l - 1) + _c1_per_parent(model, tree, h_levels, kappa, l)[par]
+        chain_val = best[par] + tree.values[first] / mu
         take = (l <= kvals[first]) & (c1 < chain_val - TIE_TOL)
-        new_actions = np.where(take, 1, tree.action[l - 1][par] + 1).astype(np.int32)
-        if not np.array_equal(new_actions, tree.action[l]):
-            changed = True
-        tree.action[l][:] = new_actions
-        tree.temp[l][:] = np.where(take, c1, chain_val)
-        tree.cost[l][:] = np.where(take, 0.0, tree.cost[l - 1][par] + b1mu)
-        po = tree.po[l - 1][par].copy()
-        new = np.flatnonzero(take)
-        po[new] = len(b1_list) + np.arange(len(new))
-        tree.po[l][:] = po
-        b1_list.extend((l, int(j)) for j in new)
-    tree.b1_list = b1_list
-    return changed
+        takes.append(take)
+        best = np.where(take, c1, chain_val)
+    return takes
 
 
 def policy_improve(model: Model, tree: StateTree, h_levels, lam: float, eta: float):
-    """Public improvement step: returns (per-level action arrays, B1 set)."""
-    _policy_improve(model, tree, h_levels, lam, eta)
-    return [a.copy() for a in tree.action], list(tree.b1_list)
+    """Public improvement step: returns (per-level action arrays, B1 set).
+
+    The new table is recorded as ``tree.last_actions`` for
+    ``evaluate_components``.
+    """
+    takes = _improve(model, tree, h_levels, lam, eta)
+    actions = _chain_actions(tree, takes)
+    tree.last_actions = [a.copy() for a in actions]
+    b1 = [(l, int(j)) for l in range(2, tree.K + 1) for j in np.flatnonzero(takes[l])]
+    return actions, b1
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +410,20 @@ class PolicySolution:
     def max_buffer(self) -> int:
         return self.K
 
+    @cached_property
+    def _digit(self) -> dict[float, int]:
+        return {v: d for d, v in enumerate(self.values)}
+
     def action_for(self, entries) -> int:
         l = len(entries)
         if l == 0 or l > self.K:
             raise ValueError(f"buffer length {l} outside 1..{self.K}")
-        digit = {v: d for d, v in enumerate(self.values)}
         i = 0
         for v in entries:
-            i = i * self.m + digit[float(v)]
+            d = self._digit.get(float(v))
+            if d is None:
+                raise ValueError(f"entry {v!r} is not an importance value {self.values}")
+            i = i * self.m + d
         return int(self.actions[l][i])
 
     def __call__(self, entries) -> int:
@@ -409,28 +451,33 @@ class PolicySolution:
             json.dump(doc, fh)
 
     @classmethod
-    def from_json(cls, path: str, model: Model | None = None) -> "PolicySolution":
+    def from_json(cls, path: str, model: Model) -> "PolicySolution":
+        """Load a policy file solved for ``model``; a corrupt table fails here."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if doc.get("format") != POLICY_FORMAT:
             raise ValueError(f"unsupported policy file format {doc.get('format')!r}")
-        if model is not None and doc["model_hash"] != model.config_hash():
+        if doc["model_hash"] != model.config_hash():
             raise ValueError("policy file was solved for a different model")
-        actions = [np.array(_rle_decode(rle), dtype=np.int32) for rle in doc["actions"]]
+        values = tuple(float(v) for v in doc["values"])
+        if values != tuple(model.v.values):
+            raise ValueError(f"policy file values {values} differ from the model's")
         K = int(doc["K"])
-        sol = cls(
+        actions = [np.array(_rle_decode(rle), dtype=np.int32) for rle in doc["actions"]]
+        b1 = _chain(model, StateTree(model, K), actions).b1
+        return cls(
             eta=float(doc["eta"]),
             K=K,
             lam=float(doc["lambda"]),
             delta_e=float(doc["delta_e"]),
             d=float(doc["d"]),
             iters=0,
-            values=tuple(float(v) for v in doc["values"]),
+            values=values,
             actions=actions,
             h=[],
+            b1=b1,
             model_hash=doc["model_hash"],
         )
-        return sol
 
 
 def _rle_encode(arr) -> list[list[int]]:
@@ -461,49 +508,42 @@ def policy_iteration(
     K: int | None = None,
     *,
     max_iters: int = MAX_ITERS,
-    tree: StateTree | None = None,
-    warm: bool = False,
+    start: PolicySolution | None = None,
 ) -> PolicySolution:
     """Efficient policy iteration; returns the converged PolicySolution.
 
-    Starts from send-latest (or from the actions already installed on
-    ``tree`` when warm-starting an eta sweep) and alternates the reduced
-    evaluation with the chain improvement until the action table is a fixed
-    point.
+    Starts from send-latest, or from ``start`` (a converged policy of depth
+    at most K, as in a warm-started eta sweep) with its deeper levels chaining
+    to their parents, and alternates the reduced evaluation with the chain
+    improvement until the action table is a fixed point.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if K is None:
         K = model.buffer_bound(eta)
-    if tree is None:
-        tree = StateTree(model, K)
-        warm = False
-    elif tree.K != K:
-        raise ValueError(f"tree depth {tree.K} does not match requested K={K}")
-    if not warm:
-        _init_send_latest(model, tree)
+    if start is not None:
+        if start.K > K:
+            raise ValueError(f"start policy depth {start.K} exceeds K={K}")
+        if start.values != tuple(model.v.values):
+            raise ValueError(f"start policy values {start.values} differ from the model's")
+    tree = StateTree(model, K)
+    actions = _chain_actions(tree, () if start is None else [a == 1 for a in start.actions])
 
     lam = float("nan")
-    h_levels = tree.h
     for it in range(1, max_iters + 1):
-        lam, h_levels = _evaluate_chain(model, tree, eta, True)
-        worst = _check_residuals(model, tree, h_levels, lam, eta, True)
-        if worst > RESIDUAL_TOL:
-            raise RuntimeError(
-                f"policy evaluation residual {worst:.3e} exceeds {RESIDUAL_TOL} "
-                f"(eta={eta}, K={K}, iter={it})"
-            )
-        tree.h = h_levels
-        if not _policy_improve(model, tree, h_levels, lam, eta):
+        lam, h_levels, b1 = _evaluate(model, tree, actions, eta)
+        new = _chain_actions(tree, _improve(model, tree, h_levels, lam, eta))
+        if all(np.array_equal(a, b) for a, b in zip(new, actions)):
             iters = it
             break
+        actions = new
     else:
         raise RuntimeError(
             f"policy iteration did not converge within {max_iters} iterations "
             f"(eta={eta}, K={K}, lambda={lam})"
         )
 
-    delta_e, d = evaluate_components(model, tree)
+    delta_e, d = evaluate_components(model, tree, actions)
     return PolicySolution(
         eta=eta,
         K=K,
@@ -512,9 +552,9 @@ def policy_iteration(
         d=d,
         iters=iters,
         values=tuple(model.v.values),
-        actions=[a.copy() for a in tree.action],
-        h=[x.copy() for x in h_levels],
-        b1=list(tree.b1_list),
+        actions=actions,
+        h=h_levels,
+        b1=b1,
         model_hash=model.config_hash(),
     )
 
@@ -524,44 +564,46 @@ def policy_iteration(
 # ---------------------------------------------------------------------------
 
 
+def average_cost_solve(P: np.ndarray, cost: np.ndarray):
+    """Dense average-cost evaluation of a unichain policy: returns (lambda, h).
+
+    Solves ``h + lambda = cost + P h`` over every state with ``h[0] = 0``;
+    the column of the pinned unknown carries lambda instead.  A singular
+    system (the policy has more than one recurrent class) raises.
+    """
+    A = np.eye(len(cost)) - P
+    A[:, 0] = 1.0
+    try:
+        u = np.linalg.solve(A, cost)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(
+            f"singular average-cost system over {len(cost)} states; the policy is not unichain"
+        ) from exc
+    lam = float(u[0])
+    u[0] = 0.0
+    return lam, u
+
+
 def _evaluate_full(model: Model, tree: StateTree, actions, eta_w: float, distortion: bool):
     """Dense policy evaluation over every state; reference h([v_min]) = 0."""
-    K = tree.K
-    n_states = tree.node_count() - 1
-    n = n_states  # unknowns: every non-reference h plus lambda
-    A = np.zeros((n, n))
-    rhs = np.zeros(n)
-    lam_col = n - 1
-    for l in range(1, K + 1):
+    n = tree.node_count() - 1  # every state but the root, in breadth-first order
+    P = np.zeros((n, n))
+    cost = np.zeros(n)
+    for l in range(1, tree.K + 1):
         for i in range(tree.level_size[l]):
             r = tree.level_offset[l] + i - 1
-            own = r - 0  # column of h(l, i) is its row index; reference row 0 has no column
-            if r != 0:
-                A[r, own - 1] += 1.0
-            A[r, lam_col] += 1.0
             s = int(actions[l][i])
-            const = eta_w * (l - s)
+            cost[r] = eta_w * (l - s)
             if distortion:
                 digits = tree.digits_of(l, i)
-                const += sum(tree.values[d] for d in digits[: s - 1]) / model.mu
-                const += _forgetting_terms(model, tree, digits, l, s)
+                cost[r] += sum(tree.values[d] for d in digits[: s - 1]) / model.mu
+                cost[r] += _forgetting_terms(model, tree, digits, l, s)
             for w, level, start, k in _transition_blocks(model, tree, l, i, s):
-                if w == 0.0:
-                    continue
-                size = tree.m**k
-                wts = w * tree.wprob[k]
-                cols = tree.level_offset[level] + start + np.arange(size) - 1
-                mask = cols != 0
-                np.add.at(A[r], cols[mask] - 1, -wts[mask])
-            rhs[r] = const
-    u = np.linalg.solve(A, rhs)
-    lam = float(u[lam_col])
-    h_levels = [np.zeros(sz) for sz in tree.level_size]
-    for l in range(1, K + 1):
-        for i in range(tree.level_size[l]):
-            c = tree.level_offset[l] + i - 1
-            h_levels[l][i] = 0.0 if c == 0 else u[c - 1]
-    return lam, h_levels
+                cols = tree.level_offset[level] + start - 1 + np.arange(tree.m**k)
+                P[r, cols] += w * tree.wprob[k]
+    lam, u = average_cost_solve(P, cost)
+    off = tree.level_offset
+    return lam, [np.zeros(1)] + [u[off[l] - 1 : off[l + 1] - 1] for l in range(1, tree.K + 1)]
 
 
 def generic_policy_iteration(
@@ -665,24 +707,6 @@ class TradeoffCurve:
             fh.write(f"{eta:.12g},{j:.12g}\n")
 
 
-def _extend_tree(model: Model, old: StateTree, K_new: int) -> StateTree:
-    """Deeper tree carrying over the converged policy; fresh levels chain."""
-    tree = StateTree(model, K_new)
-    mu = model.mu
-    for l in range(1, old.K + 1):
-        tree.action[l][:] = old.action[l]
-        tree.cost[l][:] = old.cost[l]
-        tree.po[l][:] = old.po[l]
-    tree.b1_list = list(old.b1_list)
-    for l in range(old.K + 1, K_new + 1):
-        idx = np.arange(tree.level_size[l])
-        par = tree.parent_index(l, idx)
-        tree.action[l][:] = tree.action[l - 1][par] + 1
-        tree.cost[l][:] = tree.cost[l - 1][par] + tree.values[tree.first_digit(l, idx)] / mu
-        tree.po[l][:] = tree.po[l - 1][par]
-    return tree
-
-
 def sweep_eta(model: Model, etas, *, max_iters: int = MAX_ITERS) -> TradeoffCurve:
     """Solve a decreasing eta sequence with warm starts; emit the converse family."""
     etas = [float(e) for e in etas]
@@ -694,22 +718,17 @@ def sweep_eta(model: Model, etas, *, max_iters: int = MAX_ITERS) -> TradeoffCurv
         raise ValueError("eta sequence must be strictly decreasing")
 
     curve = TradeoffCurve()
-    tree: StateTree | None = None
+    start: PolicySolution | None = None
     for eta in etas:
         try:
             K = model.buffer_bound(eta)
-            if tree is None:
-                tree = StateTree(model, K)
-                sol = policy_iteration(model, eta, K, max_iters=max_iters, tree=tree)
-            else:
-                if K > tree.K:
-                    tree = _extend_tree(model, tree, K)
-                sol = policy_iteration(
-                    model, eta, tree.K, max_iters=max_iters, tree=tree, warm=True
-                )
+            if start is not None:
+                K = max(K, start.K)
+            sol = policy_iteration(model, eta, K, max_iters=max_iters, start=start)
         except (ValueError, RuntimeError) as exc:
             curve.failures.append((eta, str(exc)))
             continue
+        start = sol
         curve.points.append(
             CurvePoint(eta, sol.lam, sol.delta_e, sol.d, sol.K, sol.b1_size, sol.iters)
         )

@@ -35,9 +35,12 @@ def max_depth(alphabet_size: int) -> int:
 class StateTree:
     """Trie over all buffers of length <= K plus the empty root.
 
-    Topology is immutable; the per-node solver fields (``action``, ``h``,
-    ``cost``, ``temp``, ``po``) are plain numpy arrays owned by whichever
-    solve is currently running.
+    Topology is immutable.  Per-node fields such as relative values or
+    action tables are per-level array lists owned by the caller and passed
+    in explicitly.  The one mutable attribute, ``last_actions``, is written
+    only by the step-wise solver calls ``evaluate_policy`` and
+    ``policy_improve`` (the last action table they evaluated or produced)
+    and read by ``evaluate_components`` when it is called without actions.
     """
 
     def __init__(self, model: Model, K: int):
@@ -66,13 +69,7 @@ class StateTree:
         for _ in range(K):
             self.wprob.append(np.outer(self.alpha, self.wprob[-1]).ravel())
 
-        # Per-node solver fields, one array per level (level 0 is the root).
-        self.action = [np.zeros(n, dtype=np.int32) for n in self.level_size]
-        self.h = [np.zeros(n) for n in self.level_size]
-        self.cost = [np.zeros(n) for n in self.level_size]
-        self.temp = [np.zeros(n) for n in self.level_size]
-        self.po = [np.full(n, -1, dtype=np.int64) for n in self.level_size]
-        self.b1_list: list[tuple[int, int]] = []
+        self.last_actions: list[np.ndarray] | None = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -124,33 +121,19 @@ class StateTree:
 
     # -- expectations ------------------------------------------------------
 
-    def expectation_over_suffix(self, level: int, idx: int, k: int, arr=None) -> float:
-        """E over V^k of field(b || V^k) for the node (level, idx); field defaults to h."""
+    def expectation_over_suffix(self, level: int, idx: int, k: int, arr) -> float:
+        """E over V^k of field(b || V^k) for the node (level, idx); ``arr`` is the field."""
         if level + k > self.K:
             raise ValueError(f"suffix length {k} overflows depth {self.K} from level {level}")
-        if arr is None:
-            arr = self.h
         if k == 0:
             return float(arr[level][idx])
         mk = self.m**k
         block = arr[level + k][idx * mk : (idx + 1) * mk]
         return float(block @ self.wprob[k])
 
-    def level_suffix_expectation(self, level: int, k: int, arr=None) -> np.ndarray:
+    def level_suffix_expectation(self, level: int, k: int, arr) -> np.ndarray:
         """E[field(b || V^k)] for every node of a level at once."""
-        if arr is None:
-            arr = self.h
         if k == 0:
             return arr[level]
         mk = self.m**k
         return arr[level + k].reshape(self.level_size[level], mk) @ self.wprob[k]
-
-    # -- debug surface -----------------------------------------------------
-
-    def dump(self, fh) -> None:
-        """Write `state,action,h` lines for inspection (not a stable format)."""
-        fh.write("state,action,h\n")
-        for level in range(1, self.K + 1):
-            for idx in range(self.level_size[level]):
-                state = "|".join(f"{v:g}" for v in self.entries_of(level, idx))
-                fh.write(f"{state},{self.action[level][idx]},{self.h[level][idx]:.12g}\n")

@@ -20,7 +20,7 @@ from agedist import (
     policy_iteration,
     sweep_eta,
 )
-from agedist.solver import PolicySolution, _c1_pass, _init_send_latest
+from agedist.solver import PolicySolution, _c1_pass, average_cost_solve
 from agedist.verify import (
     property1_violations,
     property2_violations,
@@ -188,6 +188,30 @@ def test_non_chain_actions_rejected(fig1):
         evaluate_policy(fig1, tree, actions, 1.0)
 
 
+@pytest.mark.parametrize(
+    "mangle, match",
+    [
+        (lambda acts: acts[:3], "has 3 levels, expected 5"),
+        (lambda acts: acts[:3] + [acts[3][:-1]] + acts[4:], "level 3 has shape"),
+        (lambda acts: acts[:2] + [np.ones((1, 4), dtype=np.int32)] + acts[3:], "level 2 has shape"),
+        (lambda acts: [acts[0], np.array([1, 2], dtype=np.int32)] + acts[2:], "level 1"),
+    ],
+)
+def test_malformed_action_tables_rejected(fig1, mangle, match):
+    tree = StateTree(fig1, 4)
+    actions = [np.full(tree.level_size[l], l, dtype=np.int32) for l in range(5)]
+    with pytest.raises(ValueError, match=match):
+        evaluate_policy(fig1, tree, mangle(actions), 1.0)
+    with pytest.raises(ValueError, match=match):
+        evaluate_components(fig1, tree, mangle(actions))
+
+
+def test_average_cost_solve_rejects_multichain():
+    # two absorbing states: lambda is not unique
+    with pytest.raises(RuntimeError, match="singular"):
+        average_cost_solve(np.eye(2), np.array([1.0, 2.0]))
+
+
 def test_components_respect_floor(fig1):
     for eta in (0.4, 1.0, 2.5):
         sol = policy_iteration(fig1, eta)
@@ -203,9 +227,9 @@ def test_components_respect_floor(fig1):
 def test_improve_keeps_send_latest_above_eta_max(fig1):
     K = 3
     tree = StateTree(fig1, K)
-    _init_send_latest(fig1, tree)
+    send_latest = [np.full(tree.level_size[l], l, dtype=np.int32) for l in range(K + 1)]
     eta = fig1.eta_max() + 0.2
-    lam, h = evaluate_policy(fig1, tree, tree.action, eta)
+    lam, h = evaluate_policy(fig1, tree, send_latest, eta)
     actions, b1 = policy_improve(fig1, tree, h, lam, eta)
     for l in range(1, K + 1):
         assert np.all(actions[l] == l)
@@ -216,8 +240,8 @@ def test_improve_extreme_state_both_sides(fig1):
     thr = (20.0 - 1.0) / (5.0 * 1.0)  # L = 2
     for eta, expect in ((thr - 1e-6, 1), (thr + 1e-6, 2)):
         tree = StateTree(fig1, 2)
-        _init_send_latest(fig1, tree)
-        lam, h = evaluate_policy(fig1, tree, tree.action, eta)
+        send_latest = [np.full(tree.level_size[l], l, dtype=np.int32) for l in range(3)]
+        lam, h = evaluate_policy(fig1, tree, send_latest, eta)
         actions, _ = policy_improve(fig1, tree, h, lam, eta)
         lvl, idx = tree.locate((20.0, 1.0))
         assert actions[lvl][idx] == expect
@@ -283,9 +307,54 @@ def test_policy_solution_round_trip(fig1, tmp_path):
     for l in range(1, sol.K + 1):
         assert np.array_equal(back.actions[l], sol.actions[l])
     assert back.action_for((20.0, 1.0)) == sol.action_for((20.0, 1.0))
+    assert back.b1 == sol.b1
     other = Model(ImportanceDist((1.0, 2.0), (0.5, 0.5)), Geometric(0.2))
     with pytest.raises(ValueError):
         PolicySolution.from_json(str(path), other)
+
+
+def _corrupt(doc):
+    doc["actions"][3] = [[3, 7]]  # level 3 has 8 states
+
+
+def _drop_levels(doc):
+    doc["actions"] = doc["actions"][:2]
+
+
+def _break_chain(doc):
+    doc["actions"][3] = [[2, 8]]  # not 1 and not parent + 1 everywhere
+
+
+def _swap_values(doc):
+    doc["values"] = doc["values"][::-1]
+
+
+@pytest.mark.parametrize(
+    "mangle, match",
+    [
+        (_corrupt, "level 3 has shape"),
+        (_drop_levels, "has 2 levels, expected 5"),
+        (_break_chain, "level 3 is not chain-structured"),
+        (_swap_values, "values"),
+    ],
+)
+def test_policy_file_validated_at_load(fig1, tmp_path, mangle, match):
+    import json
+
+    path = tmp_path / "pol.json"
+    policy_iteration(fig1, 1.0, 4).to_json(str(path))
+    doc = json.loads(path.read_text())
+    mangle(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        PolicySolution.from_json(str(path), fig1)
+
+
+def test_action_for_rejects_unknown_value(fig1):
+    sol = policy_iteration(fig1, 1.0)
+    assert sol.action_for((20.0, 1.0)) == sol.action_for([20, 1])
+    with pytest.raises(ValueError, match="importance value"):
+        sol.action_for((20.0, 3.0))
 
 
 def test_zero_importance_packets_are_ordinary():
@@ -334,6 +403,27 @@ def test_sweep_warm_start_equals_cold(fig1):
         cold = policy_iteration(fig1, p.eta)
         assert cold.lam == pytest.approx(p.lam, abs=1e-9)
         assert cold.delta_e == pytest.approx(p.delta_e, abs=1e-9)
+
+
+def test_warm_start_matches_cold_solve(fig1):
+    for K in (4, 7):
+        for start_K in (2, K):
+            start = policy_iteration(fig1, 2.0, start_K)
+            warm = policy_iteration(fig1, 0.9, K, start=start)
+            cold = policy_iteration(fig1, 0.9, K)
+            assert warm.lam == pytest.approx(cold.lam, abs=1e-9)
+            assert warm.b1 == cold.b1
+            for a, b in zip(warm.actions, cold.actions, strict=True):
+                assert np.array_equal(a, b)
+
+
+def test_warm_start_validated(fig1):
+    start = policy_iteration(fig1, 1.0, 5)
+    with pytest.raises(ValueError, match="start policy depth 5 exceeds K=4"):
+        policy_iteration(fig1, 0.9, 4, start=start)
+    other = Model(ImportanceDist((1.0, 2.0), (0.5, 0.5)), Geometric(0.2))
+    with pytest.raises(ValueError, match="start policy values"):
+        policy_iteration(other, 0.9, 5, start=start)
 
 
 def test_sweep_validation_and_failures(fig1):

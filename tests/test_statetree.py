@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -56,32 +54,32 @@ def test_depth_cap_rejected(fig1):
 
 def test_expectation_over_suffix(fig1):
     tree = StateTree(fig1, 3)
+    h = [np.zeros(n) for n in tree.level_size]
     # empty suffix returns the field itself
-    tree.h[2][:] = np.arange(4)
-    assert tree.expectation_over_suffix(2, 3, 0) == 3.0
+    h[2][:] = np.arange(4)
+    assert tree.expectation_over_suffix(2, 3, 0, h) == 3.0
     # constant field has constant expectation
-    for arr in tree.h:
+    for arr in h:
         arr[:] = 2.5
-    assert tree.expectation_over_suffix(1, 0, 2) == pytest.approx(2.5, abs=1e-12)
+    assert tree.expectation_over_suffix(1, 0, 2, h) == pytest.approx(2.5, abs=1e-12)
     # weighted average of the two children: 0.7*10 + 0.3*20
-    tree.h[2][:] = 0.0
+    h[2][:] = 0.0
     node = tree.locate((20.0,))
-    tree.h[2][node[1] * 2 + 0] = 10.0
-    tree.h[2][node[1] * 2 + 1] = 20.0
-    got = tree.expectation_over_suffix(1, node[1], 1)
+    h[2][node[1] * 2 + 0] = 10.0
+    h[2][node[1] * 2 + 1] = 20.0
+    got = tree.expectation_over_suffix(1, node[1], 1, h)
     assert got == pytest.approx(13.0, abs=1e-12)
     with pytest.raises(ValueError):
-        tree.expectation_over_suffix(2, 0, 2)
+        tree.expectation_over_suffix(2, 0, 2, h)
 
 
 def test_expectation_is_linear(fig1):
     tree = StateTree(fig1, 4)
     rng = np.random.default_rng(0)
-    for l in range(5):
-        tree.h[l][:] = rng.normal(size=tree.level_size[l])
-    doubled = [2.0 * arr for arr in tree.h]
+    h = [rng.normal(size=tree.level_size[l]) for l in range(5)]
+    doubled = [2.0 * arr for arr in h]
     for (l, i, k) in [(0, 0, 3), (1, 1, 2), (2, 3, 2), (3, 5, 1)]:
-        base = tree.expectation_over_suffix(l, i, k)
+        base = tree.expectation_over_suffix(l, i, k, h)
         two = tree.expectation_over_suffix(l, i, k, doubled)
         assert two == pytest.approx(2.0 * base, abs=1e-12)
 
@@ -90,16 +88,3 @@ def test_enumeration_is_exhaustive(fig1):
     tree = StateTree(fig1, 3)
     seen = {tree.state_of(nid) for nid in range(tree.node_count())}
     assert len(seen) == tree.node_count() == 15
-
-
-def test_dump_format(fig1):
-    tree = StateTree(fig1, 2)
-    tree.action[1][:] = 1
-    tree.action[2][:] = 2
-    buf = io.StringIO()
-    tree.dump(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "state,action,h"
-    assert lines[1].startswith("1,1,")
-    assert any(line.startswith("20|1,2,") for line in lines)
-    assert len(lines) == 1 + 6
