@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import Geometric, Model
 from .sim import SimConfig, SimResult, simulate_bit_policy
-from .solver import average_cost_solve
+from .solver import age_distortion_solve
 
 TIE_TOL = 1e-12
 MAX_ITERS = 1000
@@ -96,25 +96,28 @@ class BIPolicySolution:
         return LengthActionPolicy(self.actions, self.N, self.L_cap)
 
 
-def _bi_evaluate(source: BinarySource, actions: np.ndarray, L: int, eta_w: float, distortion: bool):
-    """Dense evaluation of a length policy, truncated at L with tail charging; h(1) = 0."""
+def _bi_evaluate(source: BinarySource, actions: np.ndarray, L: int, eta: float):
+    """Dense evaluation of a length policy, truncated at L with tail charging; h(1) = 0.
+
+    Returns ``(lambda, delta_e, d, h)`` from one solve of the age and
+    distortion parts of the one-step cost.
+    """
     p = source.p
     pb = 1.0 - p
     # state l - 1 is buffer length l
     P = np.zeros((L, L))
-    cost = np.zeros(L)
+    cost = np.zeros((L, 2))  # [age, distortion] one-step costs
     for l in range(1, L + 1):
         s = int(actions[l])
         rest = l - s
-        cost[l - 1] = eta_w * rest
-        if distortion:
-            cost[l - 1] += source.mu_v * p * max(s - source.N, 0)
-            cost[l - 1] += source.mu_v * pb ** (L - rest)  # mu_V * p * E[(Z - (L - rest))^+]
+        cost[l - 1, 0] = rest
+        cost[l - 1, 1] = source.mu_v * p * max(s - source.N, 0)
+        cost[l - 1, 1] += source.mu_v * pb ** (L - rest)  # mu_V * p * E[(Z - (L - rest))^+]
         for k in range(1, L - rest):
             P[l - 1, rest + k - 1] += p * pb ** (k - 1)
         P[l - 1, L - 1] += pb ** (L - rest - 1)  # Pr(Z >= L - rest) lands on the cap
-    lam, u = average_cost_solve(P, cost)
-    return lam, np.concatenate(([0.0], u))
+    lam, delta_e, d, u = age_distortion_solve(P, cost, eta)
+    return lam, delta_e, d, np.concatenate(([0.0], u))
 
 
 def bi_policy_iteration(
@@ -139,7 +142,7 @@ def bi_policy_iteration(
     lam = float("nan")
     h = None
     for it in range(1, max_iters + 1):
-        lam, h = _bi_evaluate(source, actions, L, eta, True)
+        lam, delta_e, d, h = _bi_evaluate(source, actions, L, eta)
         changed = False
         for l in range(1, L + 1):
             best_s = l
@@ -159,8 +162,6 @@ def bi_policy_iteration(
             f"length-MDP policy iteration did not converge within {max_iters} iterations "
             f"(eta={eta}, N={N}, L_cap={L})"
         )
-    delta_e, _ = _bi_evaluate(source, actions, L, 1.0, False)
-    d, _ = _bi_evaluate(source, actions, L, 0.0, True)
     return BIPolicySolution(
         eta=eta, N=N, L_cap=L, lam=lam, delta_e=delta_e, d=d, iters=iters, actions=actions, h=h
     )

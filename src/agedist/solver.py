@@ -12,8 +12,10 @@ depths.
 Cost convention: the average cost per speaking instant is
 ``lambda = d + eta * delta_e`` where ``d`` is distortion per time slot and
 ``delta_e`` is expected excess age per speaking instant.  The evaluation
-system is linear in the one-step cost, so the two components are recovered
-by re-solving with the age terms or the distortion terms switched off.
+system is linear in the one-step cost, so every evaluation factors it once
+and solves for the age and the distortion parts of the cost as two
+right-hand sides: their average costs are ``delta_e`` and ``d``, and lambda
+and h are the eta-weighted sums.
 """
 
 from __future__ import annotations
@@ -79,20 +81,12 @@ def _transition_blocks(model: Model, tree: StateTree, l: int, i: int, s: int):
 
 
 def _c_value_node(
-    model: Model,
-    tree: StateTree,
-    h_levels,
-    l: int,
-    i: int,
-    s: int,
-    eta_w: float,
-    distortion: bool,
+    model: Model, tree: StateTree, h_levels, l: int, i: int, s: int, eta: float
 ) -> float:
     digits = tree.digits_of(l, i)
-    val = eta_w * (l - s)
-    if distortion:
-        val += sum(tree.values[d] for d in digits[: s - 1]) / model.mu
-        val += _forgetting_terms(model, tree, digits, l, s)
+    val = eta * (l - s)
+    val += sum(tree.values[d] for d in digits[: s - 1]) / model.mu
+    val += _forgetting_terms(model, tree, digits, l, s)
     for w, level, start, k in _transition_blocks(model, tree, l, i, s):
         if w == 0.0:
             continue
@@ -106,7 +100,7 @@ def c_value(model: Model, tree: StateTree, h_levels, state, s: int, eta: float) 
     l, i = tree.locate(state)
     if not (1 <= s <= l):
         raise ValueError(f"action {s} infeasible for buffer length {l}")
-    return _c_value_node(model, tree, h_levels, l, i, s, eta, True)
+    return _c_value_node(model, tree, h_levels, l, i, s, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -241,51 +235,74 @@ def _chain(model: Model, tree: StateTree, actions) -> _Chain:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_chain(model: Model, tree: StateTree, chain: _Chain, eta_w: float, distortion: bool):
-    """Solve the reduced system with unknowns {h(b') : b' in B1} + lambda.
+def _evaluate_chain(model: Model, tree: StateTree, chain: _Chain, eta: float):
+    """Solve the reduced system over the singletons and B1; returns (lambda, delta_e, d, h).
 
     Relies on the chain identity: every node's relative value equals its
     accumulated edge cost plus the value of its nearest B1 ancestor (zero if
-    that ancestor is a singleton).  Edge costs vanish in age-only mode.
+    that ancestor is a singleton), so state 0 of the system stands for all
+    singletons and B1 entry j for state j + 1.
+
+    Each row sends its oldest packet, so by ``_transition_blocks`` its next
+    state depends only on its parent ``a``, of length ``p``: it lies in
+    ``a || V^k`` at level ``p + k < K`` with probability Pr(Z = k), or in the
+    level-K block ``x || V^(K - q)`` of a suffix ``x`` of ``a`` of length ``q``
+    with probability Pr(Z = K - q) (Pr(Z >= K) for the empty suffix).  The
+    level-K part is summed along the suffix chain once per suffix node, so
+    each level-K slice is read once per assembly, not once per row reaching it.
     """
-    m_unknown = len(chain.b1)
-    n = m_unknown + 1
-    A = np.zeros((n, n))
-    rhs = np.zeros(n)
-    rows = list(chain.b1) + [(1, 0)]
-    for r, (l, i) in enumerate(rows):
-        if r < m_unknown:
-            A[r, r] += 1.0
-        A[r, m_unknown] += 1.0  # lambda column
-        const = eta_w * (l - 1)
-        if distortion:
-            const += _forgetting_terms(model, tree, tree.digits_of(l, i), l, 1)
-        for w, level, start, k in _transition_blocks(model, tree, l, i, 1):
-            if w == 0.0:
-                continue
-            size = tree.m**k
-            wts = w * tree.wprob[k]
-            if distortion:
-                const += float(wts @ chain.cost[level][start : start + size])
-            cols = chain.po[level][start : start + size]
-            contrib = np.bincount(cols + 1, weights=wts, minlength=m_unknown + 1)
-            A[r, :m_unknown] -= contrib[1 : m_unknown + 1]
-        rhs[r] = const
-    try:
-        u = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"singular policy-evaluation system (|B1|={m_unknown}); "
-            "unichain invariant violated"
-        ) from exc
-    lam = float(u[m_unknown])
-    upad = np.concatenate(([0.0], u[:m_unknown]))
-    h_levels = [np.zeros(sz) for sz in tree.level_size]
-    for l in range(1, tree.K + 1):
-        h_levels[l] = upad[chain.po[l] + 1]
-        if distortion:
-            h_levels[l] = h_levels[l] + chain.cost[l]
-    return lam, h_levels
+    K, m = tree.K, tree.m
+    n = len(chain.b1) + 1
+    levels = np.array([1] + [l for l, _ in chain.b1])
+    index = np.array([0] + [i for _, i in chain.b1])
+    parents = index % m ** (levels - 1)
+
+    def expect(level: int, anchors: np.ndarray, k: int, w: float):
+        """w * E over V^k of (one-hot system state, edge cost) at ``anchor || V^k``, per anchor."""
+        if w == 0.0:
+            return np.zeros((len(anchors), n)), np.zeros(len(anchors))
+        cols = chain.po[level].reshape(-1, m**k)[anchors]  # a copy: anchors is an index array
+        cols += (np.arange(len(anchors)) * n + 1)[:, None]
+        wts = np.tile(tree.wprob[k], len(anchors))
+        trans = np.bincount(cols.ravel(), weights=wts, minlength=len(anchors) * n).reshape(-1, n)
+        trans *= w
+        return trans, w * (chain.cost[level].reshape(-1, m**k)[anchors] @ tree.wprob[k])
+
+    suffixes = []  # per length p < K: every length-p suffix of a parent, sorted
+    deeper = np.empty(0, dtype=np.int64)
+    for p in range(K - 1, -1, -1):
+        deeper = np.unique(np.concatenate([parents[levels == p + 1], deeper % m**p]))
+        suffixes.insert(0, deeper)
+    P = np.zeros((n, n))
+    cost = np.zeros((n, 2))  # [age, distortion] one-step costs
+    cost[:, 0] = levels - 1
+    for p in range(K):
+        if not len(suffixes[p]):
+            break  # no B1 state is longer than p
+        # level-K blocks of each length-p suffix node and of all its own suffixes
+        w = model.z_tail(K) if p == 0 else model.z_pmf(K - p)
+        trans, edge = expect(K, suffixes[p], K - p, w)
+        if p > 0:
+            shorter = np.searchsorted(suffixes[p - 1], suffixes[p] % m ** (p - 1))
+            trans += suffix_trans[shorter]
+            edge += suffix_edge[shorter]
+        suffix_trans, suffix_edge = trans, edge
+        rows = np.flatnonzero(levels == p + 1)
+        if not len(rows):
+            continue
+        own = np.searchsorted(suffixes[p], parents[rows])
+        forget = _forgetting_terms(model, tree, tree.digits_of(p + 1, index[rows]), p + 1, 1)
+        P[rows] = suffix_trans[own]
+        cost[rows, 1] = suffix_edge[own] + forget
+        for k in range(1, K - p):
+            w = model.z_pmf(k)
+            if w != 0.0:
+                trans, edge = expect(p + k, parents[rows], k, w)
+                P[rows] += trans
+                cost[rows, 1] += edge
+    lam, delta_e, d, u = age_distortion_solve(P, cost, eta)
+    h_levels = [np.zeros(1)] + [u[chain.po[l] + 1] + chain.cost[l] for l in range(1, tree.K + 1)]
+    return lam, delta_e, d, h_levels
 
 
 def _check_residuals(model, tree, b1, h_levels, lam, eta_w, distortion) -> float:
@@ -297,16 +314,26 @@ def _check_residuals(model, tree, b1, h_levels, lam, eta_w, distortion) -> float
     return worst
 
 
-def _evaluate(model: Model, tree: StateTree, actions, eta: float):
-    """(lambda, h, B1) of a chain policy, gated on the kappa-route residuals."""
+class _Evaluation(NamedTuple):
+    """A chain policy's average cost, its two components, h and B1."""
+
+    lam: float
+    delta_e: float
+    d: float
+    h: list[np.ndarray]
+    b1: list[tuple[int, int]]
+
+
+def _evaluate(model: Model, tree: StateTree, actions, eta: float) -> _Evaluation:
+    """Evaluate a chain policy, gated on the kappa-route residuals."""
     chain = _chain(model, tree, actions)
-    lam, h_levels = _evaluate_chain(model, tree, chain, eta, True)
+    lam, delta_e, d, h_levels = _evaluate_chain(model, tree, chain, eta)
     worst = _check_residuals(model, tree, chain.b1, h_levels, lam, eta, True)
     if worst > RESIDUAL_TOL:
         raise RuntimeError(
             f"policy evaluation residual {worst:.3e} exceeds {RESIDUAL_TOL} (eta={eta}, K={tree.K})"
         )
-    return lam, h_levels, chain.b1
+    return _Evaluation(lam, delta_e, d, h_levels, chain.b1)
 
 
 def evaluate_policy(model: Model, tree: StateTree, actions, eta: float):
@@ -317,20 +344,23 @@ def evaluate_policy(model: Model, tree: StateTree, actions, eta: float):
     anything else is rejected with a ValueError naming the level.  The table
     is recorded as ``tree.last_actions`` for ``evaluate_components``.
     """
-    lam, h_levels, _ = _evaluate(model, tree, actions, eta)
+    ev = _evaluate(model, tree, actions, eta)
     tree.last_actions = [np.array(a, dtype=np.int32) for a in actions]
-    return lam, h_levels
+    return ev.lam, ev.h
 
 
 def evaluate_components(model: Model, tree: StateTree, actions=None):
-    """(delta_e, d) of the given policy (default ``tree.last_actions``) via two synthetic solves."""
+    """(delta_e, d) of the given policy (default ``tree.last_actions``).
+
+    Runs the same reduced solve as every evaluation, whose age and distortion
+    parts do not depend on eta, so the result is bitwise the one
+    ``policy_iteration`` reports for the same table.
+    """
     if actions is None:
         actions = tree.last_actions
         if actions is None:
             raise ValueError("no action table given and none recorded on the tree")
-    chain = _chain(model, tree, actions)
-    delta_e, _ = _evaluate_chain(model, tree, chain, 1.0, False)
-    d, _ = _evaluate_chain(model, tree, chain, 0.0, True)
+    _, delta_e, d, _ = _evaluate_chain(model, tree, _chain(model, tree, actions), 1.0)
     return delta_e, d
 
 
@@ -529,10 +559,10 @@ def policy_iteration(
     tree = StateTree(model, K)
     actions = _chain_actions(tree, () if start is None else [a == 1 for a in start.actions])
 
-    lam = float("nan")
+    ev = None
     for it in range(1, max_iters + 1):
-        lam, h_levels, b1 = _evaluate(model, tree, actions, eta)
-        new = _chain_actions(tree, _improve(model, tree, h_levels, lam, eta))
+        ev = _evaluate(model, tree, actions, eta)
+        new = _chain_actions(tree, _improve(model, tree, ev.h, ev.lam, eta))
         if all(np.array_equal(a, b) for a, b in zip(new, actions)):
             iters = it
             break
@@ -540,21 +570,20 @@ def policy_iteration(
     else:
         raise RuntimeError(
             f"policy iteration did not converge within {max_iters} iterations "
-            f"(eta={eta}, K={K}, lambda={lam})"
+            f"(eta={eta}, K={K}, lambda={ev.lam if ev else float('nan')})"
         )
 
-    delta_e, d = evaluate_components(model, tree, actions)
     return PolicySolution(
         eta=eta,
         K=K,
-        lam=lam,
-        delta_e=delta_e,
-        d=d,
+        lam=ev.lam,
+        delta_e=ev.delta_e,
+        d=ev.d,
         iters=iters,
         values=tuple(model.v.values),
         actions=actions,
-        h=h_levels,
-        b1=b1,
+        h=ev.h,
+        b1=ev.b1,
         model_hash=model.config_hash(),
     )
 
@@ -568,8 +597,10 @@ def average_cost_solve(P: np.ndarray, cost: np.ndarray):
     """Dense average-cost evaluation of a unichain policy: returns (lambda, h).
 
     Solves ``h + lambda = cost + P h`` over every state with ``h[0] = 0``;
-    the column of the pinned unknown carries lambda instead.  A singular
-    system (the policy has more than one recurrent class) raises.
+    the column of the pinned unknown carries lambda instead.  ``cost`` may be
+    a matrix with one column per one-step cost, all solved from one
+    factorization; lambda is then a row.  A singular system (the policy has
+    more than one recurrent class) raises.
     """
     A = np.eye(len(cost)) - P
     A[:, 0] = 1.0
@@ -579,31 +610,43 @@ def average_cost_solve(P: np.ndarray, cost: np.ndarray):
         raise RuntimeError(
             f"singular average-cost system over {len(cost)} states; the policy is not unichain"
         ) from exc
-    lam = float(u[0])
+    lam = u[0].copy()
     u[0] = 0.0
     return lam, u
 
 
-def _evaluate_full(model: Model, tree: StateTree, actions, eta_w: float, distortion: bool):
-    """Dense policy evaluation over every state; reference h([v_min]) = 0."""
+def age_distortion_solve(P: np.ndarray, cost: np.ndarray, eta: float):
+    """``average_cost_solve`` of an [age, distortion] cost pair; returns (lambda, delta_e, d, h).
+
+    The one-step cost is ``eta * age + distortion`` and the evaluation is
+    linear in it, so one factorization gives both components and the
+    weighted cost.
+    """
+    lam, u = average_cost_solve(P, cost)
+    delta_e, d = lam.tolist()
+    return d + eta * delta_e, delta_e, d, u[:, 1] + eta * u[:, 0]
+
+
+def _evaluate_full(model: Model, tree: StateTree, actions, eta: float):
+    """Dense evaluation over every state, h([v_min]) = 0; returns (lambda, delta_e, d, h)."""
     n = tree.node_count() - 1  # every state but the root, in breadth-first order
     P = np.zeros((n, n))
-    cost = np.zeros(n)
+    cost = np.zeros((n, 2))  # [age, distortion] one-step costs
     for l in range(1, tree.K + 1):
         for i in range(tree.level_size[l]):
             r = tree.level_offset[l] + i - 1
             s = int(actions[l][i])
-            cost[r] = eta_w * (l - s)
-            if distortion:
-                digits = tree.digits_of(l, i)
-                cost[r] += sum(tree.values[d] for d in digits[: s - 1]) / model.mu
-                cost[r] += _forgetting_terms(model, tree, digits, l, s)
+            digits = tree.digits_of(l, i)
+            cost[r, 0] = l - s
+            cost[r, 1] = sum(tree.values[d] for d in digits[: s - 1]) / model.mu
+            cost[r, 1] += _forgetting_terms(model, tree, digits, l, s)
             for w, level, start, k in _transition_blocks(model, tree, l, i, s):
                 cols = tree.level_offset[level] + start - 1 + np.arange(tree.m**k)
                 P[r, cols] += w * tree.wprob[k]
-    lam, u = average_cost_solve(P, cost)
+    lam, delta_e, d, u = age_distortion_solve(P, cost, eta)
     off = tree.level_offset
-    return lam, [np.zeros(1)] + [u[off[l] - 1 : off[l + 1] - 1] for l in range(1, tree.K + 1)]
+    h_levels = [np.zeros(1)] + [u[off[l] - 1 : off[l + 1] - 1] for l in range(1, tree.K + 1)]
+    return lam, delta_e, d, h_levels
 
 
 def generic_policy_iteration(
@@ -617,17 +660,17 @@ def generic_policy_iteration(
     lam = float("nan")
     h_levels = None
     for it in range(1, max_iters + 1):
-        lam, h_levels = _evaluate_full(model, tree, actions, eta, True)
+        lam, delta_e, d, h_levels = _evaluate_full(model, tree, actions, eta)
         changed = False
         for l in range(1, K + 1):
             for i in range(tree.level_size[l]):
                 digits = tree.digits_of(l, i)
                 best_s = l
-                best_c = _c_value_node(model, tree, h_levels, l, i, l, eta, True)
+                best_c = _c_value_node(model, tree, h_levels, l, i, l, eta)
                 for s in range(l - 1, 0, -1):
                     if digits[s - 1] == 0:
                         continue  # stale minimum-importance packet: outside the class
-                    cval = _c_value_node(model, tree, h_levels, l, i, s, eta, True)
+                    cval = _c_value_node(model, tree, h_levels, l, i, s, eta)
                     if cval < best_c - TIE_TOL:
                         best_s, best_c = s, cval
                 if best_s != actions[l][i]:
@@ -641,8 +684,6 @@ def generic_policy_iteration(
             f"generic policy iteration did not converge within {max_iters} iterations "
             f"(eta={eta}, K={K})"
         )
-    delta_e, _ = _evaluate_full(model, tree, actions, 1.0, False)
-    d, _ = _evaluate_full(model, tree, actions, 0.0, True)
     b1 = [
         (l, i)
         for l in range(2, K + 1)

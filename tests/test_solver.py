@@ -20,7 +20,14 @@ from agedist import (
     policy_iteration,
     sweep_eta,
 )
-from agedist.solver import PolicySolution, _c1_pass, average_cost_solve
+from agedist.solver import (
+    PolicySolution,
+    _c1_pass,
+    _chain_actions,
+    _evaluate,
+    _evaluate_full,
+    average_cost_solve,
+)
 from agedist.verify import (
     property1_violations,
     property2_violations,
@@ -210,6 +217,89 @@ def test_average_cost_solve_rejects_multichain():
     # two absorbing states: lambda is not unique
     with pytest.raises(RuntimeError, match="singular"):
         average_cost_solve(np.eye(2), np.array([1.0, 2.0]))
+
+
+def test_average_cost_solve_cost_matrix():
+    # one factorization, one column per cost: same answers as separate solves
+    rng = np.random.default_rng(5)
+    P = rng.uniform(size=(6, 6))
+    P /= P.sum(axis=1, keepdims=True)
+    cost = rng.normal(size=(6, 3))
+    lam, h = average_cost_solve(P, cost)
+    assert lam.shape == (3,) and h.shape == (6, 3)
+    for c in range(3):
+        lam_c, h_c = average_cost_solve(P, cost[:, c])
+        assert lam[c] == pytest.approx(lam_c, abs=1e-12)
+        np.testing.assert_allclose(h[:, c], h_c, atol=1e-12)
+
+
+def _random_chain_models():
+    rng = np.random.default_rng(31)
+    gaps = [
+        Geometric(0.3),
+        Geometric(0.75),
+        FinitePMF((0.4, 0.0, 0.6)),
+        FinitePMF((0.0, 0.5, 0.0, 0.5)),
+    ]
+    for m in (2, 3, 4):
+        for gap in gaps:
+            vals = tuple(float(x) for x in np.sort(rng.uniform(0.5, 25.0, size=m)))
+            pr = rng.uniform(0.2, 1.0, size=m)
+            yield Model(ImportanceDist(vals, tuple(float(x) for x in pr / pr.sum())), gap)
+
+
+@pytest.mark.parametrize("model", list(_random_chain_models()), ids=lambda m: f"V{m.v.size}-{m.z}")
+def test_reduced_system_matches_dense_on_random_chain_policies(model):
+    # arbitrary "send oldest" masks, not just optimal ones, so the shared
+    # suffix-chain blocks of the reduced assembly meet B1 patterns the
+    # improvement step never produces; the zero-probability gaps of the
+    # FinitePMF cases exercise the skipped blocks
+    rng = np.random.default_rng(model.v.size)
+    for K in range(1, 5 if model.v.size < 4 else 4):
+        tree = StateTree(model, K)
+        for density in (0.2, 0.5, 0.9):
+            takes = [None, None] + [rng.random(n) < density for n in tree.level_size[2:]]
+            actions = _chain_actions(tree, takes)
+            eta = float(rng.uniform(0.2, 3.0))
+            ev = _evaluate(model, tree, actions, eta)
+            lam, delta_e, d, h = _evaluate_full(model, tree, actions, eta)
+            assert ev.lam == pytest.approx(lam, abs=1e-10)
+            assert ev.delta_e == pytest.approx(delta_e, abs=1e-10)
+            assert ev.d == pytest.approx(d, abs=1e-10)
+            for l in range(1, K + 1):
+                np.testing.assert_allclose(ev.h[l], h[l], atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def three_level():
+    """V = {1, 5, 20} with probabilities (.5, .3, .2), geometric p = 0.2."""
+    model = Model(ImportanceDist((1.0, 5.0, 20.0), (0.5, 0.3, 0.2)), Geometric(0.2))
+    return model, policy_iteration(model, 0.35)
+
+
+def test_three_level_deep_solve_pinned(three_level):
+    # |B1| = 1089 at K = 11.  The constants were computed by the earlier
+    # assembly of the reduced system (one pass per row, plus two more solves
+    # for the components), which took about 5 s on this model.
+    model, sol = three_level
+    assert (sol.K, sol.b1_size, sol.iters) == (11, 1089, 3)
+    assert sol.lam == pytest.approx(3.7921267627933393, abs=1e-9)
+    assert sol.delta_e == pytest.approx(1.5123697400042895, abs=1e-9)
+    assert sol.d == pytest.approx(3.2627973537918398, abs=1e-9)
+
+
+@pytest.mark.parametrize("case", ["fig1", "three_level"])
+def test_components_bitwise_equal_across_paths(case, fig1, three_level):
+    # policy_iteration takes delta_e and d from its last evaluation; the
+    # step-wise API must reproduce them exactly
+    if case == "fig1":
+        model, sol = fig1, policy_iteration(fig1, 0.3)
+    else:
+        model, sol = three_level
+    tree = StateTree(model, sol.K)
+    lam, _ = evaluate_policy(model, tree, sol.actions, sol.eta)
+    delta_e, d = evaluate_components(model, tree)
+    assert (lam, delta_e, d) == (sol.lam, sol.delta_e, sol.d)
 
 
 def test_components_respect_floor(fig1):
