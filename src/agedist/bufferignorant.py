@@ -18,10 +18,11 @@ import numpy as np
 
 from .model import Geometric, Model
 from .sim import SimConfig, SimResult, simulate_bit_policy
-from .solver import age_distortion_solve
+from .solver import MAX_ITERS, TIE_TOL, age_distortion_solve
 
-TIE_TOL = 1e-12
-MAX_ITERS = 1000
+# Length-MDP state cap: the solve holds a few dense L_cap x L_cap float arrays
+# (134 MB each at the cap).
+BI_STATE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -96,87 +97,94 @@ class BIPolicySolution:
         return LengthActionPolicy(self.actions, self.N, self.L_cap)
 
 
-def _bi_evaluate(source: BinarySource, actions: np.ndarray, L: int, eta: float):
-    """Dense evaluation of a length policy, truncated at L with tail charging; h(1) = 0.
+def _leftover_table(source: BinarySource, L: int):
+    """Next-length law and tail charge per leftover ``rest = l - s``, truncated at L.
+
+    Row ``rest`` of ``T`` is the law of the next length (state j is length
+    j + 1): the Z new bits land on length rest + Z, and Pr(Z >= L - rest)
+    lumps onto the cap.  ``tail[rest]`` = mu_V * p * E[(Z - (L - rest))^+]
+    charges the bits that fall off the cap.
+    """
+    p = source.p
+    pb = 1.0 - p
+    geo = np.array([p * pb**k for k in range(L)])
+    T = np.zeros((L, L))
+    for rest in range(L):
+        T[rest, rest : L - 1] = geo[: L - 1 - rest]
+        T[rest, L - 1] = pb ** (L - rest - 1)
+    tail = np.array([source.mu_v * pb ** (L - rest) for rest in range(L)])
+    return T, tail
+
+
+def _bi_evaluate(actions: np.ndarray, chunk, T, tail, eta: float):
+    """Dense evaluation of a length policy on the leftover table; h(1) = 0.
+
+    ``chunk[s]`` is the distortion charge mu_V * p * (s - N)^+ of selecting s.
 
     Returns ``(lambda, delta_e, d, h)`` from one solve of the age and
     distortion parts of the one-step cost.
     """
-    p = source.p
-    pb = 1.0 - p
-    # state l - 1 is buffer length l
-    P = np.zeros((L, L))
-    cost = np.zeros((L, 2))  # [age, distortion] one-step costs
-    for l in range(1, L + 1):
-        s = int(actions[l])
-        rest = l - s
-        cost[l - 1, 0] = rest
-        cost[l - 1, 1] = source.mu_v * p * max(s - source.N, 0)
-        cost[l - 1, 1] += source.mu_v * pb ** (L - rest)  # mu_V * p * E[(Z - (L - rest))^+]
-        for k in range(1, L - rest):
-            P[l - 1, rest + k - 1] += p * pb ** (k - 1)
-        P[l - 1, L - 1] += pb ** (L - rest - 1)  # Pr(Z >= L - rest) lands on the cap
-    lam, delta_e, d, u = age_distortion_solve(P, cost, eta)
+    s = actions[1:]
+    rest = np.arange(1, len(actions)) - s
+    cost = np.empty((len(s), 2))  # [age, distortion] one-step costs
+    cost[:, 0] = rest
+    cost[:, 1] = chunk[s] + tail[rest]
+    lam, delta_e, d, u = age_distortion_solve(T[rest], cost, eta)
     return lam, delta_e, d, np.concatenate(([0.0], u))
 
 
-def bi_policy_iteration(
-    source: BinarySource, eta: float, *, slack: int | None = None, max_iters: int = MAX_ITERS
-) -> BIPolicySolution:
+def bi_policy_iteration(source: BinarySource, eta: float) -> BIPolicySolution:
     """Policy iteration over buffer lengths 1..L_cap.
 
     The optimal policy leaves at most N*mu_V/(eta*mu) bits behind, so the
-    state space is capped there plus slack; lengths beyond the cap forget
-    their oldest bits at mu_V per mu slots, mirroring the packet model.
+    state space is capped there plus 4N + 16; lengths beyond the cap forget
+    their oldest bits at mu_V per mu slots, mirroring the packet model.  An
+    L_cap above ``BI_STATE_CAP`` is rejected before anything is allocated.
+
+    The next length depends on (l, s) only through the leftover l - s, so
+    the policy-independent leftover table (``_leftover_table``) is built
+    once: an evaluation picks its rows, and the improvement reads
+    C(l, s) = mu_V * p * (s - N)^+ + eta * (l - s) + after[l - s] with
+    ``after = tail + T @ h``, scanning s downward from l and switching only
+    when strictly better by more than ``TIE_TOL``.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     N = source.N
-    if slack is None:
-        slack = 4 * N + 16
-    L = N + math.ceil(N * source.mu_v / (eta * source.mu)) + slack
-    p = source.p
-    pb = 1.0 - p
+    L = N + math.ceil(N * source.mu_v / (eta * source.mu)) + 4 * N + 16
+    if L > BI_STATE_CAP:
+        raise ValueError(
+            f"length MDP at eta={eta}, N={N} needs L_cap={L} states, "
+            f"over the cap of {BI_STATE_CAP}"
+        )
+    T, tail = _leftover_table(source, L)
+    chunk = source.mu_v * source.p * np.maximum(np.arange(L + 1) - N, 0)
+    lengths = np.arange(1, L + 1)
 
     actions = np.arange(L + 1, dtype=np.int64)  # start from send-latest: s(l) = l
-    lam = float("nan")
-    h = None
-    for it in range(1, max_iters + 1):
-        lam, delta_e, d, h = _bi_evaluate(source, actions, L, eta)
-        changed = False
-        for l in range(1, L + 1):
-            best_s = l
-            best_c = _bi_c_value(source, h, L, eta, l, l)
-            for s in range(l - 1, 0, -1):
-                c = _bi_c_value(source, h, L, eta, l, s)
-                if c < best_c - TIE_TOL:
-                    best_s, best_c = s, c
-            if best_s != actions[l]:
-                actions[l] = best_s
-                changed = True
-        if not changed:
+    for it in range(1, MAX_ITERS + 1):
+        lam, delta_e, d, h = _bi_evaluate(actions, chunk, T, tail, eta)
+        after = tail + T @ h[1:]
+        best_s = lengths.copy()
+        best_c = chunk[lengths] + after[0]
+        for s in range(L - 1, 0, -1):
+            l = lengths[s:]  # every length that can select s < l
+            c = chunk[s] + eta * (l - s) + after[l - s]
+            better = c < best_c[s:] - TIE_TOL
+            best_s[s:][better] = s
+            best_c[s:][better] = c[better]
+        if np.array_equal(best_s, actions[1:]):
             iters = it
             break
+        actions[1:] = best_s
     else:
         raise RuntimeError(
-            f"length-MDP policy iteration did not converge within {max_iters} iterations "
+            f"length-MDP policy iteration did not converge within {MAX_ITERS} iterations "
             f"(eta={eta}, N={N}, L_cap={L})"
         )
     return BIPolicySolution(
         eta=eta, N=N, L_cap=L, lam=lam, delta_e=delta_e, d=d, iters=iters, actions=actions, h=h
     )
-
-
-def _bi_c_value(source, h, L, eta, l, s):
-    p = source.p
-    pb = 1.0 - p
-    rest = l - s
-    val = bi_one_step_cost(source, eta, l, s)
-    val += source.mu_v * pb ** (L - rest)
-    for k in range(1, L - rest):
-        val += p * pb ** (k - 1) * h[rest + k]
-    val += pb ** (L - rest - 1) * h[L]
-    return val
 
 
 # ---------------------------------------------------------------------------

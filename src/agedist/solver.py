@@ -15,7 +15,8 @@ Cost convention: the average cost per speaking instant is
 system is linear in the one-step cost, so every evaluation factors it once
 and solves for the age and the distortion parts of the cost as two
 right-hand sides: their average costs are ``delta_e`` and ``d``, and lambda
-and h are the eta-weighted sums.
+and h are the eta-weighted sums.  The residual gate and the improvement both
+read C_h(b, 1) from one kappa pass per evaluation.
 """
 
 from __future__ import annotations
@@ -108,48 +109,38 @@ def c_value(model: Model, tree: StateTree, h_levels, state, s: int, eta: float) 
 # ---------------------------------------------------------------------------
 
 
-def _kappa_pass(model: Model, tree: StateTree, h_levels, distortion: bool = True):
+def kappa_update(model: Model, tree: StateTree, h_levels):
     """kappa arrays for levels 0..K-1 (only parents are ever queried)."""
     K = tree.K
     mu = model.mu
     kappa: list[np.ndarray] = [np.empty(0)] * K
     base = model.z_tail(K) * float(h_levels[K] @ tree.wprob[K])
-    if distortion:
-        base += model.mean_importance / mu * model.z_excess_mean(K)
+    base += model.mean_importance / mu * model.z_excess_mean(K)
     kappa[0] = np.array([base])
     for l in range(1, K):
         n = tree.level_size[l]
         idx = np.arange(n)
         eh = tree.level_suffix_expectation(l, K - l, h_levels)
         kap = model.z_pmf(K - l) * eh + kappa[l - 1][tree.parent_index(l, idx)]
-        if distortion:
-            kap += model.z_tail(K - l + 1) * tree.values[tree.first_digit(l, idx)] / mu
+        kap += model.z_tail(K - l + 1) * tree.values[tree.first_digit(l, idx)] / mu
         kappa[l] = kap
     return kappa
 
 
-def kappa_update(model: Model, tree: StateTree, h_levels):
-    """Public wrapper over the kappa recursion (full-cost mode)."""
-    return _kappa_pass(model, tree, h_levels, distortion=True)
+def _c1_parts(model: Model, tree: StateTree, h_levels) -> list[np.ndarray]:
+    """Per-parent parts of C_h(b, 1): ``C_h(b, 1) = eta * (l - 1) + parts[l][parent(b)]``.
 
-
-def _c1_per_parent(model: Model, tree: StateTree, h_levels, kappa, l: int) -> np.ndarray:
-    """sum_z p_z E[h(parent || V^z)] + kappa(parent), per level-(l-1) node."""
-    psum = kappa[l - 1].copy()
-    for z in range(1, tree.K - l + 1):
-        psum += model.z_pmf(z) * tree.level_suffix_expectation(l - 1, z, h_levels)
-    return psum
-
-
-def _c1_pass(model: Model, tree: StateTree, h_levels, eta_w: float, distortion: bool):
-    """C_h(b, 1) for every node, levels 1..K."""
-    kappa = _kappa_pass(model, tree, h_levels, distortion)
-    c1: list[np.ndarray] = [np.empty(0)] * (tree.K + 1)
+    ``parts[l]``, over the level-(l-1) nodes, is sum_z p_z E[h(parent || V^z)]
+    + kappa(parent) for l = 1..K (``parts[0]`` is unused).
+    """
+    kappa = kappa_update(model, tree, h_levels)
+    parts: list[np.ndarray] = [np.empty(0)]
     for l in range(1, tree.K + 1):
-        per_parent = _c1_per_parent(model, tree, h_levels, kappa, l)
-        idx = np.arange(tree.level_size[l])
-        c1[l] = eta_w * (l - 1) + per_parent[tree.parent_index(l, idx)]
-    return c1
+        psum = kappa[l - 1].copy()
+        for z in range(1, tree.K - l + 1):
+            psum += model.z_pmf(z) * tree.level_suffix_expectation(l - 1, z, h_levels)
+        parts.append(psum)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -305,35 +296,37 @@ def _evaluate_chain(model: Model, tree: StateTree, chain: _Chain, eta: float):
     return lam, delta_e, d, h_levels
 
 
-def _check_residuals(model, tree, b1, h_levels, lam, eta_w, distortion) -> float:
-    """Re-derive C_h(b,1) through the kappa route and check B1 equations."""
-    c1 = _c1_pass(model, tree, h_levels, eta_w, distortion)
-    worst = abs(lam - float(c1[1][0]))
+def _check_residuals(tree: StateTree, b1, h_levels, lam: float, eta: float, parts) -> float:
+    """Worst residual of the root and B1 equations, with C_h(b, 1) from the kappa route."""
+    worst = abs(lam - float(parts[1][0]))
     for l, i in b1:
-        worst = max(worst, abs(float(h_levels[l][i]) + lam - float(c1[l][i])))
+        c1 = eta * (l - 1) + float(parts[l][tree.parent_index(l, i)])
+        worst = max(worst, abs(float(h_levels[l][i]) + lam - c1))
     return worst
 
 
 class _Evaluation(NamedTuple):
-    """A chain policy's average cost, its two components, h and B1."""
+    """A chain policy's average cost, its two components, h, B1 and the parts of C_h(b, 1)."""
 
     lam: float
     delta_e: float
     d: float
     h: list[np.ndarray]
     b1: list[tuple[int, int]]
+    parts: list[np.ndarray]
 
 
 def _evaluate(model: Model, tree: StateTree, actions, eta: float) -> _Evaluation:
     """Evaluate a chain policy, gated on the kappa-route residuals."""
     chain = _chain(model, tree, actions)
     lam, delta_e, d, h_levels = _evaluate_chain(model, tree, chain, eta)
-    worst = _check_residuals(model, tree, chain.b1, h_levels, lam, eta, True)
+    parts = _c1_parts(model, tree, h_levels)
+    worst = _check_residuals(tree, chain.b1, h_levels, lam, eta, parts)
     if worst > RESIDUAL_TOL:
         raise RuntimeError(
             f"policy evaluation residual {worst:.3e} exceeds {RESIDUAL_TOL} (eta={eta}, K={tree.K})"
         )
-    return _Evaluation(lam, delta_e, d, h_levels, chain.b1)
+    return _Evaluation(lam, delta_e, d, h_levels, chain.b1, parts)
 
 
 def evaluate_policy(model: Model, tree: StateTree, actions, eta: float):
@@ -369,8 +362,8 @@ def evaluate_components(model: Model, tree: StateTree, actions=None):
 # ---------------------------------------------------------------------------
 
 
-def _improve(model: Model, tree: StateTree, h_levels, lam: float, eta: float) -> list[np.ndarray]:
-    """One improvement sweep; returns the per-level "send oldest" masks.
+def _improve(model: Model, tree: StateTree, parts, lam: float, eta: float) -> list[np.ndarray]:
+    """One improvement sweep from the parts of C_h(b, 1); returns the "send oldest" masks.
 
     A node switches to sending its oldest packet only when that is strictly
     better than inheriting the parent's best by more than the tie guard, and
@@ -379,14 +372,13 @@ def _improve(model: Model, tree: StateTree, h_levels, lam: float, eta: float) ->
     """
     mu = model.mu
     kvals = model.reach_bounds(eta)
-    kappa = _kappa_pass(model, tree, h_levels, True)
     takes = [np.zeros(1, dtype=bool), np.ones(tree.level_size[1], dtype=bool)]
     best = np.full(tree.level_size[1], lam)  # C_h(b, s(b)) of the previous level
     for l in range(2, tree.K + 1):
         idx = np.arange(tree.level_size[l])
         par = tree.parent_index(l, idx)
         first = tree.first_digit(l, idx)
-        c1 = eta * (l - 1) + _c1_per_parent(model, tree, h_levels, kappa, l)[par]
+        c1 = eta * (l - 1) + parts[l][par]
         chain_val = best[par] + tree.values[first] / mu
         take = (l <= kvals[first]) & (c1 < chain_val - TIE_TOL)
         takes.append(take)
@@ -400,7 +392,7 @@ def policy_improve(model: Model, tree: StateTree, h_levels, lam: float, eta: flo
     The new table is recorded as ``tree.last_actions`` for
     ``evaluate_components``.
     """
-    takes = _improve(model, tree, h_levels, lam, eta)
+    takes = _improve(model, tree, _c1_parts(model, tree, h_levels), lam, eta)
     actions = _chain_actions(tree, takes)
     tree.last_actions = [a.copy() for a in actions]
     b1 = [(l, int(j)) for l in range(2, tree.K + 1) for j in np.flatnonzero(takes[l])]
@@ -537,7 +529,6 @@ def policy_iteration(
     eta: float,
     K: int | None = None,
     *,
-    max_iters: int = MAX_ITERS,
     start: PolicySolution | None = None,
 ) -> PolicySolution:
     """Efficient policy iteration; returns the converged PolicySolution.
@@ -560,16 +551,16 @@ def policy_iteration(
     actions = _chain_actions(tree, () if start is None else [a == 1 for a in start.actions])
 
     ev = None
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         ev = _evaluate(model, tree, actions, eta)
-        new = _chain_actions(tree, _improve(model, tree, ev.h, ev.lam, eta))
+        new = _chain_actions(tree, _improve(model, tree, ev.parts, ev.lam, eta))
         if all(np.array_equal(a, b) for a, b in zip(new, actions)):
             iters = it
             break
         actions = new
     else:
         raise RuntimeError(
-            f"policy iteration did not converge within {max_iters} iterations "
+            f"policy iteration did not converge within {MAX_ITERS} iterations "
             f"(eta={eta}, K={K}, lambda={ev.lam if ev else float('nan')})"
         )
 
@@ -649,9 +640,7 @@ def _evaluate_full(model: Model, tree: StateTree, actions, eta: float):
     return lam, delta_e, d, h_levels
 
 
-def generic_policy_iteration(
-    model: Model, eta: float, K: int, *, max_iters: int = MAX_ITERS
-) -> PolicySolution:
+def generic_policy_iteration(model: Model, eta: float, K: int) -> PolicySolution:
     """Textbook policy iteration with exhaustive argmin; the oracle route."""
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -659,7 +648,7 @@ def generic_policy_iteration(
     actions = [np.full(tree.level_size[l], l, dtype=np.int32) for l in range(K + 1)]
     lam = float("nan")
     h_levels = None
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         lam, delta_e, d, h_levels = _evaluate_full(model, tree, actions, eta)
         changed = False
         for l in range(1, K + 1):
@@ -681,7 +670,7 @@ def generic_policy_iteration(
             break
     else:
         raise RuntimeError(
-            f"generic policy iteration did not converge within {max_iters} iterations "
+            f"generic policy iteration did not converge within {MAX_ITERS} iterations "
             f"(eta={eta}, K={K})"
         )
     b1 = [
@@ -748,7 +737,7 @@ class TradeoffCurve:
             fh.write(f"{eta:.12g},{j:.12g}\n")
 
 
-def sweep_eta(model: Model, etas, *, max_iters: int = MAX_ITERS) -> TradeoffCurve:
+def sweep_eta(model: Model, etas) -> TradeoffCurve:
     """Solve a decreasing eta sequence with warm starts; emit the converse family."""
     etas = [float(e) for e in etas]
     if not etas:
@@ -765,7 +754,7 @@ def sweep_eta(model: Model, etas, *, max_iters: int = MAX_ITERS) -> TradeoffCurv
             K = model.buffer_bound(eta)
             if start is not None:
                 K = max(K, start.K)
-            sol = policy_iteration(model, eta, K, max_iters=max_iters, start=start)
+            sol = policy_iteration(model, eta, K, start=start)
         except (ValueError, RuntimeError) as exc:
             curve.failures.append((eta, str(exc)))
             continue

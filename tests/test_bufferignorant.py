@@ -59,16 +59,35 @@ def test_large_eta_sends_latest(src):
     assert sol.matching_threshold() == 0
 
 
-@pytest.mark.parametrize("eta", [0.05, 0.1, 0.2, 0.4])
-def test_solved_structure_and_threshold(src, eta):
-    sol = bi_policy_iteration(src, eta)
+@pytest.mark.parametrize(
+    "N,eta,pinned",
+    [
+        (3, 0.05, None),
+        (3, 0.1, None),
+        (3, 0.2, None),
+        (3, 0.4, None),
+        (8, 0.05, (271, 14, 80)),  # (L_cap, iterations, tau) of the earlier pair-by-pair sweep
+    ],
+    ids=["0.05", "0.1", "0.2", "0.4", "N8-0.05"],
+)
+def test_solved_structure_and_threshold(src, N, eta, pinned):
+    source = BinarySource(q=src.q, v=src.v, p=src.p, N=N)
+    sol = bi_policy_iteration(source, eta)
     for l in range(2, sol.L_cap + 1):
-        assert sol.actions[l] in (src.N, sol.actions[l - 1] + 1)
+        assert sol.actions[l] in (N, sol.actions[l - 1] + 1)
     tau = sol.matching_threshold()
     assert tau is not None  # geometric Z: single-threshold empirically optimal
-    pt = threshold_point(src, tau)
+    if pinned is not None:
+        assert (sol.L_cap, sol.iters, tau) == pinned
+    pt = threshold_point(source, tau)
     assert sol.delta_e == pytest.approx(pt.delta_e, abs=1e-6)
     assert sol.d == pytest.approx(pt.d, abs=1e-6)
+
+
+def test_state_cap_rejected_before_solving(src):
+    # N = 3, eta = 1e-4: L_cap = 40231, 12.9 GB per dense copy
+    with pytest.raises(ValueError, match=r"eta=0\.0001, N=3 needs L_cap=40231 .* cap of 4096"):
+        bi_policy_iteration(src, 1e-4)
 
 
 def test_threshold_tau0(src):

@@ -20,9 +20,10 @@ from agedist import (
     policy_iteration,
     sweep_eta,
 )
+from agedist import solver
 from agedist.solver import (
     PolicySolution,
-    _c1_pass,
+    _c1_parts,
     _chain_actions,
     _evaluate,
     _evaluate_full,
@@ -139,11 +140,12 @@ def test_kappa_matches_direct_c1(fig1):
     for K in (2, 3, 5):
         tree = StateTree(fig1, K)
         h = random_h(tree, 100 + K)
-        c1 = _c1_pass(fig1, tree, h, eta_w=1.0, distortion=True)
+        parts = _c1_parts(fig1, tree, h)
         for l in range(1, K + 1):
             for i in range(tree.level_size[l]):
+                c1 = 1.0 * (l - 1) + parts[l][tree.parent_index(l, i)]
                 direct = c_value(fig1, tree, h, tree.entries_of(l, i), 1, 1.0)
-                assert c1[l][i] == pytest.approx(direct, abs=1e-10)
+                assert c1 == pytest.approx(direct, abs=1e-10)
 
 
 def test_kappa_root_value(fig1):
@@ -297,9 +299,33 @@ def test_components_bitwise_equal_across_paths(case, fig1, three_level):
     else:
         model, sol = three_level
     tree = StateTree(model, sol.K)
-    lam, _ = evaluate_policy(model, tree, sol.actions, sol.eta)
+    lam, h = evaluate_policy(model, tree, sol.actions, sol.eta)
     delta_e, d = evaluate_components(model, tree)
     assert (lam, delta_e, d) == (sol.lam, sol.delta_e, sol.d)
+    # the step-wise improvement from the converged (lambda, h) is the fixed point
+    actions, _ = policy_improve(model, tree, h, lam, sol.eta)
+    assert [(a.dtype, a.tobytes()) for a in actions] == [
+        (a.dtype, a.tobytes()) for a in sol.actions
+    ]
+
+
+def test_residual_gate_rejects_perturbed_h(fig1, monkeypatch):
+    # shift one B1 entry of the solved h: the kappa-route residual must fire
+    sol = policy_iteration(fig1, 0.3)
+    real = solver._evaluate_chain
+
+    def shifted(model, tree, chain, eta):
+        lam, delta_e, d, h = real(model, tree, chain, eta)
+        if chain.b1:
+            l, i = chain.b1[0]
+            h[l][i] += 1e-6
+        return lam, delta_e, d, h
+
+    monkeypatch.setattr(solver, "_evaluate_chain", shifted)
+    with pytest.raises(RuntimeError, match="residual"):
+        policy_iteration(fig1, 0.3)
+    with pytest.raises(RuntimeError, match="residual"):
+        evaluate_policy(fig1, StateTree(fig1, sol.K), sol.actions, 0.3)
 
 
 def test_components_respect_floor(fig1):
