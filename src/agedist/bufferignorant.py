@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Geometric, Model
+from .model import Geometric, Model, check_eta
 from .sim import SimConfig, SimResult, simulate_bit_policy
 from .solver import MAX_ITERS, TIE_TOL, age_distortion_solve
 
@@ -148,10 +148,10 @@ def bi_policy_iteration(source: BinarySource, eta: float) -> BIPolicySolution:
     ``after = tail + T @ h``, scanning s downward from l and switching only
     when strictly better by more than ``TIE_TOL``.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    check_eta(eta)
     N = source.N
-    L = N + math.ceil(N * source.mu_v / (eta * source.mu)) + 4 * N + 16
+    spare = N * source.mu_v / (eta * source.mu)
+    L = N + math.ceil(spare) + 4 * N + 16 if math.isfinite(spare) else math.inf
     if L > BI_STATE_CAP:
         raise ValueError(
             f"length MDP at eta={eta}, N={N} needs L_cap={L} states, "

@@ -80,7 +80,7 @@ def _parse_etas(args, model: Model) -> list[float]:
         raise UsageError("tradeoff needs --eta-list or --eta-grid")
     if not etas:
         raise UsageError("empty eta grid")
-    if any(e <= 0 for e in etas) or max(etas) > model.eta_max() + 1e-12:
+    if not all(0 < e <= model.eta_max() + 1e-12 for e in etas):
         raise UsageError(f"eta values must lie in (0, eta_max={model.eta_max():.6g}]")
     return etas
 

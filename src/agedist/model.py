@@ -21,6 +21,12 @@ PROB_TOL = 1e-12
 FINITE_PMF_MAX_SUPPORT = 64
 
 
+def check_eta(eta: float) -> None:
+    """Reject an age weight that is not a finite positive number."""
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta}")
+
+
 @dataclass(frozen=True)
 class ImportanceDist:
     """Finite importance distribution: values strictly increasing, probs > 0."""
@@ -37,12 +43,12 @@ class ImportanceDist:
             raise ValueError("importance distribution needs at least one value")
         if len(values) != len(probs):
             raise ValueError("values and probs must have equal length")
-        if any(v < 0 for v in values):
-            raise ValueError("importance values must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0 for v in values):
+            raise ValueError(f"importance values must be finite and nonnegative, got {values}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("importance values must be strictly increasing")
-        if any(a <= 0 for a in probs):
-            raise ValueError("importance probabilities must be positive")
+        if not all(math.isfinite(a) and a > 0 for a in probs):
+            raise ValueError(f"importance probabilities must be finite and positive, got {probs}")
         if abs(sum(probs) - 1.0) > PROB_TOL:
             raise ValueError(f"importance probabilities sum to {sum(probs)!r}, not 1")
 
@@ -116,8 +122,8 @@ class FinitePMF:
             raise ValueError(
                 f"finite PMF support capped at {FINITE_PMF_MAX_SUPPORT}, got {len(probs)}"
             )
-        if any(x < 0 for x in probs):
-            raise ValueError("finite PMF entries must be nonnegative")
+        if not all(math.isfinite(x) and x >= 0 for x in probs):
+            raise ValueError(f"finite PMF entries must be finite and nonnegative, got {probs}")
         if abs(sum(probs) - 1.0) > PROB_TOL:
             raise ValueError(f"finite PMF sums to {sum(probs)!r}, not 1")
 
@@ -215,24 +221,19 @@ class Model:
 
     def buffer_bound(self, eta: float) -> int:
         """K(eta) = ceil((v_max - v_min) / (eta * mu)), at least 1."""
-        if eta <= 0:
-            raise ValueError(f"eta must be positive, got {eta}")
-        return max(1, math.ceil((self.v.v_max - self.v.v_min) / (eta * self.mu)))
+        return max(1, self.buffer_bound_i(eta, self.v.size - 1))
 
     def buffer_bound_i(self, eta: float, i: int) -> int:
         """K_i(eta) = ceil((v_i - v_min) / (eta * mu)) for the i-th value (0-based)."""
-        if eta <= 0:
-            raise ValueError(f"eta must be positive, got {eta}")
-        return math.ceil((self.v.values[i] - self.v.v_min) / (eta * self.mu))
+        check_eta(eta)
+        bound = (self.v.values[i] - self.v.v_min) / (eta * self.mu)
+        if not math.isfinite(bound):
+            raise ValueError(f"eta={eta} is too small: the buffer bound overflows")
+        return math.ceil(bound)
 
     def reach_bounds(self, eta: float) -> np.ndarray:
         """K_i(eta) for every importance value, as an int array."""
-        if eta <= 0:
-            raise ValueError(f"eta must be positive, got {eta}")
-        vmin = self.v.v_min
-        return np.array(
-            [math.ceil((v - vmin) / (eta * self.mu)) for v in self.v.values], dtype=np.int64
-        )
+        return np.array([self.buffer_bound_i(eta, i) for i in range(self.v.size)], dtype=np.int64)
 
     # -- configuration document ------------------------------------------------
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Model
+from .model import Model, check_eta
 from .statetree import StateTree
 
 TIE_TOL = 1e-12
@@ -118,12 +118,10 @@ def kappa_update(model: Model, tree: StateTree, h_levels):
     base += model.mean_importance / mu * model.z_excess_mean(K)
     kappa[0] = np.array([base])
     for l in range(1, K):
-        n = tree.level_size[l]
-        idx = np.arange(n)
-        eh = tree.level_suffix_expectation(l, K - l, h_levels)
-        kap = model.z_pmf(K - l) * eh + kappa[l - 1][tree.parent_index(l, idx)]
-        kap += model.z_tail(K - l + 1) * tree.values[tree.first_digit(l, idx)] / mu
-        kappa[l] = kap
+        eh = tree.level_suffix_expectation(l, K - l, h_levels).reshape(tree.m, -1)
+        kap = model.z_pmf(K - l) * eh + kappa[l - 1]
+        kap += model.z_tail(K - l + 1) * tree.values[:, None] / mu
+        kappa[l] = kap.ravel()
     return kappa
 
 
@@ -159,7 +157,7 @@ def _chain_actions(tree: StateTree, takes) -> list[np.ndarray]:
     """
     actions = [np.zeros(1, dtype=np.int32)]
     for l in range(1, tree.K + 1):
-        chain = actions[l - 1][tree.parent_index(l, np.arange(tree.level_size[l]))] + 1
+        chain = np.tile(actions[l - 1] + 1, tree.m)
         actions.append(np.where(takes[l], 1, chain).astype(np.int32) if l < len(takes) else chain)
     return actions
 
@@ -197,25 +195,22 @@ def _chain(model: Model, tree: StateTree, actions) -> _Chain:
             )
     if not np.all(np.asarray(actions[1]) == 1):
         raise ValueError("action table level 1: length-1 states must take action 1")
-    mu = model.mu
+    b1mu = (tree.values / model.mu)[:, None]
     cost = [np.zeros(n) for n in tree.level_size[:2]]
     po = [np.full(n, -1, dtype=np.int64) for n in tree.level_size[:2]]
     b1: list[tuple[int, int]] = []
     for l in range(2, tree.K + 1):
-        acts = np.asarray(actions[l])
-        idx = np.arange(tree.level_size[l])
-        par = tree.parent_index(l, idx)
+        acts = np.asarray(actions[l]).reshape(tree.m, -1)
         is_b1 = acts == 1
-        ok = is_b1 | (acts == np.asarray(actions[l - 1])[par] + 1)
+        ok = is_b1 | (acts == np.asarray(actions[l - 1]) + 1)
         if not np.all(ok):
             bad = int(np.flatnonzero(~ok)[0])
             raise ValueError(
                 f"action table level {l} is not chain-structured at state {tree.entries_of(l, bad)}"
             )
-        b1mu = tree.values[tree.first_digit(l, idx)] / mu
-        cost.append(np.where(is_b1, 0.0, cost[l - 1][par] + b1mu))
+        cost.append(np.where(is_b1, 0.0, cost[l - 1] + b1mu).ravel())
         new = np.flatnonzero(is_b1)
-        po.append(po[l - 1][par])
+        po.append(np.tile(po[l - 1], tree.m))
         po[l][new] = len(b1) + np.arange(len(new))
         b1.extend((l, int(j)) for j in new)
     return _Chain(cost, po, b1)
@@ -300,7 +295,7 @@ def _check_residuals(tree: StateTree, b1, h_levels, lam: float, eta: float, part
     """Worst residual of the root and B1 equations, with C_h(b, 1) from the kappa route."""
     worst = abs(lam - float(parts[1][0]))
     for l, i in b1:
-        c1 = eta * (l - 1) + float(parts[l][tree.parent_index(l, i)])
+        c1 = eta * (l - 1) + float(parts[l][i % tree.level_size[l - 1]])
         worst = max(worst, abs(float(h_levels[l][i]) + lam - c1))
     return worst
 
@@ -370,19 +365,16 @@ def _improve(model: Model, tree: StateTree, parts, lam: float, eta: float) -> li
     when the reach bound for the oldest packet's importance permits it; ties
     therefore stay with the freshest feasible packet.
     """
-    mu = model.mu
-    kvals = model.reach_bounds(eta)
+    reach = model.reach_bounds(eta)[:, None]
+    b1mu = (tree.values / model.mu)[:, None]
     takes = [np.zeros(1, dtype=bool), np.ones(tree.level_size[1], dtype=bool)]
     best = np.full(tree.level_size[1], lam)  # C_h(b, s(b)) of the previous level
     for l in range(2, tree.K + 1):
-        idx = np.arange(tree.level_size[l])
-        par = tree.parent_index(l, idx)
-        first = tree.first_digit(l, idx)
-        c1 = eta * (l - 1) + parts[l][par]
-        chain_val = best[par] + tree.values[first] / mu
-        take = (l <= kvals[first]) & (c1 < chain_val - TIE_TOL)
-        takes.append(take)
-        best = np.where(take, c1, chain_val)
+        c1 = eta * (l - 1) + parts[l]
+        chain_val = best + b1mu
+        take = (l <= reach) & (c1 < chain_val - TIE_TOL)
+        takes.append(take.ravel())
+        best = np.where(take, c1, chain_val).ravel()
     return takes
 
 
@@ -538,8 +530,7 @@ def policy_iteration(
     to their parents, and alternates the reduced evaluation with the chain
     improvement until the action table is a fixed point.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    check_eta(eta)
     if K is None:
         K = model.buffer_bound(eta)
     if start is not None:
@@ -642,8 +633,7 @@ def _evaluate_full(model: Model, tree: StateTree, actions, eta: float):
 
 def generic_policy_iteration(model: Model, eta: float, K: int) -> PolicySolution:
     """Textbook policy iteration with exhaustive argmin; the oracle route."""
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    check_eta(eta)
     tree = StateTree(model, K)
     actions = [np.full(tree.level_size[l], l, dtype=np.int32) for l in range(K + 1)]
     lam = float("nan")
@@ -742,8 +732,8 @@ def sweep_eta(model: Model, etas) -> TradeoffCurve:
     etas = [float(e) for e in etas]
     if not etas:
         raise ValueError("empty eta sequence")
-    if any(e <= 0 for e in etas):
-        raise ValueError("eta values must be positive")
+    for eta in etas:
+        check_eta(eta)
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("eta sequence must be strictly decreasing")
 

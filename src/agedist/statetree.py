@@ -4,12 +4,11 @@ A buffer state is a sequence of importance values, oldest first.  The trie
 parent relation drops the oldest entry, so the children of a state prepend
 one value in front of it.  Nodes are laid out breadth first; within level
 ``l`` a state maps to the mixed-radix integer whose most significant digit
-is the oldest entry.  That layout makes the three access patterns the
-solver needs O(1) index arithmetic:
-
-* parent of ``(l, i)``       -> ``(l-1, i % m**(l-1))``
-* child  ``v || b``          -> ``(l+1, digit(v) * m**l + i)``
-* appended block ``b || V^k``-> level ``l+k`` slice ``[i*m**k, (i+1)*m**k)``
+is the oldest entry.  The layout is the index: a level-``l`` array viewed in
+C order as ``(m, m**(l-1))`` has the oldest digit as its row and the parent
+as its column, so a parent-level array broadcasts as a row and a per-value
+array as a column; viewed as ``(m**(l-k), m**k)`` its row ``i`` is the
+appended block ``b || V^k`` of node ``i`` of level ``l-k``.
 """
 
 from __future__ import annotations
@@ -76,13 +75,6 @@ class StateTree:
     def node_count(self) -> int:
         return sum(self.level_size)
 
-    def first_digit(self, level: int, idx) -> np.ndarray:
-        """Digit of the oldest entry (most significant position)."""
-        return idx // self.level_size[level - 1]
-
-    def parent_index(self, level: int, idx) -> np.ndarray:
-        return idx % self.level_size[level - 1]
-
     def digits_of(self, level: int, idx: int) -> tuple[int, ...]:
         out = []
         for pos in range(level - 1, -1, -1):
@@ -121,18 +113,10 @@ class StateTree:
 
     # -- expectations ------------------------------------------------------
 
-    def expectation_over_suffix(self, level: int, idx: int, k: int, arr) -> float:
-        """E over V^k of field(b || V^k) for the node (level, idx); ``arr`` is the field."""
+    def level_suffix_expectation(self, level: int, k: int, arr) -> np.ndarray:
+        """E over V^k of field(b || V^k) for every node b of a level; ``arr`` is the field."""
         if level + k > self.K:
             raise ValueError(f"suffix length {k} overflows depth {self.K} from level {level}")
-        if k == 0:
-            return float(arr[level][idx])
-        mk = self.m**k
-        block = arr[level + k][idx * mk : (idx + 1) * mk]
-        return float(block @ self.wprob[k])
-
-    def level_suffix_expectation(self, level: int, k: int, arr) -> np.ndarray:
-        """E[field(b || V^k)] for every node of a level at once."""
         if k == 0:
             return arr[level]
         mk = self.m**k

@@ -88,6 +88,12 @@ def test_state_cap_rejected_before_solving(src):
     # N = 3, eta = 1e-4: L_cap = 40231, 12.9 GB per dense copy
     with pytest.raises(ValueError, match=r"eta=0\.0001, N=3 needs L_cap=40231 .* cap of 4096"):
         bi_policy_iteration(src, 1e-4)
+    # an eta so small that the cap is not a finite number
+    with pytest.raises(ValueError, match=r"eta=1e-320, N=3 needs L_cap=inf .* cap of 4096"):
+        bi_policy_iteration(src, 1e-320)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            bi_policy_iteration(src, bad)
 
 
 def test_threshold_tau0(src):

@@ -38,14 +38,27 @@ def test_tradeoff_grid_and_validation(fig1_file, tmp_path):
     assert main(["tradeoff", "--model", fig1_file, "--out", out, "--eta-list", "4.5"]) == 2
     assert main(["tradeoff", "--model", fig1_file, "--out", out, "--eta-list", ""]) == 2
     assert main(["tradeoff", "--model", fig1_file, "--out", out]) == 2
+    # non-finite etas are usage errors too
+    for bad in ("nan", "1.0,nan", "inf", "1.0,-inf"):
+        assert main(["tradeoff", "--model", fig1_file, "--out", out, "--eta-list", bad]) == 2
+
+
+def test_tradeoff_rejects_non_finite_model(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"values": [1.0, 20.0], "probs": [NaN, 0.3], "z": {"geometric": 0.2}}')
+    out = str(tmp_path / "out")
+    assert main(["tradeoff", "--model", str(path), "--out", out, "--eta-list", "1.0"]) == 2
+    assert "importance probabilities must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_tradeoff_skips_depths_beyond_cap(fig1_file, tmp_path, capsys):
     out = str(tmp_path / "cap")
-    rc = main(["tradeoff", "--model", fig1_file, "--out", out, "--eta-list", "3.8,0.05"])
+    rc = main(["tradeoff", "--model", fig1_file, "--out", out, "--eta-list", "3.8,0.05,1e-320"])
     assert rc == 0
     err = capsys.readouterr().err
     assert "skipped" in err
+    assert "skipped: eta=1e-320 is too small" in err  # K(eta) overflows a float
     assert len(_lines(os.path.join(out, "points.csv"))) == 2  # only eta = 3.8 solved
 
 

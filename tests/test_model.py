@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ def test_eta_max_and_buffer_bounds(fig1):
         fig1.buffer_bound(0.0)
     with pytest.raises(ValueError):
         fig1.buffer_bound(-1.0)
+    bounds = (fig1.buffer_bound, fig1.reach_bounds, lambda eta: fig1.buffer_bound_i(eta, 1))
+    for bad in (math.nan, math.inf, -math.inf):
+        for bound in bounds:
+            with pytest.raises(ValueError, match="eta must be finite and positive"):
+                bound(bad)
+    # positive but so small that K(eta) is not a finite number
+    for bound in (fig1.buffer_bound, fig1.reach_bounds):
+        with pytest.raises(ValueError, match="eta=1e-320 is too small"):
+            bound(1e-320)
 
 
 def test_importance_dist_validation():
@@ -102,6 +112,12 @@ def test_importance_dist_validation():
         ImportanceDist((1.0, 2.0), (0.5, 0.4))
     with pytest.raises(ValueError):
         ImportanceDist((1.0, 2.0), (0.0, 1.0))
+    for values in ((1.0, math.nan), (math.nan, 2.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="importance values must be finite"):
+            ImportanceDist(values, (0.5, 0.5))
+    for probs in ((math.nan, 0.3), (0.5, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="importance probabilities must be finite"):
+            ImportanceDist((1.0, 2.0), probs)
     # zero importance is a legal packet value
     ImportanceDist((0.0, 2.0), (0.5, 0.5))
 
@@ -115,6 +131,11 @@ def test_interspeak_validation():
         FinitePMF(())
     with pytest.raises(ValueError):
         FinitePMF((0.5, 0.4))
+    for probs in ((math.nan, 1.0), (math.nan,), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite PMF entries must be finite"):
+            FinitePMF(probs)
+    with pytest.raises(ValueError):
+        Geometric(math.nan)
     with pytest.raises(ValueError):
         FinitePMF(tuple([1.0 / 65] * 65))
     FinitePMF(tuple([1.0 / 64] * 64))

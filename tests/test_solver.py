@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -67,6 +68,14 @@ def brute_c_value(model, tree, h_levels, state, s, eta, zmax=300):
             exp_h += w * h_levels[lvl][idx]
         val += pz * (const + exp_h)
     return val
+
+
+def actions_digest(actions):
+    """SHA-256 of the int32 bytes of action levels 0..K."""
+    h = hashlib.sha256()
+    for level in actions:
+        h.update(np.asarray(level, dtype=np.int32).tobytes())
+    return h.hexdigest()
 
 
 def random_h(tree, seed):
@@ -143,7 +152,7 @@ def test_kappa_matches_direct_c1(fig1):
         parts = _c1_parts(fig1, tree, h)
         for l in range(1, K + 1):
             for i in range(tree.level_size[l]):
-                c1 = 1.0 * (l - 1) + parts[l][tree.parent_index(l, i)]
+                c1 = 1.0 * (l - 1) + parts[l][i % tree.level_size[l - 1]]
                 direct = c_value(fig1, tree, h, tree.entries_of(l, i), 1, 1.0)
                 assert c1 == pytest.approx(direct, abs=1e-10)
 
@@ -288,6 +297,21 @@ def test_three_level_deep_solve_pinned(three_level):
     assert sol.lam == pytest.approx(3.7921267627933393, abs=1e-9)
     assert sol.delta_e == pytest.approx(1.5123697400042895, abs=1e-9)
     assert sol.d == pytest.approx(3.2627973537918398, abs=1e-9)
+    assert actions_digest(sol.actions) == (
+        "3535653040ce6aa8bd5e7c1a980efafccc8fd7830252f4d09c65e3519b4f73a3"
+    )
+
+
+def test_fig1_sweep_grid_end_pinned(fig1):
+    # the warm-started fig1 grid of the tradeoff benchmark, 3.8 down to 0.2
+    start = None
+    for eta in np.geomspace(3.8, 0.2, 24):
+        K = fig1.buffer_bound(eta) if start is None else max(fig1.buffer_bound(eta), start.K)
+        start = policy_iteration(fig1, float(eta), K, start=start)
+    assert (start.K, start.b1_size, start.iters) == (19, 63, 3)
+    assert actions_digest(start.actions) == (
+        "a9c0f0e4318d5a66d555ef7318f3c5d5fec13fd839820513e28356a91d29f26a"
+    )
 
 
 @pytest.mark.parametrize("case", ["fig1", "three_level"])
@@ -549,10 +573,24 @@ def test_sweep_validation_and_failures(fig1):
         sweep_eta(fig1, [1.0, 1.0])
     with pytest.raises(ValueError):
         sweep_eta(fig1, [1.0, -0.5])
-    # a depth beyond the storage cap is recorded, not raised
-    curve = sweep_eta(fig1, [1.0, 1e-7])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            sweep_eta(fig1, [bad])
+    # a depth beyond the storage cap, or one too large to count, is recorded, not raised
+    curve = sweep_eta(fig1, [1.0, 1e-7, 1e-320])
     assert len(curve.points) == 1
-    assert len(curve.failures) == 1 and curve.failures[0][0] == 1e-7
+    assert [eta for eta, _ in curve.failures] == [1e-7, 1e-320]
+    assert "eta=1e-320" in curve.failures[1][1]
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_solvers_reject_bad_eta(fig1, eta):
+    with pytest.raises(ValueError, match="eta must be finite and positive"):
+        policy_iteration(fig1, eta)
+    with pytest.raises(ValueError, match="eta must be finite and positive"):
+        policy_iteration(fig1, eta, 3)
+    with pytest.raises(ValueError, match="eta must be finite and positive"):
+        generic_policy_iteration(fig1, eta, 2)
 
 
 def test_sweep_csv_contracts(fig1, tmp_path):
