@@ -192,20 +192,6 @@ def bi_policy_iteration(source: BinarySource, eta: float) -> BIPolicySolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """s(l) = min(max(l - tau, N), l): keep tau unsent bits when possible."""
-
-    tau: int
-
-    def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError(f"threshold tau must be >= 0, got {self.tau}")
-
-    def action(self, l: int, N: int) -> int:
-        return min(max(l - self.tau, N), l)
-
-
 @dataclass
 class ThresholdPoint:
     tau: int
@@ -284,9 +270,9 @@ def threshold_chain_matrix(source: BinarySource, tau: int, L: int) -> np.ndarray
     p = source.p
     pb = 1.0 - p
     P = np.zeros((L, L))
-    pol = ThresholdPolicy(tau)
+    pol = PlainThresholdBitPolicy(source, tau)
     for l in range(1, L + 1):
-        rest = l - pol.action(l, source.N)
+        rest = l - pol.action(l)
         for k in range(1, L - rest):
             P[l - 1, rest + k - 1] = p * pb ** (k - 1)
         P[l - 1, L - 1] = pb ** (L - rest - 1)
@@ -372,11 +358,16 @@ class LengthActionPolicy:
 
 
 class PlainThresholdBitPolicy:
-    """Literal single-threshold chunk policy (untruncated buffer)."""
+    """Threshold chunk policy s(l) = min(max(l - tau, N), l) on an untruncated buffer.
+
+    It keeps tau unsent bits when it can.
+    """
 
     max_buffer = None
 
     def __init__(self, source: BinarySource, tau: int):
+        if tau < 0:
+            raise ValueError(f"threshold tau must be >= 0, got {tau}")
         self.tau = tau
         self.n_bits = source.N
 
@@ -384,7 +375,7 @@ class PlainThresholdBitPolicy:
         return min(max(l - self.tau, self.n_bits), l)
 
 
-class TunstallThresholdBitPolicy:
+class TunstallThresholdBitPolicy(PlainThresholdBitPolicy):
     """Threshold policy whose skip-state chunk is a Tunstall parse.
 
     In states with unavoidable skips (l > tau + N) the sendable region
@@ -393,17 +384,11 @@ class TunstallThresholdBitPolicy:
     threshold policy.
     """
 
-    max_buffer = None
-
     def __init__(self, source: BinarySource, tau: int, dictionary: TunstallDictionary):
-        self.tau = tau
-        self.n_bits = source.N
+        super().__init__(source, tau)
         self.dictionary = dictionary
         self._leaves = set(dictionary.leaves)
         self._max_len = max(len(w) for w in dictionary.leaves)
-
-    def action(self, l: int) -> int:
-        return min(max(l - self.tau, self.n_bits), l)
 
     def parse_newest_first(self, bits, sendable: int) -> int:
         """Length of the first word parsed from bits[sendable-1] downward."""

@@ -2,23 +2,39 @@
 
 Randomness comes from numpy's Philox counter generator, split into two
 documented substreams of the config seed via ``SeedSequence.spawn``:
-stream 0 drives packet arrivals, stream 1 drives timing.  For geometric
-interspeaking times the timing stream is consumed as one Bernoulli success
-indicator per slot in *both* the direct and the erasure-commitment modes,
-so the two modes see identical arrival and speaking processes under a
-shared seed; with a stationary policy their trajectories then coincide
-slot for slot.  Cross-language reproducibility is statistical only.
+stream 0 drives arrivals (one packet, or one bit, per slot), stream 1
+drives timing.  For geometric interspeaking times the timing stream is
+consumed as one Bernoulli success indicator per slot in *both* the direct
+and the erasure-commitment modes, so the two modes see identical arrival
+and speaking processes under a shared seed; with a stationary policy their
+trajectories then coincide slot for slot.  Cross-language reproducibility
+is statistical only.
 
-Distortion is charged the moment a packet becomes permanently unsendable:
-either a selection passes over it or it falls off the policy's K-window.
-Excess age is recorded per speaking instant; standard errors come from
-batch means over equal slot spans.
+One loop serves the direct, erasure and bits modes.  Deliveries and
+window drops both take entries from the oldest end of the buffer, so once
+slot t's arrival is in, the buffer is always the newest l arrivals,
+``arrivals[t - l:t]``, and the integer l is the only state.  The loop walks
+the mode's query slots: the speaking slots in direct and bits mode, every
+slot in erasure mode, where the sender commits each slot and only
+successful slots deliver.  At each query l grows by the slot gap, the
+policy sees the buffer slice, and a delivery removes the oldest entries
+the mode's selection consumed.
+
+Distortion is charged the moment an entry becomes permanently unsendable:
+a delivery passes over it (charged at the delivery slot), or it falls off
+the policy's window K (the arrival of slot j is charged at slot j + K, in
+every mode).  Excess age is recorded per delivery.  Standard errors come
+from batch means over equal slot spans; the loop keeps one running sum per
+batch, never a per-event record.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, repeat
+from operator import add
 
 import numpy as np
 
@@ -81,73 +97,6 @@ class SimResult:
             json.dump(self.to_json_dict(), fh)
 
 
-class _Accumulator:
-    """Per-batch sums for the two time averages plus the raw-age tally."""
-
-    def __init__(self, horizon: int, burn: int, batches: int):
-        self.burn = burn
-        self.n_eff = horizon - burn
-        self.batches = batches
-        self.age = np.zeros(batches)
-        self.speaks = np.zeros(batches, dtype=np.int64)
-        self.charge = np.zeros(batches)
-        self.raw_age = 0.0
-        # slot counts of the equal-span batch partition
-        edges = [(i * self.n_eff + batches - 1) // batches for i in range(batches + 1)]
-        edges[-1] = self.n_eff
-        self.slot_counts = np.diff(edges).astype(np.int64)
-
-    def batch_of(self, t: int) -> int:
-        return (t - self.burn - 1) * self.batches // self.n_eff
-
-    def add_speak(self, t: int, age: int) -> None:
-        if t > self.burn:
-            b = self.batch_of(t)
-            self.age[b] += age
-            self.speaks[b] += 1
-
-    def add_charge(self, t: int, amount: float) -> None:
-        if t > self.burn and amount:
-            self.charge[self.batch_of(t)] += amount
-
-    def add_charges_at_slots(self, slots: np.ndarray, amounts: np.ndarray) -> None:
-        keep = slots > self.burn
-        if keep.any():
-            bins = (slots[keep] - self.burn - 1) * self.batches // self.n_eff
-            np.add.at(self.charge, bins, amounts[keep])
-
-    def add_raw_age(self, a: int, b: int, S: int) -> None:
-        """Accumulate sum of (tau - S) over slots tau in (a, b], post burn-in."""
-        a = max(a, self.burn)
-        if b <= a:
-            return
-        n = b - a
-        self.raw_age += (a + 1 + b) * n / 2.0 - n * S
-
-    def result(self, horizon: int, seed: int) -> SimResult:
-        ok = self.speaks > 0
-        bm_delta = np.where(ok, self.age / np.maximum(self.speaks, 1), 0.0)[ok]
-        bm_d = (self.charge / self.slot_counts)[ok]
-        total_speaks = int(self.speaks.sum())
-        delta_e = float(self.age.sum() / total_speaks) if total_speaks else 0.0
-        d = float(self.charge.sum() / self.n_eff)
-        nb = int(ok.sum())
-        se_delta = float(np.std(bm_delta, ddof=1) / np.sqrt(nb)) if nb > 1 else float("nan")
-        se_d = float(np.std(bm_d, ddof=1) / np.sqrt(nb)) if nb > 1 else float("nan")
-        return SimResult(
-            delta_e=delta_e,
-            se_delta=se_delta,
-            d=d,
-            se_d=se_d,
-            horizon=horizon,
-            seed=seed,
-            batches=nb,
-            raw_age=self.raw_age / self.n_eff,
-            batch_delta=bm_delta,
-            batch_d=bm_d,
-        )
-
-
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     arr_ss, tim_ss = np.random.SeedSequence(seed).spawn(2)
     return (
@@ -156,10 +105,11 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     )
 
 
-def _draw_arrival_values(model: Model, rng: np.random.Generator, n: int) -> np.ndarray:
+def _draw_arrival_values(model: Model, rng: np.random.Generator, n: int) -> list:
+    """Importance of each slot's arrival, as a list sharing the model's floats."""
     cum = np.cumsum(model.v.probs)
-    digits = np.searchsorted(cum, rng.random(n), side="right")
-    return np.asarray(model.v.values)[np.minimum(digits, len(cum) - 1)]
+    digits = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
+    return np.array(model.v.values, dtype=object)[digits].tolist()
 
 
 def _speak_slots(model: Model, rng: np.random.Generator, horizon: int) -> np.ndarray:
@@ -179,27 +129,111 @@ def _speak_slots(model: Model, rng: np.random.Generator, horizon: int) -> np.nda
     return np.asarray(slots, dtype=np.int64)
 
 
-def _feasible(model: Model, buffer: list, s: int) -> bool:
-    l = len(buffer)
-    return 1 <= s <= l and (s == l or buffer[s - 1] > model.v.v_min)
+def _age_area(a: int, b: int, S: int, burn: int) -> float:
+    """Sum of tau - S over the post-burn-in slots tau in (a, b]."""
+    a = max(a, burn)
+    if b <= a:
+        return 0.0
+    n = b - a
+    return (a + 1 + b) * n / 2.0 - n * S
 
 
-def _absorb_block(buffer: list, block: np.ndarray, t0: int, maxb, acc: _Accumulator) -> None:
-    """Append one arrival per slot t0+1.. and charge window fall-offs slot-exactly.
+def _run(config: SimConfig, arrivals, importance, slots, delivers, select, max_buffer) -> SimResult:
+    """The simulation loop of every mode.
 
-    With a window of maxb, the arrival at slot t0+j evicts the oldest live
-    packet once the buffer is full; the eviction slot determines the batch
-    the charge lands in, keeping direct and erasure modes bit-identical.
+    ``arrivals[j - 1]`` is the arrival of slot j and ``importance[j - 1]``
+    what it costs when it goes unsent.  ``slots`` are the query slots in
+    increasing order and ``delivers`` their success flags.  At each query
+    ``select`` sees the buffer ``arrivals[t - l:t]`` and returns
+    ``(skipped, removed)``: on delivery the oldest ``removed`` entries leave,
+    the oldest ``skipped`` of them unsent, and the delivered entry has age
+    ``l - removed``.  ``max_buffer`` is the window K, or None.
     """
-    len0 = len(buffer)
-    buffer.extend(block)
-    if maxb is None or len(buffer) <= maxb:
-        return
-    ndrop = len(buffer) - maxb
-    dropped = np.asarray(buffer[:ndrop])
-    slots = t0 + maxb - len0 + np.arange(1, ndrop + 1)
-    acc.add_charges_at_slots(slots, dropped)
-    del buffer[:ndrop]
+    horizon, burn, nb = config.horizon, config.burn, config.batches
+    # bin 0 tallies the burn-in; bin i >= 1 is batch i - 1, which ends at slot ends[i]
+    ends = [burn + (i * (horizon - burn) + nb - 1) // nb for i in range(nb + 1)]
+    age = [0] * (nb + 1)
+    speaks = [0] * (nb + 1)
+    charge = [0.0] * (nb + 1)
+    i, end = 0, burn
+    raw_age = 0.0
+    K = max_buffer
+    l = prev = 0
+    last_t = last_S = 0  # the last delivery slot and its entry's arrival slot
+    # the horizon closes the run: arrivals after the last query can still fall off
+    for t, deliver in chain(zip(slots, delivers), [(horizon, None)]):
+        l += t - prev
+        prev = t
+        if K is not None and l > K:
+            for u in range(t - l + 1 + K, t + 1):  # slot u - K's arrival falls off at u
+                while u > end:
+                    i += 1
+                    end = ends[i]
+                charge[i] += importance[u - K - 1]
+            l = K
+        if deliver is None:
+            break
+        skipped, removed = select(arrivals[t - l : t])
+        if not 1 <= removed <= l:
+            raise RuntimeError(f"policy returned infeasible action {removed} for length {l}")
+        if not deliver:
+            continue
+        while t > end:
+            i += 1
+            end = ends[i]
+        age[i] += l - removed
+        speaks[i] += 1
+        if skipped:
+            # plain left-to-right float additions (sum() compensates on Python >= 3.12)
+            charge[i] += reduce(add, importance[t - l : t - l + skipped])
+        raw_age += _age_area(last_t, t, last_S, burn)
+        last_t, last_S = t, t - l + removed
+        l -= removed
+    raw_age += _age_area(last_t, horizon, last_S, burn)
+    return _batch_means(config, age[1:], speaks[1:], charge[1:], np.diff(ends), raw_age)
+
+
+def _batch_means(config: SimConfig, age, speaks, charge, slot_counts, raw_age) -> SimResult:
+    """SimResult from the per-batch sums of age, deliveries and charge."""
+    age = np.array(age, dtype=float)
+    speaks = np.array(speaks, dtype=np.int64)
+    charge = np.array(charge)
+    n_eff = config.horizon - config.burn
+    ok = speaks > 0
+    bm_delta = np.where(ok, age / np.maximum(speaks, 1), 0.0)[ok]
+    bm_d = (charge / slot_counts)[ok]
+    total_speaks = int(speaks.sum())
+    delta_e = float(age.sum() / total_speaks) if total_speaks else 0.0
+    d = float(charge.sum() / n_eff)
+    nb = int(ok.sum())
+    se_delta = float(np.std(bm_delta, ddof=1) / np.sqrt(nb)) if nb > 1 else float("nan")
+    se_d = float(np.std(bm_d, ddof=1) / np.sqrt(nb)) if nb > 1 else float("nan")
+    return SimResult(
+        delta_e=delta_e,
+        se_delta=se_delta,
+        d=d,
+        se_d=se_d,
+        horizon=config.horizon,
+        seed=config.seed,
+        batches=nb,
+        raw_age=raw_age / n_eff,
+        batch_delta=bm_delta,
+        batch_d=bm_d,
+    )
+
+
+def _run_packets(config: SimConfig, policy, arrivals, slots, delivers) -> SimResult:
+    """Direct and erasure modes: a delivery skips every packet older than the pick."""
+    v_min = config.model.v.v_min
+
+    def select(entries):
+        s = int(policy(entries))
+        if 1 <= s < len(entries) and entries[s - 1] <= v_min:
+            raise RuntimeError(f"policy returned infeasible action {s} for buffer {entries}")
+        return s - 1, s
+
+    maxb = getattr(policy, "max_buffer", None)
+    return _run(config, arrivals, arrivals, slots, delivers, select, maxb)
 
 
 def simulate_policy(config: SimConfig, policy) -> SimResult:
@@ -214,29 +248,8 @@ def simulate_policy(config: SimConfig, policy) -> SimResult:
         raise ValueError("simulate_policy needs a model in the config")
     arr_rng, tim_rng = _streams(config.seed)
     arrivals = _draw_arrival_values(model, arr_rng, config.horizon)
-    speaks = _speak_slots(model, tim_rng, config.horizon)
-    acc = _Accumulator(config.horizon, config.burn, config.batches)
-    maxb = getattr(policy, "max_buffer", None)
-
-    buffer: list[float] = []
-    prev_t = 0
-    last_S = 0
-    for t in map(int, speaks):
-        _absorb_block(buffer, arrivals[prev_t:t], prev_t, maxb, acc)
-        l = len(buffer)
-        s = int(policy(buffer))
-        if not _feasible(model, buffer, s):
-            raise RuntimeError(f"policy returned infeasible action {s} for buffer {buffer}")
-        acc.add_raw_age(prev_t, t, last_S)
-        acc.add_speak(t, l - s)
-        if s > 1:
-            acc.add_charge(t, sum(buffer[: s - 1]))
-        del buffer[:s]
-        last_S = t - (l - s)
-        prev_t = t
-    _absorb_block(buffer, arrivals[prev_t:], prev_t, maxb, acc)
-    acc.add_raw_age(prev_t, config.horizon, last_S)
-    return acc.result(config.horizon, config.seed)
+    speaks = map(int, _speak_slots(model, tim_rng, config.horizon))
+    return _run_packets(config, policy, arrivals, speaks, repeat(True))
 
 
 def simulate_erasure(config: SimConfig, policy) -> SimResult:
@@ -256,32 +269,7 @@ def simulate_erasure(config: SimConfig, policy) -> SimResult:
     arr_rng, tim_rng = _streams(config.seed)
     arrivals = _draw_arrival_values(model, arr_rng, config.horizon)
     success = tim_rng.random(config.horizon) < model.z.p
-    acc = _Accumulator(config.horizon, config.burn, config.batches)
-    maxb = getattr(policy, "max_buffer", None)
-
-    buffer: list[float] = []
-    last_S = 0
-    last_T = 0
-    for t in range(1, config.horizon + 1):
-        buffer.append(arrivals[t - 1])
-        if maxb is not None and len(buffer) > maxb:
-            drop = len(buffer) - maxb
-            acc.add_charge(t, sum(buffer[:drop]))
-            del buffer[:drop]
-        l = len(buffer)
-        s = int(policy(buffer))  # the commitment C_t = t + s - l
-        if not _feasible(model, buffer, s):
-            raise RuntimeError(f"policy returned infeasible action {s} for buffer {buffer}")
-        if success[t - 1]:
-            acc.add_raw_age(last_T, t, last_S)
-            acc.add_speak(t, l - s)
-            if s > 1:
-                acc.add_charge(t, sum(buffer[: s - 1]))
-            del buffer[:s]
-            last_S = t - (l - s)
-            last_T = t
-    acc.add_raw_age(last_T, config.horizon, last_S)
-    return acc.result(config.horizon, config.seed)
+    return _run_packets(config, policy, arrivals, range(1, config.horizon + 1), success)
 
 
 def simulate_bit_policy(config: SimConfig, source, policy) -> SimResult:
@@ -294,43 +282,22 @@ def simulate_bit_policy(config: SimConfig, source, policy) -> SimResult:
     ``max_buffer``.
     """
     arr_rng, tim_rng = _streams(config.seed)
-    bits = (arr_rng.random(config.horizon) < source.q).astype(np.int8)
-    importance = np.where(bits == 1, source.v, 1.0)
-    success = tim_rng.random(config.horizon) < source.p
-    speaks = np.flatnonzero(success) + 1
-    acc = _Accumulator(config.horizon, config.burn, config.batches)
+    # bytes hold one byte per slot where a list would hold an 8-byte pointer
+    bits = (arr_rng.random(config.horizon) < source.q).astype(np.int8).tobytes()
+    weight = (1.0, source.v)
+    importance = [weight[b] for b in bits]
+    speaks = map(int, np.flatnonzero(tim_rng.random(config.horizon) < source.p) + 1)
     N = policy.n_bits
-    maxb = getattr(policy, "max_buffer", None)
     tunstall = hasattr(policy, "parse_newest_first")
 
-    buf_bits: list[int] = []
-    buf_imp: list[float] = []
-    prev_t = 0
-    for t in map(int, speaks):
-        buf_bits.extend(bits[prev_t:t])
-        buf_imp.extend(importance[prev_t:t])
-        if maxb is not None and len(buf_bits) > maxb:
-            drop = len(buf_bits) - maxb
-            acc.add_charge(t, sum(buf_imp[:drop]))
-            del buf_bits[:drop]
-            del buf_imp[:drop]
-        l = len(buf_bits)
+    def select(buffer):
+        l = len(buffer)
         if tunstall and l > policy.tau + N:
+            # unavoidable skips: keep tau bits, parse the sendable region newest-first
             sendable = l - policy.tau
-            consumed = policy.parse_newest_first(buf_bits, sendable)
-            skipped = sendable - consumed
-            age = policy.tau
-        else:
-            s = int(policy.action(l))
-            if not (1 <= s <= l):
-                raise RuntimeError(f"bit policy returned infeasible s={s} for length {l}")
-            skipped = max(s - N, 0)
-            age = l - s
-        if skipped:
-            acc.add_charge(t, sum(buf_imp[:skipped]))
-        acc.add_speak(t, age)
-        removed = l - age
-        del buf_bits[:removed]
-        del buf_imp[:removed]
-        prev_t = t
-    return acc.result(config.horizon, config.seed)
+            return sendable - policy.parse_newest_first(buffer, sendable), sendable
+        s = int(policy.action(l))
+        return max(s - N, 0), s
+
+    maxb = getattr(policy, "max_buffer", None)
+    return _run(config, bits, importance, speaks, repeat(True), select, maxb)

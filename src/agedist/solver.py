@@ -22,6 +22,7 @@ read C_h(b, 1) from one kappa pass per evaluation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -36,6 +37,7 @@ RESIDUAL_TOL = 1e-9
 MAX_ITERS = 1000
 
 POLICY_FORMAT = "agedist-policy-v1"
+POLICY_FIELDS = ("model_hash", "eta", "K", "lambda", "delta_e", "d", "values", "actions")
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +471,21 @@ class PolicySolution:
         """Load a policy file solved for ``model``; a corrupt table fails here."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("format") != POLICY_FORMAT:
-            raise ValueError(f"unsupported policy file format {doc.get('format')!r}")
+        fmt = doc.get("format") if isinstance(doc, dict) else None
+        if fmt != POLICY_FORMAT:
+            raise ValueError(f"unsupported policy file format {fmt!r}")
+        missing = [key for key in POLICY_FIELDS if key not in doc]
+        if missing:
+            raise ValueError(f"policy file has no {', '.join(missing)} field")
+        try:
+            eta, lam, delta_e, d = (float(doc[key]) for key in ("eta", "lambda", "delta_e", "d"))
+        except (TypeError, ValueError) as exc:
+            msg = f"non-numeric eta, lambda, delta_e or d in policy file: {exc}"
+            raise ValueError(msg) from None
+        check_eta(eta)
+        if not all(map(math.isfinite, (lam, delta_e, d))):
+            got = f"lambda={lam}, delta_e={delta_e}, d={d}"
+            raise ValueError(f"policy file numbers must be finite, got {got}")
         if doc["model_hash"] != model.config_hash():
             raise ValueError("policy file was solved for a different model")
         values = tuple(float(v) for v in doc["values"])
@@ -480,11 +495,11 @@ class PolicySolution:
         actions = [np.array(_rle_decode(rle), dtype=np.int32) for rle in doc["actions"]]
         b1 = _chain(model, StateTree(model, K), actions).b1
         return cls(
-            eta=float(doc["eta"]),
+            eta=eta,
             K=K,
-            lam=float(doc["lambda"]),
-            delta_e=float(doc["delta_e"]),
-            d=float(doc["d"]),
+            lam=lam,
+            delta_e=delta_e,
+            d=d,
             iters=0,
             values=values,
             actions=actions,

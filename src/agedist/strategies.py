@@ -230,13 +230,20 @@ class SendLatestPolicy:
         return len(entries)
 
 
-class S1Policy:
-    """Oldest important packet within the K most recent; else the freshest."""
+class _WindowPolicy:
+    """Shared set-up of the S1/S2/S3 simulation policies: window K >= 1."""
 
     def __init__(self, model: Model, K: int):
+        if K < 1:
+            raise ValueError(f"window size K must be >= 1, got {K}")
         _binary_geometric_params(model)
         self.v_min = model.v.v_min
+        self.K = K
         self.max_buffer = K
+
+
+class S1Policy(_WindowPolicy):
+    """Oldest important packet within the K most recent; else the freshest."""
 
     def __call__(self, entries) -> int:
         for j, v in enumerate(entries):
@@ -245,13 +252,8 @@ class S1Policy:
         return len(entries)
 
 
-class S2Policy:
+class S2Policy(_WindowPolicy):
     """Newest important packet within the K most recent; else the freshest."""
-
-    def __init__(self, model: Model, K: int):
-        _binary_geometric_params(model)
-        self.v_min = model.v.v_min
-        self.max_buffer = K
 
     def __call__(self, entries) -> int:
         for j in range(len(entries) - 1, -1, -1):
@@ -260,7 +262,7 @@ class S2Policy:
         return len(entries)
 
 
-class S3Policy:
+class S3Policy(_WindowPolicy):
     """Newest important packet older than K slots; else the oldest important.
 
     Ages matter here, so the buffer is kept untruncated: a packet at
@@ -268,9 +270,7 @@ class S3Policy:
     """
 
     def __init__(self, model: Model, K: int):
-        _binary_geometric_params(model)
-        self.v_min = model.v.v_min
-        self.K = K
+        super().__init__(model, K)
         self.max_buffer = None
 
     def __call__(self, entries) -> int:

@@ -9,7 +9,6 @@ from agedist.bufferignorant import (
     BitCurvePoint,
     LengthActionPolicy,
     PlainThresholdBitPolicy,
-    ThresholdPolicy,
     TunstallThresholdBitPolicy,
     bi_one_step_cost,
     bi_policy_iteration,
@@ -236,12 +235,16 @@ def test_uniform_dictionary_degenerates_to_plain():
     assert coded.delta_e == plain.delta_e
 
 
-def test_threshold_policy_action_shape():
-    pol = ThresholdPolicy(4)
-    acts = [pol.action(l, 3) for l in range(1, 12)]
+def test_threshold_policy_action_shape(src):
+    pol = PlainThresholdBitPolicy(src, 4)
+    acts = [pol.action(l) for l in range(1, 12)]
     assert acts == [1, 2, 3, 3, 3, 3, 3, 4, 5, 6, 7]
     with pytest.raises(ValueError):
-        ThresholdPolicy(-1)
+        PlainThresholdBitPolicy(src, -1)
+    dic = tunstall_build(src.q, 2**src.N)
+    assert [TunstallThresholdBitPolicy(src, 4, dic).action(l) for l in range(1, 12)] == acts
+    with pytest.raises(ValueError):
+        TunstallThresholdBitPolicy(src, -1, dic)
 
 
 def test_bi_csv(src):

@@ -171,6 +171,45 @@ def test_simulate_usage_errors(fig1_file, tmp_path):
     assert main(["simulate", "--model", str(tmp_path / "nope.json"), "--eta", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--mode", "bits", "--tau", "-1", "--tunstall"],
+        ["--mode", "bits", "--tau", "-1"],
+        ["--strategy", "S3", "--k", "0"],
+        ["--strategy", "S3", "--k", "-2"],
+        ["--strategy", "S1", "--k", "0"],
+    ],
+)
+def test_simulate_rejects_bad_window_or_threshold(fig1_file, capsys, args):
+    rc = main(["simulate", "--model", fig1_file, "--horizon", "20000", *args])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [("eta", float("nan"), "eta must be finite"), ("lambda", float("inf"), "lambda=inf"),
+     ("K", None, "no K field"), ("model_hash", None, "no model_hash field")],
+)
+def test_simulate_rejects_bad_policy_file(fig1, fig1_file, tmp_path, capsys, field, value, match):
+    from agedist import policy_iteration
+
+    pol = tmp_path / "pol.json"
+    policy_iteration(fig1, 1.0).to_json(str(pol))
+    doc = json.loads(pol.read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    pol.write_text(json.dumps(doc))
+    rc = main(["simulate", "--model", fig1_file, "--policy", str(pol), "--horizon", "20000"])
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert err.startswith("error: ") and match in err and "Traceback" not in err
+
+
 def test_verify_pass_and_negative_control(fig1_file, capsys):
     rc = main(["verify", "--model", fig1_file])
     out = capsys.readouterr().out

@@ -1,10 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from agedist import FinitePMF, Geometric, ImportanceDist, Model, policy_iteration
-from agedist.bufferignorant import BinarySource, PlainThresholdBitPolicy
+from agedist.bufferignorant import (
+    BinarySource,
+    PlainThresholdBitPolicy,
+    TunstallThresholdBitPolicy,
+    bi_policy_iteration,
+    tunstall_build,
+)
 from agedist.sim import SimConfig, simulate_bit_policy, simulate_erasure, simulate_policy
-from agedist.strategies import SendLatestPolicy
+from agedist.strategies import S1Policy, S3Policy, SendLatestPolicy
 
 
 def test_config_validation(fig1):
@@ -119,3 +127,50 @@ def test_json_contract(fig1, tmp_path):
 def test_missing_model_rejected():
     with pytest.raises(ValueError):
         simulate_policy(SimConfig(horizon=20_000, seed=0), SendLatestPolicy())
+
+
+# (delta_e, se_delta, d, se_d, batches, digest of batch_delta, digest of batch_d),
+# recorded with the per-mode simulation loops of commit 9917e7b; the one loop
+# that replaced them must reproduce every bit.
+PINNED = {
+    "direct-eta1": (0.509125475285171, 0.010675292380909866, 4.216843434343434, 0.03980112710807024, 32, "09e7ed908b24dc87", "30588d951a1212f8"),
+    "erasure-eta1": (0.509125475285171, 0.010675292380909866, 4.216843434343434, 0.03980112710807024, 32, "09e7ed908b24dc87", "30588d951a1212f8"),
+    "S1-K4": (1.1316975463194792, 0.016813491853025858, 3.921818181818182, 0.05096496713323175, 32, "f4f4737102e4d476", "6d1a9a0ad738dc5d"),
+    "S3-K6": (4.826654717705799, 0.05720708813020016, 3.151010101010101, 0.04818434768672347, 32, "4266610a36926f7a", "ed7c14b9572aafdd"),
+    "three-latest": (0.0, 0.0, 0.8404015151515143, 0.0063223318200095815, 32, "fab19e942d1b9314", "4d712d0e25d21b5a"),
+    "three-solved": (0.1592195713708047, 0.0029016290960440084, 0.5444065656565658, 0.004837700181539542, 32, "f9e28b44d524ebe0", "db4c2fd9dd94ee86"),
+    "bits-tunstall": (2.033806711072012, 0.02210058500748691, 2.6965151515151513, 0.05141628040701598, 32, "e4c76b20e31cac5c", "fbfab8f682aa4b2d"),
+    "bits-length": (1.2456229383405226, 0.010762052801207619, 2.9307575757575757, 0.03563471584468595, 32, "91c8f3e10f1aff9d", "7c8bc10f5963ec1f"),
+}
+
+
+def _digest(arr) -> str:
+    return hashlib.blake2b(np.asarray(arr, dtype="<f8").tobytes(), digest_size=8).hexdigest()
+
+
+def _pinned_run(name, fig1):
+    H = 40_000
+    three = Model(ImportanceDist((0.3, 1.7, 5.1), (0.5, 0.3, 0.2)), FinitePMF((0.3, 0.4, 0.3)))
+    src = BinarySource.from_model(fig1, 3)
+    runs = {
+        "direct-eta1": lambda: simulate_policy(SimConfig(H, 11, fig1), policy_iteration(fig1, 1.0)),
+        "erasure-eta1": lambda: simulate_erasure(SimConfig(H, 11, fig1), policy_iteration(fig1, 1.0)),
+        "S1-K4": lambda: simulate_policy(SimConfig(H, 12, fig1), S1Policy(fig1, 4)),
+        "S3-K6": lambda: simulate_policy(SimConfig(H, 13, fig1), S3Policy(fig1, 6)),
+        "three-latest": lambda: simulate_policy(SimConfig(H, 14, three), SendLatestPolicy()),
+        "three-solved": lambda: simulate_policy(SimConfig(H, 14, three), policy_iteration(three, 1.0)),
+        "bits-tunstall": lambda: simulate_bit_policy(
+            SimConfig(H, 15), src, TunstallThresholdBitPolicy(src, 3, tunstall_build(src.q, 8))
+        ),
+        "bits-length": lambda: simulate_bit_policy(
+            SimConfig(H, 16), src, bi_policy_iteration(src, 0.2).policy()
+        ),
+    }
+    return runs[name]()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_results_pinned_bit_for_bit(fig1, name):
+    res = _pinned_run(name, fig1)
+    got = (res.delta_e, res.se_delta, res.d, res.se_d, res.batches)
+    assert got + (_digest(res.batch_delta), _digest(res.batch_d)) == PINNED[name]

@@ -469,6 +469,26 @@ def _swap_values(doc):
     doc["values"] = doc["values"][::-1]
 
 
+def _nan_eta(doc):
+    doc["eta"] = float("nan")
+
+
+def _infinite_lambda(doc):
+    doc["lambda"] = float("inf")
+
+
+def _list_eta(doc):
+    doc["eta"] = [1.0]
+
+
+def _drop_K(doc):
+    del doc["K"]
+
+
+def _drop_model_hash(doc):
+    del doc["model_hash"]
+
+
 @pytest.mark.parametrize(
     "mangle, match",
     [
@@ -476,6 +496,11 @@ def _swap_values(doc):
         (_drop_levels, "has 2 levels, expected 5"),
         (_break_chain, "level 3 is not chain-structured"),
         (_swap_values, "values"),
+        (_nan_eta, "eta must be finite"),
+        (_infinite_lambda, "lambda=inf"),
+        (_list_eta, "non-numeric eta"),
+        (_drop_K, "no K field"),
+        (_drop_model_hash, "no model_hash field"),
     ],
 )
 def test_policy_file_validated_at_load(fig1, tmp_path, mangle, match):
