@@ -5,7 +5,8 @@ chunks and the receiver infers their position from the (shared) speaking
 schedule, so only the buffer length matters.  This module solves the
 resulting average-cost MDP over lengths, evaluates single-threshold
 policies in closed form, and improves them by replacing the fixed chunk
-with a variable-to-fixed Tunstall parse of the sendable region.
+with a variable-to-fixed Tunstall parse of the sendable region.  Lengths
+are capped at ``BI_STATE_CAP`` states, dictionaries at ``TUNSTALL_CAP`` words.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .solver import MAX_ITERS, TIE_TOL, age_distortion_solve
 # Length-MDP state cap: the solve holds a few dense L_cap x L_cap float arrays
 # (134 MB each at the cap).
 BI_STATE_CAP = 4096
+TUNSTALL_CAP = 1 << 16  # dictionary words, one heap entry each: N-bit chunks up to N = 16
+ORACLE_TAIL_MASS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -88,10 +91,8 @@ class BIPolicySolution:
     def matching_threshold(self) -> int | None:
         """The tau whose single-threshold policy equals this one, if any."""
         tau = int(max(l - int(self.actions[l]) for l in range(1, self.L_cap + 1)))
-        for l in range(1, self.L_cap + 1):
-            if self.actions[l] != min(max(l - tau, self.N), l):
-                return None
-        return tau
+        rule = PlainThresholdBitPolicy(self, tau).action
+        return tau if all(self.actions[l] == rule(l) for l in range(1, self.L_cap + 1)) else None
 
     def policy(self) -> "LengthActionPolicy":
         return LengthActionPolicy(self.actions, self.N, self.L_cap)
@@ -279,10 +280,10 @@ def threshold_chain_matrix(source: BinarySource, tau: int, L: int) -> np.ndarray
     return P
 
 
-def oracle_chain_length(source: BinarySource, tau: int, tail_mass: float = 1e-15) -> int:
-    """Chain size whose lumped tail is below tail_mass."""
+def oracle_chain_length(source: BinarySource, tau: int) -> int:
+    """Chain size whose lumped tail is below ``ORACLE_TAIL_MASS``."""
     pb = 1.0 - source.p
-    return tau + source.N + max(64, math.ceil(math.log(tail_mass) / math.log(pb)))
+    return tau + source.N + max(64, math.ceil(math.log(ORACLE_TAIL_MASS) / math.log(pb)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +321,8 @@ def tunstall_build(p_one: float, M: int) -> TunstallDictionary:
     Ties split the lexicographically smallest word, which the heap ordering
     on (-prob, word) gives for free.
     """
-    if M < 2:
-        raise ValueError(f"dictionary size must be >= 2, got {M}")
+    if not 2 <= M <= TUNSTALL_CAP:
+        raise ValueError(f"dictionary size M={M} must lie in [2, {TUNSTALL_CAP}] (the cap)")
     if not (0.0 < p_one < 1.0):
         raise ValueError(f"bit probability must be in (0, 1), got {p_one}")
     p0, p1 = 1.0 - p_one, p_one
@@ -360,7 +361,7 @@ class LengthActionPolicy:
 class PlainThresholdBitPolicy:
     """Threshold chunk policy s(l) = min(max(l - tau, N), l) on an untruncated buffer.
 
-    It keeps tau unsent bits when it can.
+    It keeps tau unsent bits when it can; of ``source`` it reads only N.
     """
 
     max_buffer = None
@@ -417,7 +418,6 @@ def tunstall_threshold_point(
     *,
     horizon: int,
     seed: int,
-    burn_in: int | None = None,
 ) -> tuple[BitCurvePoint, SimResult]:
     """Monte Carlo distortion of the Tunstall-improved threshold policy.
 
@@ -427,7 +427,7 @@ def tunstall_threshold_point(
     """
     base = threshold_point(source, tau)
     policy = TunstallThresholdBitPolicy(source, tau, dictionary)
-    res = simulate_bit_policy(SimConfig(horizon=horizon, seed=seed, burn_in=burn_in), source, policy)
+    res = simulate_bit_policy(SimConfig(horizon=horizon, seed=seed), source, policy)
     return BitCurvePoint("bit", source.N, tau, base.delta_e, res.d, res.se_d), res
 
 

@@ -27,6 +27,13 @@ def check_eta(eta: float) -> None:
         raise ValueError(f"eta must be finite and positive, got {eta}")
 
 
+def numbers(field: str, raw) -> tuple[float, ...]:
+    """A JSON list of numbers as floats; anything else is a ValueError naming ``field``."""
+    if not (isinstance(raw, list) and all(isinstance(x, (int, float)) for x in raw)):
+        raise ValueError(f"{field} must be a list of numbers, got {raw!r}")
+    return tuple(map(float, raw))
+
+
 @dataclass(frozen=True)
 class ImportanceDist:
     """Finite importance distribution: values strictly increasing, probs > 0."""
@@ -79,8 +86,9 @@ class Geometric:
     p: float
 
     def __post_init__(self):
-        if not (0.0 < self.p <= 1.0):
-            raise ValueError(f"geometric parameter must be in (0, 1], got {self.p}")
+        if not (isinstance(self.p, (int, float)) and 0.0 < self.p <= 1.0):
+            raise ValueError(f"geometric parameter must be a number in (0, 1], got {self.p!r}")
+        object.__setattr__(self, "p", float(self.p))
 
     @property
     def mean(self) -> float:
@@ -109,7 +117,7 @@ class Geometric:
 
 @dataclass(frozen=True)
 class FinitePMF:
-    """Interspeaking gap on {1, ..., z_max} given by an explicit PMF."""
+    """Interspeaking gap on {1, ..., len(probs)} given by an explicit PMF."""
 
     probs: tuple[float, ...]
 
@@ -126,10 +134,6 @@ class FinitePMF:
             raise ValueError(f"finite PMF entries must be finite and nonnegative, got {probs}")
         if abs(sum(probs) - 1.0) > PROB_TOL:
             raise ValueError(f"finite PMF sums to {sum(probs)!r}, not 1")
-
-    @property
-    def z_max(self) -> int:
-        return len(self.probs)
 
     @property
     def mean(self) -> float:
@@ -247,18 +251,17 @@ class Model:
     @classmethod
     def from_config(cls, cfg: dict) -> "Model":
         try:
-            values = cfg["values"]
-            probs = cfg["probs"]
+            values, probs = (numbers(f'model config "{k}"', cfg[k]) for k in ("values", "probs"))
             z_cfg = cfg["z"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"model config missing field: {exc}") from exc
-        if "geometric" in z_cfg:
-            z: InterspeakDist = Geometric(float(z_cfg["geometric"]))
-        elif "pmf" in z_cfg:
-            z = FinitePMF(tuple(z_cfg["pmf"]))
+        if isinstance(z_cfg, dict) and "geometric" in z_cfg:
+            z: InterspeakDist = Geometric(z_cfg["geometric"])
+        elif isinstance(z_cfg, dict) and "pmf" in z_cfg:
+            z = FinitePMF(numbers('model config "z.pmf"', z_cfg["pmf"]))
         else:
-            raise ValueError('model config "z" must contain "geometric" or "pmf"')
-        return cls(v=ImportanceDist(tuple(values), tuple(probs)), z=z)
+            raise ValueError(f'model config "z" must hold "geometric" or "pmf", got {z_cfg!r}')
+        return cls(v=ImportanceDist(values, probs), z=z)
 
     @classmethod
     def from_json(cls, path: str) -> "Model":

@@ -23,9 +23,9 @@ the mode's selection consumed.
 Distortion is charged the moment an entry becomes permanently unsendable:
 a delivery passes over it (charged at the delivery slot), or it falls off
 the policy's window K (the arrival of slot j is charged at slot j + K, in
-every mode).  Excess age is recorded per delivery.  Standard errors come
-from batch means over equal slot spans; the loop keeps one running sum per
-batch, never a per-event record.
+every mode).  Excess age is recorded per delivery.  After a burn-in of 1%
+of the horizon, standard errors come from the means of ``BATCHES`` equal
+slot spans; the loop keeps one running sum per batch, never a per-event record.
 """
 
 from __future__ import annotations
@@ -40,28 +40,24 @@ import numpy as np
 
 from .model import Geometric, Model
 
-DEFAULT_BATCHES = 32
+BATCHES = 32  # equal slot spans behind each batch-means standard error
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Run length, seed and model; the first 1% of the horizon is burn-in."""
+
     horizon: int
     seed: int
     model: Model | None = None
-    burn_in: int | None = None
-    batches: int = DEFAULT_BATCHES
 
     def __post_init__(self):
         if self.horizon < 10_000:
             raise ValueError(f"horizon must be at least 10^4, got {self.horizon}")
-        if self.burn_in is not None and self.horizon < 10 * self.burn_in:
-            raise ValueError("horizon must be at least 10x the burn-in")
-        if self.batches < 2:
-            raise ValueError("need at least two batches for a standard error")
 
     @property
     def burn(self) -> int:
-        return self.horizon // 100 if self.burn_in is None else self.burn_in
+        return self.horizon // 100
 
 
 @dataclass
@@ -149,7 +145,7 @@ def _run(config: SimConfig, arrivals, importance, slots, delivers, select, max_b
     the oldest ``skipped`` of them unsent, and the delivered entry has age
     ``l - removed``.  ``max_buffer`` is the window K, or None.
     """
-    horizon, burn, nb = config.horizon, config.burn, config.batches
+    horizon, burn, nb = config.horizon, config.burn, BATCHES
     # bin 0 tallies the burn-in; bin i >= 1 is batch i - 1, which ends at slot ends[i]
     ends = [burn + (i * (horizon - burn) + nb - 1) // nb for i in range(nb + 1)]
     age = [0] * (nb + 1)

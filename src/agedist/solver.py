@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Model, check_eta
+from .model import Model, check_eta, numbers
 from .statetree import StateTree
 
 TIE_TOL = 1e-12
@@ -488,11 +488,14 @@ class PolicySolution:
             raise ValueError(f"policy file numbers must be finite, got {got}")
         if doc["model_hash"] != model.config_hash():
             raise ValueError("policy file was solved for a different model")
-        values = tuple(float(v) for v in doc["values"])
+        values = numbers("policy file values", doc["values"])
         if values != tuple(model.v.values):
             raise ValueError(f"policy file values {values} differ from the model's")
-        K = int(doc["K"])
-        actions = [np.array(_rle_decode(rle), dtype=np.int32) for rle in doc["actions"]]
+        K = doc["K"]
+        try:
+            actions = [np.array(_rle_decode(rle), dtype=np.int32) for rle in doc["actions"]]
+        except (TypeError, ValueError):
+            raise ValueError("policy file actions must be a list of run-length lists") from None
         b1 = _chain(model, StateTree(model, K), actions).b1
         return cls(
             eta=eta,
@@ -718,9 +721,13 @@ class CurvePoint:
 @dataclass
 class TradeoffCurve:
     points: list[CurvePoint] = field(default_factory=list)
-    converse: list[tuple[float, float]] = field(default_factory=list)
     exact_until: float | None = None
     failures: list[tuple[float, str]] = field(default_factory=list)
+
+    @property
+    def converse(self) -> list[tuple[float, float]]:
+        """The straight-line converse family: one (eta, lambda) line per solved point."""
+        return [(p.eta, p.lam) for p in self.points]
 
     def min_margin(self, delta_e: float, d: float) -> float:
         """min over converse lines of d + eta*delta_e - J*(eta); >= 0 means dominated."""
@@ -767,7 +774,6 @@ def sweep_eta(model: Model, etas) -> TradeoffCurve:
         curve.points.append(
             CurvePoint(eta, sol.lam, sol.delta_e, sol.d, sol.K, sol.b1_size, sol.iters)
         )
-        curve.converse.append((eta, sol.lam))
     if len(curve.points) >= 2:
         p, q = curve.points[-2], curve.points[-1]
         curve.exact_until = (p.lam - q.lam) / (p.eta - q.eta)

@@ -43,8 +43,8 @@ class StateTree:
     """
 
     def __init__(self, model: Model, K: int):
-        if K < 1:
-            raise ValueError(f"tree depth must be >= 1, got {K}")
+        if not (isinstance(K, (int, np.integer)) and K >= 1):
+            raise ValueError(f"tree depth K must be an integer >= 1, got {K!r}")
         m = model.v.size
         cap = max_depth(m)
         if K > cap:
@@ -54,11 +54,9 @@ class StateTree:
                 f"K={K} exceeds the dense-storage cap {cap} for |V|={m} "
                 f"(would need {est} nodes)"
             )
-        self.model = model
         self.K = K
         self.m = m
         self.values = np.asarray(model.v.values, dtype=np.float64)
-        self.alpha = np.asarray(model.v.probs, dtype=np.float64)
         self.level_size = [m**l for l in range(K + 1)]
         self.level_offset = np.cumsum([0] + self.level_size).tolist()
         self._value_to_digit = {v: d for d, v in enumerate(model.v.values)}
@@ -66,7 +64,7 @@ class StateTree:
         # Product weights over appended blocks: wprob[k][j] = Pr(V^k == digits of j).
         self.wprob: list[np.ndarray] = [np.ones(1)]
         for _ in range(K):
-            self.wprob.append(np.outer(self.alpha, self.wprob[-1]).ravel())
+            self.wprob.append(np.outer(model.v.probs, self.wprob[-1]).ravel())
 
         self.last_actions: list[np.ndarray] | None = None
 

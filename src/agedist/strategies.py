@@ -7,7 +7,7 @@ recent K, S2 the newest important in the most recent K, and S3 the newest
 important packet older than K slots (falling back to the oldest important
 one).  The stationary distributions are reversible-chain closed forms; the
 explicit transition matrices are also built here so tests can cross-check
-against a numeric stationary solve.
+them against ``stationary_distribution``, the one dense solver's law.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Geometric, Model
+from .solver import average_cost_solve
 
 # q = p makes the S1/S3 stationary ratio degenerate; switch to the limit form.
 RATIO_SINGULARITY_TOL = 1e-9
@@ -212,13 +213,10 @@ def write_curve_csv(fh, points: list[StrategyCurvePoint]) -> None:
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Stationary vector of a row-stochastic matrix via a least-squares solve."""
-    n = P.shape[0]
-    A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return pi
+    """Stationary law of a unichain row-stochastic matrix: state j's probability is
+    the average cost of j's indicator cost, so the law is the lambda row of one
+    ``average_cost_solve``, and a chain with several recurrent classes raises."""
+    return average_cost_solve(P, np.eye(len(P)))[0]
 
 
 class SendLatestPolicy:

@@ -12,8 +12,7 @@ the dominance check; it exists as a negative-control hook.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +37,10 @@ from .strategies import (
     stationary_distribution,
     strategy_point,
 )
+
+
+BATTERY_HORIZON = 150_000  # slots per simulation
+PROPERTY_TOL = 1e-10  # slack of the Property 1 and 2 inequalities
 
 
 def figure1_model() -> Model:
@@ -96,7 +99,7 @@ def reach_bound_violations(model: Model, sol: PolicySolution) -> list[str]:
     return out
 
 
-def property1_violations(model: Model, sol: PolicySolution, tol: float = 1e-10) -> list[str]:
+def property1_violations(model: Model, sol: PolicySolution) -> list[str]:
     """Prefix-decomposition laws of optimal actions and relative values."""
     m = sol.m
     mu = model.mu
@@ -115,14 +118,14 @@ def property1_violations(model: Model, sol: PolicySolution, tol: float = 1e-10) 
                 out.append(f"P1(i) level {l} split {j} state {i}")
             h_suf = sol.h[l - j][suf_idx]
             prefix = mu_sums[j][idx // m ** (l - j)]
-            ok_h = (h_suf <= h_q + tol) & (h_q <= prefix / mu + h_suf + tol)
+            ok_h = (h_suf <= h_q + PROPERTY_TOL) & (h_q <= prefix / mu + h_suf + PROPERTY_TOL)
             if not ok_h.all():
                 i = int(np.flatnonzero(~ok_h)[0])
                 out.append(f"P1(ii) level {l} split {j} state {i}")
     return out
 
 
-def property2_violations(model: Model, sol: PolicySolution, tol: float = 1e-10) -> list[str]:
+def property2_violations(model: Model, sol: PolicySolution) -> list[str]:
     """Non-B1 states must satisfy h = b1/mu + h(parent)."""
     m = sol.m
     mu = model.mu
@@ -133,7 +136,7 @@ def property2_violations(model: Model, sol: PolicySolution, tol: float = 1e-10) 
         chain = sol.actions[l] != 1
         expect = values[idx // m ** (l - 1)] / mu + sol.h[l - 1][idx % m ** (l - 1)]
         gap = np.abs(sol.h[l] - expect)
-        bad = np.flatnonzero(chain & (gap > tol))
+        bad = np.flatnonzero(chain & (gap > PROPERTY_TOL))
         out.extend(f"level {l} state {i} gap {gap[i]:.2e}" for i in bad[:5])
     return out
 
@@ -154,7 +157,6 @@ def run_battery(
     model: Model | None = None,
     *,
     seed: int = 20240,
-    horizon: int = 150_000,
     lambda_perturbation: float = 0.0,
 ) -> list[CheckResult]:
     checks: list[CheckResult] = []
@@ -221,9 +223,10 @@ def run_battery(
 
     # 7. solver vs simulator
     sol = policy_iteration(fig1, 1.0)
-    res = simulate_policy(SimConfig(horizon=horizon, seed=seed, model=fig1), sol)
-    gap = abs(res.d + 1.0 * res.delta_e - sol.lam)
-    se = res.combined_se(1.0)
+    cfg = SimConfig(horizon=BATTERY_HORIZON, seed=seed, model=fig1)
+    direct = simulate_policy(cfg, sol)
+    gap = abs(direct.d + 1.0 * direct.delta_e - sol.lam)
+    se = direct.combined_se(1.0)
     add("solver vs simulator", gap < 4 * se, f"gap {gap:.5f} vs 4se {4 * se:.5f}")
 
     # 8. strategies: stationary solves and converse dominance
@@ -260,18 +263,13 @@ def run_battery(
     ok = abs(dic.kraft_sum() - 1.0) < 1e-12 and dic.expected_parse_length >= src.N
     tau = 2
     plain = threshold_point(src, tau)
-    bit = simulate_bit_policy(
-        SimConfig(horizon=horizon, seed=seed), src, TunstallThresholdBitPolicy(src, tau, dic)
-    )
+    bit = simulate_bit_policy(cfg, src, TunstallThresholdBitPolicy(src, tau, dic))
     ok &= bit.d <= plain.d + 2 * bit.se_d
     add("tunstall kraft/E[L]/improvement", ok, f"bit d {bit.d:.4f} vs plain {plain.d:.4f}")
 
-    # 11. erasure-commitment equivalence
-    sol = policy_iteration(fig1, 1.0)
-    cfg = SimConfig(horizon=horizon, seed=seed, model=fig1)
-    direct = simulate_policy(cfg, sol)
+    # 11. erasure-commitment equivalence, against the direct run of check 7
     eras_same = simulate_erasure(cfg, sol)
-    eras_other = simulate_erasure(SimConfig(horizon=horizon, seed=seed + 1, model=fig1), sol)
+    eras_other = simulate_erasure(replace(cfg, seed=seed + 1), sol)
     ok = eras_same.d == direct.d and eras_same.delta_e == direct.delta_e
     ok &= abs(eras_other.d - direct.d) < 4 * (eras_other.se_d + direct.se_d)
     ok &= abs(eras_other.delta_e - direct.delta_e) < 4 * (
@@ -282,14 +280,13 @@ def run_battery(
     return checks
 
 
-def print_report(checks: list[CheckResult], fh=None) -> bool:
-    fh = fh or sys.stdout
+def print_report(checks: list[CheckResult]) -> bool:
     width = max(len(c.name) for c in checks)
     all_ok = True
     for c in checks:
         mark = "PASS" if c.passed else "FAIL"
         all_ok &= c.passed
         suffix = f"  ({c.detail})" if c.detail else ""
-        fh.write(f"{c.name:<{width}}  {mark}{suffix}\n")
-    fh.write(("all checks passed" if all_ok else "FAILURES present") + "\n")
+        print(f"{c.name:<{width}}  {mark}{suffix}")
+    print("all checks passed" if all_ok else "FAILURES present")
     return all_ok

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from agedist.bufferignorant import (
+    TUNSTALL_CAP,
     BinarySource,
     BitCurvePoint,
     LengthActionPolicy,
@@ -18,6 +19,8 @@ from agedist.bufferignorant import (
     tunstall_build,
     tunstall_threshold_point,
     write_bi_csv,
+    _bi_evaluate,
+    _leftover_table,
 )
 from agedist.sim import SimConfig, simulate_bit_policy
 from agedist.strategies import stationary_distribution
@@ -113,6 +116,22 @@ def test_threshold_pi_against_chain_solve(src, tau):
     assert worst < 1e-9
 
 
+@pytest.mark.parametrize("N", [3, 6])
+def test_threshold_point_matches_length_chain_evaluation(N):
+    """The threshold closed forms against an exact solve of the length chain."""
+    src = BinarySource(q=0.3, v=20.0, p=0.2, N=N)
+    for tau in range(13):
+        L = oracle_chain_length(src, tau)
+        T, tail = _leftover_table(src, L)
+        chunk = src.mu_v * src.p * np.maximum(np.arange(L + 1) - N, 0)
+        rule = PlainThresholdBitPolicy(src, tau)
+        actions = np.array([0] + [rule.action(l) for l in range(1, L + 1)])
+        _, delta_e, d, _ = _bi_evaluate(actions, chunk, T, tail, 1.0)
+        pt = threshold_point(src, tau)
+        assert delta_e == pytest.approx(pt.delta_e, abs=1e-12)
+        assert d == pytest.approx(pt.d, abs=1e-12)
+
+
 @pytest.mark.parametrize("tau,n", [(3, 5), (8, 2), (30, 8), (12, 4)])
 def test_threshold_pi_sums_other_shapes(tau, n):
     src = BinarySource(q=0.4, v=8.0, p=0.35, N=n)
@@ -152,6 +171,9 @@ def test_tunstall_examples():
         tunstall_build(0.5, 1)
     with pytest.raises(ValueError):
         tunstall_build(1.0, 4)
+    over = TUNSTALL_CAP + 1  # rejected before the build starts
+    with pytest.raises(ValueError, match=rf"M={over} must lie in \[2, {TUNSTALL_CAP}\]"):
+        tunstall_build(0.5, over)
 
 
 @pytest.mark.parametrize("m_exp", [1, 2, 3, 4, 6])

@@ -52,6 +52,27 @@ def test_tradeoff_rejects_non_finite_model(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "field, value, match",
+    [("values", 5, '"values"'), ("z", 5, '"z"'), ("z", {"pmf": 5}, '"z.pmf"'),
+     ("z", {"geometric": [0.2]}, "geometric parameter")],
+)
+@pytest.mark.parametrize("command", ["strategies", "tradeoff", "simulate"])
+def test_model_file_field_types_rejected(fig1, tmp_path, capsys, field, value, match, command):
+    cfg = fig1.to_config()
+    cfg[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    extra = {
+        "strategies": ["--out", str(tmp_path / "s.csv")],
+        "tradeoff": ["--out", str(tmp_path / "t"), "--eta-list", "1.0"],
+        "simulate": ["--eta", "1.0", "--horizon", "20000"],
+    }[command]
+    assert main([command, "--model", str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err and "Traceback" not in err
+
+
 def test_tradeoff_skips_depths_beyond_cap(fig1_file, tmp_path, capsys):
     out = str(tmp_path / "cap")
     rc = main(["tradeoff", "--model", fig1_file, "--out", out, "--eta-list", "3.8,0.05,1e-320"])
@@ -191,7 +212,9 @@ def test_simulate_rejects_bad_window_or_threshold(fig1_file, capsys, args):
 @pytest.mark.parametrize(
     "field, value, match",
     [("eta", float("nan"), "eta must be finite"), ("lambda", float("inf"), "lambda=inf"),
-     ("K", None, "no K field"), ("model_hash", None, "no model_hash field")],
+     ("K", None, "no K field"), ("model_hash", None, "no model_hash field"),
+     ("values", 5, "values must be a list"), ("actions", 5, "actions must be a list"),
+     ("actions", [5], "actions must be a list"), ("K", [3], "K must be an integer")],
 )
 def test_simulate_rejects_bad_policy_file(fig1, fig1_file, tmp_path, capsys, field, value, match):
     from agedist import policy_iteration

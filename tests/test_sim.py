@@ -18,11 +18,8 @@ from agedist.strategies import S1Policy, S3Policy, SendLatestPolicy
 def test_config_validation(fig1):
     with pytest.raises(ValueError):
         SimConfig(horizon=5000, seed=1, model=fig1)
-    with pytest.raises(ValueError):
-        SimConfig(horizon=100_000, seed=1, model=fig1, burn_in=20_000)
     cfg = SimConfig(horizon=100_000, seed=1, model=fig1)
     assert cfg.burn == 1000
-    assert SimConfig(horizon=100_000, seed=1, model=fig1, burn_in=0).burn == 0
 
 
 def test_reproducibility(fig1):

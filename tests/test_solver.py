@@ -489,6 +489,22 @@ def _drop_model_hash(doc):
     del doc["model_hash"]
 
 
+def _scalar_values(doc):
+    doc["values"] = 5
+
+
+def _scalar_actions(doc):
+    doc["actions"] = 5
+
+
+def _scalar_level(doc):
+    doc["actions"] = [5]
+
+
+def _list_K(doc):
+    doc["K"] = [3]
+
+
 @pytest.mark.parametrize(
     "mangle, match",
     [
@@ -501,6 +517,10 @@ def _drop_model_hash(doc):
         (_list_eta, "non-numeric eta"),
         (_drop_K, "no K field"),
         (_drop_model_hash, "no model_hash field"),
+        (_scalar_values, "values must be a list"),
+        (_scalar_actions, "actions must be a list"),
+        (_scalar_level, "actions must be a list"),
+        (_list_K, "K must be an integer"),
     ],
 )
 def test_policy_file_validated_at_load(fig1, tmp_path, mangle, match):

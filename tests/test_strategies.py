@@ -6,6 +6,8 @@ import pytest
 
 from agedist import FinitePMF, Geometric, ImportanceDist, Model
 from agedist.sim import SimConfig, simulate_policy
+from agedist.solver import _chain_actions, evaluate_components
+from agedist.statetree import StateTree
 from agedist.strategies import (
     S1Policy,
     S2Policy,
@@ -81,6 +83,32 @@ def test_rows_sum_and_stationary_match(fig1, K):
         pi = closed(fig1, K).pi
         num = stationary_distribution(P)
         assert np.abs(pi - num).max() < 1e-10
+
+
+def test_stationary_distribution_rejects_two_recurrent_classes():
+    with pytest.raises(RuntimeError, match="not unichain"):
+        stationary_distribution(np.eye(2))
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_s1_s2_closed_forms_match_trie_chain_policies(fig1, fig2, K):
+    """S1 and S2 as chain policies on the window-K trie, evaluated exactly.
+
+    S1 sends its oldest packet exactly when that packet is important, S2 when
+    it is important and its parent holds no important packet; every other
+    state takes its parent's action plus one.  A level's upper half has an
+    important oldest packet, and parent 0 holds only unimportant ones.
+    """
+    for model in (fig1, fig2):
+        tree = StateTree(model, K)
+        parents = tree.level_size[:-1]
+        s1 = [None] + [np.repeat([False, True], n) for n in parents]
+        s2 = [None] + [np.concatenate([np.zeros(n, bool), np.arange(n) == 0]) for n in parents]
+        for takes, point in ((s1, s1_point), (s2, s2_point)):
+            delta_e, d = evaluate_components(model, tree, _chain_actions(tree, takes))
+            pt = point(model, K)
+            assert delta_e == pytest.approx(pt.delta_e, abs=1e-12)
+            assert d == pytest.approx(pt.d, abs=1e-12)
 
 
 @pytest.mark.parametrize("K", [1, 3, 7, 10])
