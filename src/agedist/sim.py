@@ -17,8 +17,23 @@ slot t's arrival is in, the buffer is always the newest l arrivals,
 the mode's query slots: the speaking slots in direct and bits mode, every
 slot in erasure mode, where the sender commits each slot and only
 successful slots deliver.  At each query l grows by the slot gap, the
-policy sees the buffer slice, and a delivery removes the oldest entries
-the mode's selection consumed.
+policy picks an action for the buffer of the last l arrivals, and a
+delivery removes the oldest entries the mode's selection consumed.
+
+A solved policy (one that carries its per-level action table, ``actions``
+and ``values``) is read by table instead of being called.  Its trie index
+for the buffer ``arrivals[t - l:t]`` is ``key_t mod m**l``, where the
+rolling key ``key_t`` is the mixed-radix number of the last K arrival
+digits, newest digit least significant; numpy computes the keys at the
+query slots in fixed-size chunks, and the action is
+``actions[l][key_t % m**l]``.  Every table entry is checked once, before
+the first slot, against the rule the callable route applies per query:
+``1 <= s <= l``, and no pick of a ``v_min`` packet unless it is the
+newest.  With a checked table, the commitment made on a failed erasure
+slot can neither raise nor change the state, so erasure mode walks only
+the delivering slots; under a shared seed those are the speaking slots of
+direct mode, and the two modes stay bit-identical.  Any other policy is
+called with the buffer slice, at every slot in erasure mode.
 
 Distortion is charged the moment an entry becomes permanently unsendable:
 a delivery passes over it (charged at the delivery slot), or it falls off
@@ -41,6 +56,7 @@ import numpy as np
 from .model import Geometric, Model
 
 BATCHES = 32  # equal slot spans behind each batch-means standard error
+KEY_CHUNK = 4096  # query slots per numpy pass of the rolling trie key
 
 
 @dataclass(frozen=True)
@@ -101,28 +117,54 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     )
 
 
-def _draw_arrival_values(model: Model, rng: np.random.Generator, n: int) -> list:
-    """Importance of each slot's arrival, as a list sharing the model's floats."""
+def _draw_arrival_digits(model: Model, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Index into ``model.v.values`` of each slot's arrival, in the smallest unsigned dtype."""
     cum = np.cumsum(model.v.probs)
     digits = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
-    return np.array(model.v.values, dtype=object)[digits].tolist()
+    return digits.astype(np.min_scalar_type(len(cum) - 1))
+
+
+def _slots_where(flags: np.ndarray) -> np.ndarray:
+    """1-based slots whose flag is set; shifted in place, so no second index array is made."""
+    slots = np.flatnonzero(flags)
+    slots += 1
+    return slots
 
 
 def _speak_slots(model: Model, rng: np.random.Generator, horizon: int) -> np.ndarray:
     """1-based slots at which the sender speaks."""
     if isinstance(model.z, Geometric):
-        return np.flatnonzero(rng.random(horizon) < model.z.p) + 1
+        return _slots_where(rng.random(horizon) < model.z.p)
     cum = np.cumsum(model.z.probs)
-    slots = []
+    chunks = []
     t = 0
     while t <= horizon:
-        gaps = np.searchsorted(cum, rng.random(1024), side="right") + 1
-        for g in gaps:
-            t += int(g)
-            if t > horizon:
-                break
-            slots.append(t)
-    return np.asarray(slots, dtype=np.int64)
+        ends = t + np.cumsum(np.searchsorted(cum, rng.random(1024), side="right") + 1)
+        chunks.append(ends[ends <= horizon])
+        t = int(ends[-1])
+    return np.concatenate(chunks)
+
+
+def _trie_keys(digits: np.ndarray, slots: np.ndarray, m: int, K: int):
+    """Iterator over the rolling key of each query slot t.
+
+    ``key_t`` is the mixed-radix number of the arrival digits of slots
+    t - K + 1 .. t, newest least significant, computed KEY_CHUNK slots at
+    a time.  Slots before slot 1 read slot 1's digit: they sit at powers
+    m**j with j >= t >= l, so they drop out of every lookup ``key_t % m**l``.
+    """
+
+    def chunk(lo: int) -> list:
+        idx = slots[lo : lo + KEY_CHUNK] - K  # 0-based index of each key's oldest digit
+        key = np.zeros(len(idx), dtype=np.int64)
+        for _ in range(K):
+            # Horner in int64: uint8 digits are never multiplied in their own dtype
+            key *= m
+            key += digits.take(idx, mode="clip")
+            idx += 1
+        return key.tolist()
+
+    return chain.from_iterable(map(chunk, range(0, len(slots), KEY_CHUNK)))
 
 
 def _age_area(a: int, b: int, S: int, burn: int) -> float:
@@ -140,7 +182,7 @@ def _run(config: SimConfig, arrivals, importance, slots, delivers, select, max_b
     ``arrivals[j - 1]`` is the arrival of slot j and ``importance[j - 1]``
     what it costs when it goes unsent.  ``slots`` are the query slots in
     increasing order and ``delivers`` their success flags.  At each query
-    ``select`` sees the buffer ``arrivals[t - l:t]`` and returns
+    ``select(t, l)`` picks for the buffer ``arrivals[t - l:t]`` and returns
     ``(skipped, removed)``: on delivery the oldest ``removed`` entries leave,
     the oldest ``skipped`` of them unsent, and the delivered entry has age
     ``l - removed``.  ``max_buffer`` is the window K, or None.
@@ -169,7 +211,7 @@ def _run(config: SimConfig, arrivals, importance, slots, delivers, select, max_b
             l = K
         if deliver is None:
             break
-        skipped, removed = select(arrivals[t - l : t])
+        skipped, removed = select(t, l)
         if not 1 <= removed <= l:
             raise RuntimeError(f"policy returned infeasible action {removed} for length {l}")
         if not deliver:
@@ -218,16 +260,69 @@ def _batch_means(config: SimConfig, age, speaks, charge, slot_counts, raw_age) -
     )
 
 
-def _run_packets(config: SimConfig, policy, arrivals, slots, delivers) -> SimResult:
-    """Direct and erasure modes: a delivery skips every packet older than the pick."""
-    v_min = config.model.v.v_min
+def _check_table_level(acts: np.ndarray, l: int, values) -> None:
+    """Raise unless every state of length l takes 1 <= s <= l and no stale v_min pick."""
+    m = len(values)
+    if acts.shape != (m**l,):
+        raise ValueError(f"action table level {l} has shape {acts.shape}, expected ({m**l},)")
+    s = acts.astype(np.int64)
+    # entry s - 1, oldest first, is digit l - s of the state index; digit 0 is v_min
+    picked = np.arange(m**l) // m ** np.clip(l - s, 0, l - 1) % m
+    bad = (s < 1) | (s > l) | ((s < l) & (picked == 0))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        entries = [values[i // m**p % m] for p in range(l - 1, -1, -1)]
+        raise RuntimeError(f"policy table has infeasible action {acts[i]} for buffer {entries}")
 
-    def select(entries):
+
+def _table_select(model: Model, policy, digits: np.ndarray, slots: np.ndarray):
+    """``select`` of the table route for the query ``slots``, and the window K."""
+    values = model.v.values
+    if tuple(policy.values) != values:
+        raise ValueError(f"policy values {tuple(policy.values)} differ from the model's {values}")
+    tables = [np.asarray(acts) for acts in policy.actions]
+    K = len(tables) - 1
+    for l in range(1, K + 1):
+        _check_table_level(tables[l], l, values)
+    rows = [acts.tolist() for acts in tables]
+    size = [len(values) ** l for l in range(K + 1)]
+    # select is called once per query slot, in order, so the keys are consumed in step
+    keys = _trie_keys(digits, slots, len(values), K)
+
+    def select(t, l):
+        s = rows[l][next(keys) % size[l]]
+        return s - 1, s
+
+    return select, K
+
+
+def _run_packets(config: SimConfig, policy, digits, speaks, success=None) -> SimResult:
+    """Direct and erasure modes: a delivery skips every packet older than the pick.
+
+    ``digits`` are the arrivals' value indices and ``speaks`` the delivering
+    slots; in erasure mode ``success`` holds every slot's flag.  A policy
+    carrying ``actions`` and ``values`` takes the table route over the
+    delivering slots alone.  Any other policy is called with the buffer
+    slice at each query slot, which in erasure mode is every slot.
+    """
+    model = config.model
+    arrivals = np.array(model.v.values, dtype=object)[digits].tolist()
+    if hasattr(policy, "actions") and hasattr(policy, "values"):
+        select, K = _table_select(model, policy, digits, speaks)
+        return _run(config, arrivals, arrivals, map(int, speaks), repeat(True), select, K)
+    v_min = model.v.v_min
+
+    def select(t, l):
+        entries = arrivals[t - l : t]
         s = int(policy(entries))
-        if 1 <= s < len(entries) and entries[s - 1] <= v_min:
+        if 1 <= s < l and entries[s - 1] <= v_min:
             raise RuntimeError(f"policy returned infeasible action {s} for buffer {entries}")
         return s - 1, s
 
+    if success is None:
+        slots, delivers = map(int, speaks), repeat(True)
+    else:
+        slots, delivers = range(1, config.horizon + 1), success
     maxb = getattr(policy, "max_buffer", None)
     return _run(config, arrivals, arrivals, slots, delivers, select, maxb)
 
@@ -237,15 +332,16 @@ def simulate_policy(config: SimConfig, policy) -> SimResult:
 
     ``policy`` maps a buffer (importance values, oldest first) to a 1-based
     selection index and exposes ``max_buffer`` (its window K, or None for an
-    untruncated buffer).  Infeasible actions abort with the offending state.
+    untruncated buffer).  A policy carrying its action table (``actions``
+    per level, over ``values``) is read by table.  Infeasible actions abort
+    with the offending state; a table is checked whole before the first slot.
     """
     model = config.model
     if model is None:
         raise ValueError("simulate_policy needs a model in the config")
     arr_rng, tim_rng = _streams(config.seed)
-    arrivals = _draw_arrival_values(model, arr_rng, config.horizon)
-    speaks = map(int, _speak_slots(model, tim_rng, config.horizon))
-    return _run_packets(config, policy, arrivals, speaks, repeat(True))
+    digits = _draw_arrival_digits(model, arr_rng, config.horizon)
+    return _run_packets(config, policy, digits, _speak_slots(model, tim_rng, config.horizon))
 
 
 def simulate_erasure(config: SimConfig, policy) -> SimResult:
@@ -263,9 +359,9 @@ def simulate_erasure(config: SimConfig, policy) -> SimResult:
     if not isinstance(model.z, Geometric):
         raise ValueError("erasure mode requires geometric interspeaking times")
     arr_rng, tim_rng = _streams(config.seed)
-    arrivals = _draw_arrival_values(model, arr_rng, config.horizon)
+    digits = _draw_arrival_digits(model, arr_rng, config.horizon)
     success = tim_rng.random(config.horizon) < model.z.p
-    return _run_packets(config, policy, arrivals, range(1, config.horizon + 1), success)
+    return _run_packets(config, policy, digits, _slots_where(success), success)
 
 
 def simulate_bit_policy(config: SimConfig, source, policy) -> SimResult:
@@ -282,16 +378,15 @@ def simulate_bit_policy(config: SimConfig, source, policy) -> SimResult:
     bits = (arr_rng.random(config.horizon) < source.q).astype(np.int8).tobytes()
     weight = (1.0, source.v)
     importance = [weight[b] for b in bits]
-    speaks = map(int, np.flatnonzero(tim_rng.random(config.horizon) < source.p) + 1)
+    speaks = map(int, _slots_where(tim_rng.random(config.horizon) < source.p))
     N = policy.n_bits
     tunstall = hasattr(policy, "parse_newest_first")
 
-    def select(buffer):
-        l = len(buffer)
+    def select(t, l):
         if tunstall and l > policy.tau + N:
             # unavoidable skips: keep tau bits, parse the sendable region newest-first
             sendable = l - policy.tau
-            return sendable - policy.parse_newest_first(buffer, sendable), sendable
+            return sendable - policy.parse_newest_first(bits[t - l : t], sendable), sendable
         s = int(policy.action(l))
         return max(s - N, 0), s
 

@@ -491,15 +491,19 @@ class PolicySolution:
         values = numbers("policy file values", doc["values"])
         if values != tuple(model.v.values):
             raise ValueError(f"policy file values {values} differ from the model's")
-        K = doc["K"]
-        try:
-            actions = [np.array(_rle_decode(rle), dtype=np.int32) for rle in doc["actions"]]
-        except (TypeError, ValueError):
-            raise ValueError("policy file actions must be a list of run-length lists") from None
-        b1 = _chain(model, StateTree(model, K), actions).b1
+        tree = StateTree(model, doc["K"])
+        rles = doc["actions"]
+        if not (isinstance(rles, list) and all(isinstance(rle, list) for rle in rles)):
+            raise ValueError("policy file actions must be a list of run-length lists")
+        if len(rles) != tree.K + 1:
+            raise ValueError(
+                f"action table has {len(rles)} levels, expected {tree.K + 1} (levels 0..{tree.K})"
+            )
+        actions = [_rle_decode(rle, l, n) for l, (rle, n) in enumerate(zip(rles, tree.level_size))]
+        b1 = _chain(model, tree, actions).b1
         return cls(
             eta=eta,
-            K=K,
+            K=tree.K,
             lam=lam,
             delta_e=delta_e,
             d=d,
@@ -522,11 +526,24 @@ def _rle_encode(arr) -> list[list[int]]:
     return out
 
 
-def _rle_decode(rle) -> list[int]:
-    out: list[int] = []
-    for value, count in rle:
-        out.extend([int(value)] * int(count))
-    return out
+def _rle_decode(rle, level: int, size: int) -> np.ndarray:
+    """Expand one level's run-length pairs; the counts are checked before anything is expanded."""
+    try:
+        pairs = [(int(value), int(count)) for value, count in rle]
+    except (TypeError, ValueError):
+        raise ValueError("policy file actions must be a list of run-length lists") from None
+    counts = [count for _, count in pairs]
+    if any(count < 1 for count in counts):
+        raise ValueError(f"action table level {level} has a run-length count below 1")
+    if sum(counts) != size:
+        raise ValueError(
+            f"action table level {level} has shape ({sum(counts)},), expected ({size},)"
+        )
+    try:
+        values = np.array([value for value, _ in pairs], dtype=np.int32)
+    except OverflowError:
+        raise ValueError(f"action table level {level} has an action outside int32") from None
+    return np.repeat(values, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from agedist import FinitePMF, Geometric, ImportanceDist, Model, policy_iteration
+from agedist import FinitePMF, Geometric, ImportanceDist, Model, PolicySolution, policy_iteration
+from agedist import sim
 from agedist.bufferignorant import (
     BinarySource,
     PlainThresholdBitPolicy,
@@ -11,7 +13,7 @@ from agedist.bufferignorant import (
     bi_policy_iteration,
     tunstall_build,
 )
-from agedist.sim import SimConfig, simulate_bit_policy, simulate_erasure, simulate_policy
+from agedist.sim import SimConfig, SimResult, simulate_bit_policy, simulate_erasure, simulate_policy
 from agedist.strategies import S1Policy, S3Policy, SendLatestPolicy
 
 
@@ -171,3 +173,77 @@ def test_results_pinned_bit_for_bit(fig1, name):
     res = _pinned_run(name, fig1)
     got = (res.delta_e, res.se_delta, res.d, res.se_d, res.batches)
     assert got + (_digest(res.batch_delta), _digest(res.batch_d)) == PINNED[name]
+
+
+class _Called:
+    """A solved policy without its action table, so it takes the callable route."""
+
+    def __init__(self, sol):
+        self._sol = sol
+        self.max_buffer = sol.max_buffer
+
+    def __call__(self, entries):
+        return self._sol.action_for(entries)
+
+
+THREE_GEO = Model(ImportanceDist((0.3, 1.7, 5.1), (0.5, 0.3, 0.2)), Geometric(0.3))
+
+
+@pytest.mark.parametrize("mode", ["direct", "erasure"])
+@pytest.mark.parametrize(
+    "which, eta",
+    [("fig1", 0.3), ("fig1", 1.0), ("fig1", 2.0), ("three", 0.15), ("three", 0.5), ("three", 1.0)],
+)
+def test_table_route_matches_callable_route(fig1, which, eta, mode):
+    model = fig1 if which == "fig1" else THREE_GEO
+    sol = policy_iteration(model, eta)
+    if eta == 0.3:
+        assert sol.K >= 9  # rolling keys reach m**j >= 256, wider than a uint8 digit
+    run = simulate_erasure if mode == "erasure" else simulate_policy
+    cfg = SimConfig(horizon=40_000, seed=21, model=model)
+    table, called = run(cfg, sol), run(cfg, _Called(sol))
+    for f in dataclasses.fields(SimResult):
+        a, b = getattr(table, f.name), getattr(called, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b or (a != a and b != b), f.name
+
+
+@pytest.mark.parametrize("run", [simulate_policy, simulate_erasure])
+def test_stale_pick_in_policy_file_fails_before_first_slot(fig1, tmp_path, monkeypatch, run):
+    sol = policy_iteration(fig1, 1.0)
+    path = tmp_path / "pol.json"
+    # the all-v_min state of level K sends its oldest packet: chain-structured, but stale
+    sol.actions[sol.K][0] = 1
+    sol.to_json(str(path))
+    edited = PolicySolution.from_json(str(path), fig1)
+    assert edited.actions[sol.K][0] == 1
+
+    def loop(*args):
+        raise AssertionError("the simulation loop started")
+
+    monkeypatch.setattr(sim, "_run", loop)
+    with pytest.raises(RuntimeError, match=r"infeasible action 1 for buffer \[1.0, 1.0"):
+        run(SimConfig(horizon=10_000, seed=0, model=fig1), edited)
+
+
+# seeds fixed before any run; criterion 07's gate: 4 standard errors of d + eta * delta_e
+@pytest.mark.parametrize(
+    "model, eta, seed",
+    [
+        (THREE_GEO, 0.5, 101),
+        (Model(THREE_GEO.v, FinitePMF((0.3, 0.4, 0.3))), 0.5, 102),
+    ],
+    ids=["three-level-geometric", "three-level-finite-pmf"],
+)
+def test_solver_vs_simulator_beyond_binary(model, eta, seed):
+    sol = policy_iteration(model, eta)
+    res = simulate_policy(SimConfig(horizon=1_000_000, seed=seed, model=model), sol)
+    assert abs(res.d + eta * res.delta_e - sol.lam) < 4 * res.combined_se(eta)
+
+
+def test_table_route_rejects_other_values(fig1):
+    other = Model(ImportanceDist((1.0, 2.0), (0.5, 0.5)), Geometric(0.2))
+    with pytest.raises(ValueError, match="policy values"):
+        simulate_policy(SimConfig(horizon=10_000, seed=0, model=other), policy_iteration(fig1, 1.0))

@@ -505,6 +505,18 @@ def _list_K(doc):
     doc["K"] = [3]
 
 
+def _huge_count(doc):
+    doc["actions"][3] = [[1, 10**10]]  # checked against the 8 states before expanding
+
+
+def _zero_count(doc):
+    doc["actions"][3] = [[1, 0]] + doc["actions"][3]
+
+
+def _huge_action(doc):
+    doc["actions"][3] = [[2**40, 8]]
+
+
 @pytest.mark.parametrize(
     "mangle, match",
     [
@@ -521,6 +533,9 @@ def _list_K(doc):
         (_scalar_actions, "actions must be a list"),
         (_scalar_level, "actions must be a list"),
         (_list_K, "K must be an integer"),
+        (_huge_count, "level 3 has shape \\(10000000000,\\)"),
+        (_zero_count, "level 3 has a run-length count below 1"),
+        (_huge_action, "level 3 has an action outside int32"),
     ],
 )
 def test_policy_file_validated_at_load(fig1, tmp_path, mangle, match):
