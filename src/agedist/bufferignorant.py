@@ -265,19 +265,13 @@ def threshold_point(source: BinarySource, tau: int) -> ThresholdPoint:
 def threshold_chain_matrix(source: BinarySource, tau: int, L: int) -> np.ndarray:
     """Explicit transition matrix of the literal threshold policy on lengths 1..L.
 
-    Lengths beyond L lump into state L; choose L so the lumped mass is
-    negligible when using this as a stationary-solve oracle.
+    Row l is the leftover table's row for the leftover l - s(l).  Lengths
+    beyond L lump into state L; choose L so the lumped mass is negligible
+    when using this as a stationary-solve oracle.
     """
-    p = source.p
-    pb = 1.0 - p
-    P = np.zeros((L, L))
-    pol = PlainThresholdBitPolicy(source, tau)
-    for l in range(1, L + 1):
-        rest = l - pol.action(l)
-        for k in range(1, L - rest):
-            P[l - 1, rest + k - 1] = p * pb ** (k - 1)
-        P[l - 1, L - 1] = pb ** (L - rest - 1)
-    return P
+    T, _ = _leftover_table(source, L)
+    rule = PlainThresholdBitPolicy(source, tau).action
+    return T[[l - rule(l) for l in range(1, L + 1)]]
 
 
 def oracle_chain_length(source: BinarySource, tau: int) -> int:

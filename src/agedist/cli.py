@@ -27,12 +27,10 @@ from .model import Model
 from .sim import SimConfig, simulate_bit_policy, simulate_erasure, simulate_policy
 from .solver import PolicySolution, policy_iteration, sweep_eta
 from .strategies import (
-    S1Policy,
-    S2Policy,
     S3Policy,
-    SendLatestPolicy,
     StrategyCurvePoint,
     strategy_curve,
+    window_table,
     write_curve_csv,
 )
 from .verify import print_report, run_battery
@@ -151,14 +149,13 @@ def _resolve_packet_policy(args, model: Model):
         return PolicySolution.from_json(args.policy, model)
     if args.strategy:
         name = args.strategy.lower()
-        if name == "send-latest":
-            return SendLatestPolicy()
-        cls = {"s1": S1Policy, "s2": S2Policy, "s3": S3Policy}.get(name)
-        if cls is None:
+        if name not in ("send-latest", "s1", "s2", "s3"):
             raise UsageError(f"unknown strategy {args.strategy!r}")
+        if name == "send-latest":
+            return window_table(model, name)
         if args.k is None:
             raise UsageError(f"strategy {args.strategy} needs --k")
-        return cls(model, args.k)
+        return S3Policy(model, args.k) if name == "s3" else window_table(model, name, args.k)
     if args.eta is not None:
         sol = policy_iteration(model, args.eta)
         return sol

@@ -27,9 +27,14 @@ def check_eta(eta: float) -> None:
         raise ValueError(f"eta must be finite and positive, got {eta}")
 
 
+def is_number(x, kind=(int, float)) -> bool:
+    """An instance of ``kind`` but not a bool, though Python counts a bool as an int."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def numbers(field: str, raw) -> tuple[float, ...]:
     """A JSON list of numbers as floats; anything else is a ValueError naming ``field``."""
-    if not (isinstance(raw, list) and all(isinstance(x, (int, float)) for x in raw)):
+    if not (isinstance(raw, list) and all(map(is_number, raw))):
         raise ValueError(f"{field} must be a list of numbers, got {raw!r}")
     return tuple(map(float, raw))
 
@@ -86,7 +91,7 @@ class Geometric:
     p: float
 
     def __post_init__(self):
-        if not (isinstance(self.p, (int, float)) and 0.0 < self.p <= 1.0):
+        if not (is_number(self.p) and 0.0 < self.p <= 1.0):
             raise ValueError(f"geometric parameter must be a number in (0, 1], got {self.p!r}")
         object.__setattr__(self, "p", float(self.p))
 

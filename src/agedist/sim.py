@@ -20,8 +20,10 @@ successful slots deliver.  At each query l grows by the slot gap, the
 policy picks an action for the buffer of the last l arrivals, and a
 delivery removes the oldest entries the mode's selection consumed.
 
-A solved policy (one that carries its per-level action table, ``actions``
-and ``values``) is read by table instead of being called.  Its trie index
+A policy that carries a per-level action table, ``actions`` and
+``values``, is read by table instead of being called: a solved
+``PolicySolution``, or a window table of S1, S2 or send-latest from
+``strategies.window_table``.  Its trie index
 for the buffer ``arrivals[t - l:t]`` is ``key_t mod m**l``, where the
 rolling key ``key_t`` is the mixed-radix number of the last K arrival
 digits, newest digit least significant; numpy computes the keys at the
@@ -32,8 +34,9 @@ the first slot, against the rule the callable route applies per query:
 newest.  With a checked table, the commitment made on a failed erasure
 slot can neither raise nor change the state, so erasure mode walks only
 the delivering slots; under a shared seed those are the speaking slots of
-direct mode, and the two modes stay bit-identical.  Any other policy is
-called with the buffer slice, at every slot in erasure mode.
+direct mode, and the two modes stay bit-identical.  Any other policy (S3,
+whose buffer is untruncated, or a plain callable) is called with the
+buffer slice, at every slot in erasure mode.
 
 Distortion is charged the moment an entry becomes permanently unsendable:
 a delivery passes over it (charged at the delivery slot), or it falls off
@@ -54,6 +57,7 @@ from operator import add
 import numpy as np
 
 from .model import Geometric, Model
+from .statetree import picked_digits
 
 BATCHES = 32  # equal slot spans behind each batch-means standard error
 KEY_CHUNK = 4096  # query slots per numpy pass of the rolling trie key
@@ -266,9 +270,7 @@ def _check_table_level(acts: np.ndarray, l: int, values) -> None:
     if acts.shape != (m**l,):
         raise ValueError(f"action table level {l} has shape {acts.shape}, expected ({m**l},)")
     s = acts.astype(np.int64)
-    # entry s - 1, oldest first, is digit l - s of the state index; digit 0 is v_min
-    picked = np.arange(m**l) // m ** np.clip(l - s, 0, l - 1) % m
-    bad = (s < 1) | (s > l) | ((s < l) & (picked == 0))
+    bad = (s < 1) | (s > l) | ((s < l) & (picked_digits(s, l, m) == 0))
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         entries = [values[i // m**p % m] for p in range(l - 1, -1, -1)]

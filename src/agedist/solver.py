@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Model, check_eta, numbers
+from .model import Model, check_eta, is_number, numbers
 from .statetree import StateTree
 
 TIE_TOL = 1e-12
@@ -477,11 +477,10 @@ class PolicySolution:
         missing = [key for key in POLICY_FIELDS if key not in doc]
         if missing:
             raise ValueError(f"policy file has no {', '.join(missing)} field")
-        try:
-            eta, lam, delta_e, d = (float(doc[key]) for key in ("eta", "lambda", "delta_e", "d"))
-        except (TypeError, ValueError) as exc:
-            msg = f"non-numeric eta, lambda, delta_e or d in policy file: {exc}"
-            raise ValueError(msg) from None
+        for key in ("eta", "lambda", "delta_e", "d"):
+            if not is_number(doc[key]):
+                raise ValueError(f"non-numeric {key} in policy file: {doc[key]!r}")
+        eta, lam, delta_e, d = (float(doc[key]) for key in ("eta", "lambda", "delta_e", "d"))
         check_eta(eta)
         if not all(map(math.isfinite, (lam, delta_e, d))):
             got = f"lambda={lam}, delta_e={delta_e}, d={d}"
@@ -529,9 +528,14 @@ def _rle_encode(arr) -> list[list[int]]:
 def _rle_decode(rle, level: int, size: int) -> np.ndarray:
     """Expand one level's run-length pairs; the counts are checked before anything is expanded."""
     try:
-        pairs = [(int(value), int(count)) for value, count in rle]
+        pairs = [(value, count) for value, count in rle]
     except (TypeError, ValueError):
         raise ValueError("policy file actions must be a list of run-length lists") from None
+    bad = next((pair for pair in pairs if not all(is_number(x, int) for x in pair)), None)
+    if bad is not None:
+        raise ValueError(
+            f"action table level {level} has a non-integer run-length pair {list(bad)}"
+        )
     counts = [count for _, count in pairs]
     if any(count < 1 for count in counts):
         raise ValueError(f"action table level {level} has a run-length count below 1")

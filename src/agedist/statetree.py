@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Model
+from .model import Model, is_number
 
 # Dense storage cap: |V|**(K+1) nodes must fit in 2**24.
 NODE_CAP = 1 << 24
@@ -31,6 +31,15 @@ def max_depth(alphabet_size: int) -> int:
     return k
 
 
+def picked_digits(s: np.ndarray, l: int, m: int) -> np.ndarray:
+    """Value digit (0 is v_min) of the entry each level-l state picks under int64 actions ``s``.
+
+    Entry s - 1, oldest first, is digit l - s of the state index; an
+    infeasible s is clipped into the level.
+    """
+    return np.arange(m**l) // m ** np.clip(l - s, 0, l - 1) % m
+
+
 class StateTree:
     """Trie over all buffers of length <= K plus the empty root.
 
@@ -43,7 +52,7 @@ class StateTree:
     """
 
     def __init__(self, model: Model, K: int):
-        if not (isinstance(K, (int, np.integer)) and K >= 1):
+        if not (is_number(K, (int, np.integer)) and K >= 1):
             raise ValueError(f"tree depth K must be an integer >= 1, got {K!r}")
         m = model.v.size
         cap = max_depth(m)

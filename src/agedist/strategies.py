@@ -1,23 +1,28 @@
-"""Closed-form evaluation of the three window-K baseline strategies.
+"""The three window-K baseline strategies: closed forms and simulation policies.
 
 All three strategies induce small Markov chains over a scalar summary of
 the buffer when the interspeaking time is geometric and there are exactly
 two importance levels.  S1 sends the oldest important packet in the most
 recent K, S2 the newest important in the most recent K, and S3 the newest
 important packet older than K slots (falling back to the oldest important
-one).  The stationary distributions are reversible-chain closed forms; the
-explicit transition matrices are also built here so tests can cross-check
-them against ``stationary_distribution``, the one dense solver's law.
+one).  The stationary distributions are reversible-chain closed forms in
+powers of r = (1-q)/(1-p) or, when r > 1, of 1/r; the explicit transition
+matrices are built here so tests can cross-check them against
+``stationary_distribution``, the one dense solver's law.  For simulation,
+S1, S2 and send-latest are chain action tables (``window_table``), which
+the simulator reads as it reads a solved policy; ``S3Policy`` is a callable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import Geometric, Model
-from .solver import average_cost_solve
+from .solver import _chain_actions, average_cost_solve
+from .statetree import StateTree
 
 # q = p makes the S1/S3 stationary ratio degenerate; switch to the limit form.
 RATIO_SINGULARITY_TOL = 1e-9
@@ -43,6 +48,11 @@ def _binary_geometric_params(model: Model) -> tuple[float, float, float, float]:
     return p, q, model.v.values[0], model.v.values[1]
 
 
+def _check_window(K: int) -> None:
+    if K < 1:
+        raise ValueError(f"window size K must be >= 1, got {K}")
+
+
 def _send_rate_distortion(model: Model, pi0: float) -> float:
     """D from the send-rate identity: unsent mass splits by importance level."""
     p, q, v1, v2 = _binary_geometric_params(model)
@@ -57,21 +67,23 @@ def _send_rate_distortion(model: Model, pi0: float) -> float:
 def s1_stationary(model: Model, K: int) -> np.ndarray:
     p, q, _, _ = _binary_geometric_params(model)
     pb, qb = 1.0 - p, 1.0 - q
+    r = qb / pb
     pi = np.zeros(K + 1)
-    if abs(qb / pb - 1.0) < RATIO_SINGULARITY_TOL:
+    if abs(r - 1.0) < RATIO_SINGULARITY_TOL:
         pi_K = p / (K * p + pb)
         pi[1:] = pi_K
-    else:
-        r = qb / pb
+    elif r < 1.0:
         pi_K = (1.0 - r) / (1.0 - (p / q) * r**K)
         pi[1:] = pi_K * r ** (K - np.arange(1, K + 1))
+    else:  # numerator and denominator divided by r**K, so no power of r overflows
+        rho = pb / qb
+        pi[1:] = (1.0 - r) * rho ** np.arange(1, K + 1) / (rho**K - p / q)
     pi[0] = (qb / q) * pi[1]
     return pi
 
 
 def s1_point(model: Model, K: int) -> StrategyCurvePoint:
-    if K < 1:
-        raise ValueError("window size K must be >= 1")
+    _check_window(K)
     pi = s1_stationary(model, K)
     delta_e = float(np.arange(-1, K) @ pi + pi[0])  # sum (k-1) pi_k over k >= 1
     d = _send_rate_distortion(model, float(pi[0]))
@@ -118,8 +130,7 @@ def s2_stationary(model: Model, K: int) -> np.ndarray:
 
 
 def s2_point(model: Model, K: int) -> StrategyCurvePoint:
-    if K < 1:
-        raise ValueError("window size K must be >= 1")
+    _check_window(K)
     pi = s2_stationary(model, K)
     delta_e = float(np.arange(-1, K) @ pi + pi[0])
     d = _send_rate_distortion(model, float(pi[0]))
@@ -141,20 +152,23 @@ def s3_stationary(model: Model, K: int) -> np.ndarray:
     pb, qb = 1.0 - p, 1.0 - q
     r = qb / pb
     pi = np.zeros(K + 2)
-    if abs(r - 1.0) < RATIO_SINGULARITY_TOL:
-        interior = float(K)
+    if r > 1.0 + RATIO_SINGULARITY_TOL:  # every term divided by r**K: no power of r overflows
+        rho = pb / qb
+        denom = rho**K + p * (1.0 - rho**K) / (1.0 - rho) + p * qb / q
+        pi[K + 1] = rho**K / denom
+        pi[1 : K + 1] = p * rho ** np.arange(K) / denom
     else:
-        interior = r * (1.0 - r**K) / (1.0 - r)  # sum_{a=1..K} r^{K+1-a}
-    pi_top = 1.0 / (1.0 + p * interior + (p * qb / q) * r**K)
-    pi[K + 1] = pi_top
-    pi[1 : K + 1] = p * pi_top * r ** (K + 1 - np.arange(1, K + 1))
+        # sum_{a=1..K} r^{K+1-a}
+        interior = float(K) if abs(r - 1.0) < RATIO_SINGULARITY_TOL else r * (1 - r**K) / (1 - r)
+        pi_top = 1.0 / (1.0 + p * interior + (p * qb / q) * r**K)
+        pi[K + 1] = pi_top
+        pi[1 : K + 1] = p * pi_top * r ** (K + 1 - np.arange(1, K + 1))
     pi[0] = (qb / q) * pi[1]
     return pi
 
 
 def s3_point(model: Model, K: int) -> StrategyCurvePoint:
-    if K < 1:
-        raise ValueError("window size K must be >= 1")
+    _check_window(K)
     p, q, _, _ = _binary_geometric_params(model)
     pbqb = (1.0 - p) * (1.0 - q)
     pi = s3_stationary(model, K)
@@ -219,57 +233,52 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return average_cost_solve(P, np.eye(len(P)))[0]
 
 
-class SendLatestPolicy:
-    """Always transmit the freshest packet; buffer size 1 suffices."""
+class WindowTable(NamedTuple):
+    """Per-level action table over ``values``, read by table as a ``PolicySolution`` is."""
 
-    max_buffer = 1
-
-    def __call__(self, entries) -> int:
-        return len(entries)
+    values: tuple[float, ...]
+    actions: list[np.ndarray]
 
 
-class _WindowPolicy:
-    """Shared set-up of the S1/S2/S3 simulation policies: window K >= 1."""
+def window_table(model: Model, strategy: str, K: int = 1) -> WindowTable:
+    """S1 or S2 at window K, or send-latest, as a chain action table on the window trie.
 
-    def __init__(self, model: Model, K: int):
-        if K < 1:
-            raise ValueError(f"window size K must be >= 1, got {K}")
-        _binary_geometric_params(model)
-        self.v_min = model.v.v_min
-        self.K = K
-        self.max_buffer = K
-
-
-class S1Policy(_WindowPolicy):
-    """Oldest important packet within the K most recent; else the freshest."""
-
-    def __call__(self, entries) -> int:
-        for j, v in enumerate(entries):
-            if v > self.v_min:
-                return j + 1
-        return len(entries)
-
-
-class S2Policy(_WindowPolicy):
-    """Newest important packet within the K most recent; else the freshest."""
-
-    def __call__(self, entries) -> int:
-        for j in range(len(entries) - 1, -1, -1):
-            if entries[j] > self.v_min:
-                return j + 1
-        return len(entries)
+    On the (oldest digit, parent) view of a level, S1 sends the oldest
+    packet where it is important (digit > 0) and S2 where, too, the parent
+    is column 0 (only v_min packets); other states take the parent's
+    action plus one.  Send-latest is the depth-1 table.  K is capped at
+    the trie's dense-storage depth, 23 for two values.
+    """
+    name = strategy.upper()
+    if name == "SEND-LATEST":
+        return WindowTable(model.v.values, _chain_actions(StateTree(model, 1), ()))
+    if name not in ("S1", "S2"):
+        raise ValueError(f"unknown window strategy {strategy!r}; expected S1, S2 or send-latest")
+    _check_window(K)
+    _binary_geometric_params(model)
+    tree = StateTree(model, K)
+    important = np.arange(tree.m)[:, None] > 0
+    takes = [None]
+    for n in tree.level_size[:-1]:  # level l has one column per level-(l-1) parent
+        parent_empty = np.arange(n) == 0 if name == "S2" else True
+        takes.append(np.broadcast_to(important & parent_empty, (tree.m, n)).ravel())
+    return WindowTable(model.v.values, _chain_actions(tree, takes))
 
 
-class S3Policy(_WindowPolicy):
+class S3Policy:
     """Newest important packet older than K slots; else the oldest important.
 
     Ages matter here, so the buffer is kept untruncated: a packet at
     position j (1-based, oldest first) of a length-l buffer has age l - j.
     """
 
+    max_buffer = None
+
     def __init__(self, model: Model, K: int):
-        super().__init__(model, K)
-        self.max_buffer = None
+        _check_window(K)
+        _binary_geometric_params(model)
+        self.v_min = model.v.v_min
+        self.K = K
 
     def __call__(self, entries) -> int:
         l = len(entries)

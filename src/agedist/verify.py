@@ -28,6 +28,7 @@ from .bufferignorant import (
 from .model import Geometric, ImportanceDist, Model
 from .sim import SimConfig, simulate_bit_policy, simulate_erasure, simulate_policy
 from .solver import PolicySolution, generic_policy_iteration, policy_iteration, sweep_eta
+from .statetree import picked_digits
 from .strategies import (
     s1_point,
     s1_transition_matrix,
@@ -72,10 +73,8 @@ def s2prime_violations(sol: PolicySolution) -> list[str]:
     m = sol.m
     out = []
     for l in range(2, sol.K + 1):
-        idx = np.arange(m**l)
         s = sol.actions[l].astype(np.int64)
-        digit = (idx // m ** (l - s)) % m
-        bad = np.flatnonzero((s < l) & (digit == 0))
+        bad = np.flatnonzero((s < l) & (picked_digits(s, l, m) == 0))
         out.extend(f"level {l} state {i}" for i in bad[:5])
     return out
 
@@ -91,10 +90,8 @@ def reach_bound_violations(model: Model, sol: PolicySolution) -> list[str]:
     kvals = model.reach_bounds(sol.eta)
     out = []
     for l in range(2, sol.K + 1):
-        idx = np.arange(m**l)
         s = sol.actions[l].astype(np.int64)
-        digit = (idx // m ** (l - s)) % m
-        bad = np.flatnonzero((s < l) & ~((l - s) < kvals[digit]))
+        bad = np.flatnonzero((s < l) & ~((l - s) < kvals[picked_digits(s, l, m)]))
         out.extend(f"level {l} state {i} action {s[i]}" for i in bad[:5])
     return out
 

@@ -30,8 +30,6 @@ from agedist.bufferignorant import (
 )
 from agedist.sim import SimConfig, simulate_bit_policy, simulate_erasure, simulate_policy
 from agedist.strategies import (
-    S1Policy,
-    S2Policy,
     S3Policy,
     s1_point,
     s1_transition_matrix,
@@ -41,6 +39,7 @@ from agedist.strategies import (
     s3_transition_matrix,
     stationary_distribution,
     strategy_point,
+    window_table,
 )
 from agedist.verify import (
     property1_violations,
@@ -196,12 +195,11 @@ def test_criterion_08_strategies(fig1, fig1_curve):
             if np.abs(pi - num).max() >= 1e-10:
                 ok = False
                 detail = f"stationary mismatch {closed.__name__} K={K}"
-    for name, cls in (("S1", S1Policy), ("S2", S2Policy), ("S3", S3Policy)):
+    for name in ("S1", "S2", "S3"):
         for K in (3, 8):
             pt = strategy_point(fig1, name, K)
-            res = simulate_policy(
-                SimConfig(horizon=HORIZON, seed=K * 101, model=fig1), cls(fig1, K)
-            )
+            policy = S3Policy(fig1, K) if name == "S3" else window_table(fig1, name, K)
+            res = simulate_policy(SimConfig(horizon=HORIZON, seed=K * 101, model=fig1), policy)
             if abs(res.delta_e - pt.delta_e) >= 4 * res.se_delta:
                 ok = False
                 detail = f"{name} K={K} delta_e off"

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -182,6 +183,25 @@ def test_simulate_policy_file_and_strategy(fig1, fig1_file, tmp_path, capsys):
         ]
     )
     assert rc == 0
+
+
+def test_simulate_window_table_depth_cap(fig1_file, capsys):
+    base = ["simulate", "--model", fig1_file, "--strategy", "S1", "--horizon", "10000"]
+    assert main([*base, "--k", "23"]) == 0
+    assert json.loads(capsys.readouterr().out)["horizon"] == 10000
+    assert main([*base, "--k", "24"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: K=24 exceeds the dense-storage cap 23") and "Traceback" not in err
+
+
+def test_strategies_large_windows_with_ratio_above_one(tmp_path):
+    model = tmp_path / "steep.json"  # r = qbar / pbar = 1.8
+    model.write_text(json.dumps({"values": [1, 20], "probs": [0.9, 0.1], "z": {"geometric": 0.5}}))
+    out = str(tmp_path / "s.csv")
+    assert main(["strategies", "--model", str(model), "--out", out, "--k-range", "1:2000"]) == 0
+    rows = _lines(out)[1:]
+    assert len(rows) == 3 * 2000 + 1
+    assert all(map(math.isfinite, (float(x) for row in rows for x in row.split(",")[2:])))
 
 
 def test_simulate_usage_errors(fig1_file, tmp_path):

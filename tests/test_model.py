@@ -159,3 +159,18 @@ def test_config_round_trip(fig1, tmp_path):
         Model.from_config({"values": [1.0]})
     with pytest.raises(ValueError):
         Model.from_config({"values": [1.0], "probs": [1.0], "z": {"weird": 1}})
+
+
+@pytest.mark.parametrize(
+    "cfg, match",
+    [
+        ({"values": [1.0, 20.0], "probs": [0.7, 0.3], "z": {"geometric": True}}, "geometric"),
+        ({"values": [1.0, 20.0], "probs": [0.7, 0.3], "z": {"pmf": [False, True]}}, '"z.pmf"'),
+        ({"values": [1.0, True], "probs": [0.7, 0.3], "z": {"geometric": 0.2}}, '"values"'),
+        ({"values": [1.0, 20.0], "probs": [0.7, 0.3], "z": {"geometric": "0.2"}}, "geometric"),
+    ],
+    ids=["geometric-true", "pmf-bools", "values-bool", "geometric-string"],
+)
+def test_config_rejects_bools_and_strings(cfg, match):
+    with pytest.raises(ValueError, match=match):
+        Model.from_config(cfg)

@@ -14,7 +14,11 @@ from agedist.bufferignorant import (
     tunstall_build,
 )
 from agedist.sim import SimConfig, SimResult, simulate_bit_policy, simulate_erasure, simulate_policy
-from agedist.strategies import S1Policy, S3Policy, SendLatestPolicy
+from agedist.strategies import S3Policy, window_table
+
+
+def _latest(model):
+    return window_table(model, "send-latest")
 
 
 def test_config_validation(fig1):
@@ -36,7 +40,7 @@ def test_reproducibility(fig1):
 
 
 def test_send_latest_matches_renewal_value(fig1):
-    res = simulate_policy(SimConfig(horizon=600_000, seed=7, model=fig1), SendLatestPolicy())
+    res = simulate_policy(SimConfig(horizon=600_000, seed=7, model=fig1), _latest(fig1))
     assert res.delta_e == 0.0
     assert abs(res.d - 5.36) < 4 * res.se_d
     # raw age = excess age + nu/mu; with nothing stale it tends to 1/p
@@ -45,7 +49,7 @@ def test_send_latest_matches_renewal_value(fig1):
 
 def test_deterministic_unit_gaps():
     model = Model(ImportanceDist((1.0, 20.0), (0.7, 0.3)), FinitePMF((1.0,)))
-    res = simulate_policy(SimConfig(horizon=20_000, seed=3, model=model), SendLatestPolicy())
+    res = simulate_policy(SimConfig(horizon=20_000, seed=3, model=model), _latest(model))
     assert res.delta_e == 0.0
     assert res.d == 0.0
 
@@ -70,16 +74,29 @@ def test_erasure_equivalence(fig1):
     assert abs(other.delta_e - direct.delta_e) < 4 * (other.se_delta + direct.se_delta)
 
 
+def test_s1_table_erasure_equals_direct(fig1):
+    """A window table takes the table route, so erasure walks direct mode's slots."""
+    cfg = SimConfig(horizon=100_000, seed=23, model=fig1)
+    table = window_table(fig1, "S1", 5)
+    direct, erasure = simulate_policy(cfg, table), simulate_erasure(cfg, table)
+    for f in dataclasses.fields(SimResult):
+        a, b = getattr(direct, f.name), getattr(erasure, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
 def test_erasure_probability_zero(fig1):
     model = Model(fig1.v, Geometric(1.0))  # every commitment delivered
     cfg = SimConfig(horizon=20_000, seed=4, model=model)
-    res = simulate_erasure(cfg, SendLatestPolicy())
+    res = simulate_erasure(cfg, _latest(model))
     assert res.delta_e == 0.0
     assert res.d == 0.0
     with pytest.raises(ValueError):
         simulate_erasure(
             SimConfig(horizon=20_000, seed=4, model=Model(fig1.v, FinitePMF((1.0,)))),
-            SendLatestPolicy(),
+            _latest(fig1),
         )
 
 
@@ -113,7 +130,7 @@ def test_se_scales_with_horizon(fig1):
 
 
 def test_json_contract(fig1, tmp_path):
-    res = simulate_policy(SimConfig(horizon=20_000, seed=1, model=fig1), SendLatestPolicy())
+    res = simulate_policy(SimConfig(horizon=20_000, seed=1, model=fig1), _latest(fig1))
     doc = res.to_json_dict()
     assert set(doc) == {"delta_e", "se_delta", "d", "se_d", "horizon", "seed"}
     path = tmp_path / "r.json"
@@ -123,18 +140,22 @@ def test_json_contract(fig1, tmp_path):
     assert json.loads(path.read_text()) == doc
 
 
-def test_missing_model_rejected():
+def test_missing_model_rejected(fig1):
     with pytest.raises(ValueError):
-        simulate_policy(SimConfig(horizon=20_000, seed=0), SendLatestPolicy())
+        simulate_policy(SimConfig(horizon=20_000, seed=0), _latest(fig1))
 
 
 # (delta_e, se_delta, d, se_d, batches, digest of batch_delta, digest of batch_d),
 # recorded with the per-mode simulation loops of commit 9917e7b; the one loop
-# that replaced them must reproduce every bit.
+# that replaced them must reproduce every bit.  "S1-K4-erasure" and "S2-K4"
+# were recorded at 660426a with the per-buffer S1/S2 classes that the window
+# tables replaced.
 PINNED = {
     "direct-eta1": (0.509125475285171, 0.010675292380909866, 4.216843434343434, 0.03980112710807024, 32, "09e7ed908b24dc87", "30588d951a1212f8"),
     "erasure-eta1": (0.509125475285171, 0.010675292380909866, 4.216843434343434, 0.03980112710807024, 32, "09e7ed908b24dc87", "30588d951a1212f8"),
     "S1-K4": (1.1316975463194792, 0.016813491853025858, 3.921818181818182, 0.05096496713323175, 32, "f4f4737102e4d476", "6d1a9a0ad738dc5d"),
+    "S1-K4-erasure": (1.1645869727976041, 0.01648268264862117, 3.949469696969697, 0.04193051015010204, 32, "47fc881f77b5432d", "4d72ef16a28c0929"),
+    "S2-K4": (0.514179104477612, 0.008906570490638907, 4.077878787878788, 0.045325732391995416, 32, "20afc007759a22ec", "5b0fd60e07059f43"),
     "S3-K6": (4.826654717705799, 0.05720708813020016, 3.151010101010101, 0.04818434768672347, 32, "4266610a36926f7a", "ed7c14b9572aafdd"),
     "three-latest": (0.0, 0.0, 0.8404015151515143, 0.0063223318200095815, 32, "fab19e942d1b9314", "4d712d0e25d21b5a"),
     "three-solved": (0.1592195713708047, 0.0029016290960440084, 0.5444065656565658, 0.004837700181539542, 32, "f9e28b44d524ebe0", "db4c2fd9dd94ee86"),
@@ -154,9 +175,11 @@ def _pinned_run(name, fig1):
     runs = {
         "direct-eta1": lambda: simulate_policy(SimConfig(H, 11, fig1), policy_iteration(fig1, 1.0)),
         "erasure-eta1": lambda: simulate_erasure(SimConfig(H, 11, fig1), policy_iteration(fig1, 1.0)),
-        "S1-K4": lambda: simulate_policy(SimConfig(H, 12, fig1), S1Policy(fig1, 4)),
+        "S1-K4": lambda: simulate_policy(SimConfig(H, 12, fig1), window_table(fig1, "S1", 4)),
+        "S1-K4-erasure": lambda: simulate_erasure(SimConfig(H, 18, fig1), window_table(fig1, "S1", 4)),
+        "S2-K4": lambda: simulate_policy(SimConfig(H, 17, fig1), window_table(fig1, "S2", 4)),
         "S3-K6": lambda: simulate_policy(SimConfig(H, 13, fig1), S3Policy(fig1, 6)),
-        "three-latest": lambda: simulate_policy(SimConfig(H, 14, three), SendLatestPolicy()),
+        "three-latest": lambda: simulate_policy(SimConfig(H, 14, three), _latest(three)),
         "three-solved": lambda: simulate_policy(SimConfig(H, 14, three), policy_iteration(three, 1.0)),
         "bits-tunstall": lambda: simulate_bit_policy(
             SimConfig(H, 15), src, TunstallThresholdBitPolicy(src, 3, tunstall_build(src.q, 8))

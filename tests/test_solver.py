@@ -481,6 +481,27 @@ def _list_eta(doc):
     doc["eta"] = [1.0]
 
 
+def _string_eta(doc):
+    doc["eta"] = "1.0"
+
+
+def _bool_lambda(doc):
+    doc["lambda"] = False
+
+
+def _bool_K(doc):
+    doc["K"] = True  # with a two-level table that a K of 1 would accept
+    doc["actions"] = doc["actions"][:2]
+
+
+def _float_action(doc):
+    doc["actions"][1] = [[1.4, 2]]
+
+
+def _float_count(doc):
+    doc["actions"][1] = [[1, 2.0]]
+
+
 def _drop_K(doc):
     del doc["K"]
 
@@ -527,6 +548,11 @@ def _huge_action(doc):
         (_nan_eta, "eta must be finite"),
         (_infinite_lambda, "lambda=inf"),
         (_list_eta, "non-numeric eta"),
+        (_string_eta, "non-numeric eta in policy file: '1.0'"),
+        (_bool_lambda, "non-numeric lambda"),
+        (_bool_K, "K must be an integer >= 1, got True"),
+        (_float_action, "level 1 has a non-integer run-length pair \\[1.4, 2\\]"),
+        (_float_count, "level 1 has a non-integer run-length pair \\[1, 2.0\\]"),
         (_drop_K, "no K field"),
         (_drop_model_hash, "no model_hash field"),
         (_scalar_values, "values must be a list"),

@@ -6,11 +6,9 @@ import pytest
 
 from agedist import FinitePMF, Geometric, ImportanceDist, Model
 from agedist.sim import SimConfig, simulate_policy
-from agedist.solver import _chain_actions, evaluate_components
+from agedist.solver import evaluate_components
 from agedist.statetree import StateTree
 from agedist.strategies import (
-    S1Policy,
-    S2Policy,
     S3Policy,
     s1_point,
     s1_transition_matrix,
@@ -21,6 +19,7 @@ from agedist.strategies import (
     stationary_distribution,
     strategy_curve,
     strategy_point,
+    window_table,
     write_curve_csv,
 )
 
@@ -34,12 +33,21 @@ def test_preconditions_rejected(fig1):
         s2_point(finite, 3)
     with pytest.raises(ValueError):
         s1_point(fig1, 0)
-    for cls in (S1Policy, S2Policy, S3Policy):
-        for K in (0, -2):
+    for K in (0, -2):
+        for name in ("S1", "S2"):
             with pytest.raises(ValueError, match="window size K"):
-                cls(fig1, K)
+                window_table(fig1, name, K)
+        with pytest.raises(ValueError, match="window size K"):
+            S3Policy(fig1, K)
+    for name in ("S1", "S2"):
+        with pytest.raises(ValueError, match="two importance values"):
+            window_table(three, name, 3)
+        with pytest.raises(ValueError, match="geometric"):
+            window_table(finite, name, 3)
     with pytest.raises(ValueError):
         strategy_point(fig1, "S9", 2)
+    with pytest.raises(ValueError, match="unknown window strategy"):
+        window_table(fig1, "S3", 2)
 
 
 def test_window_one_equals_send_latest(fig1):
@@ -71,18 +79,35 @@ def test_s2_examples(fig1):
     assert s2_point(fig1, 60).pi[0] == pytest.approx(limit, abs=1e-9)
 
 
+# r = qbar / pbar = 1.8: r**K overflows a float from K = 1208 on
+STEEP = Model(ImportanceDist((1.0, 20.0), (0.9, 0.1)), Geometric(0.5))
+
+
 @pytest.mark.parametrize("K", [1, 2, 3, 5, 8, 11, 15])
-def test_rows_sum_and_stationary_match(fig1, K):
-    for build, closed in (
-        (s1_transition_matrix, s1_point),
-        (s2_transition_matrix, s2_point),
-        (s3_transition_matrix, s3_point),
-    ):
-        P = build(fig1, K)
-        assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
-        pi = closed(fig1, K).pi
-        num = stationary_distribution(P)
-        assert np.abs(pi - num).max() < 1e-10
+def test_rows_sum_and_stationary_match(fig1, fig2, K):
+    # fig1 has r = qbar / pbar < 1; fig2 (r = 8/7) and STEEP take the r > 1 forms
+    for model in (fig1, fig2, STEEP):
+        for build, closed in (
+            (s1_transition_matrix, s1_point),
+            (s2_transition_matrix, s2_point),
+            (s3_transition_matrix, s3_point),
+        ):
+            P = build(model, K)
+            assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
+            pi = closed(model, K).pi
+            num = stationary_distribution(P)
+            assert np.abs(pi - num).max() < 1e-10
+
+
+def test_closed_forms_finite_when_r_to_the_K_overflows():
+    for closed, K in ((s1_point, 2000), (s3_point, 1300)):
+        pt = closed(STEEP, K)
+        assert np.isfinite(pt.pi).all() and pt.pi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.isfinite([pt.delta_e, pt.d]).all()
+        # far past the overflow, the window no longer matters
+        near = closed(STEEP, 1000)
+        assert pt.delta_e == pytest.approx(near.delta_e, abs=1e-12)
+        assert pt.d == pytest.approx(near.d, abs=1e-12)
 
 
 def test_stationary_distribution_rejects_two_recurrent_classes():
@@ -92,23 +117,34 @@ def test_stationary_distribution_rejects_two_recurrent_classes():
 
 @pytest.mark.parametrize("K", range(1, 9))
 def test_s1_s2_closed_forms_match_trie_chain_policies(fig1, fig2, K):
-    """S1 and S2 as chain policies on the window-K trie, evaluated exactly.
-
-    S1 sends its oldest packet exactly when that packet is important, S2 when
-    it is important and its parent holds no important packet; every other
-    state takes its parent's action plus one.  A level's upper half has an
-    important oldest packet, and parent 0 holds only unimportant ones.
-    """
+    """The S1 and S2 window tables, evaluated exactly on the window-K trie."""
     for model in (fig1, fig2):
         tree = StateTree(model, K)
-        parents = tree.level_size[:-1]
-        s1 = [None] + [np.repeat([False, True], n) for n in parents]
-        s2 = [None] + [np.concatenate([np.zeros(n, bool), np.arange(n) == 0]) for n in parents]
-        for takes, point in ((s1, s1_point), (s2, s2_point)):
-            delta_e, d = evaluate_components(model, tree, _chain_actions(tree, takes))
+        for name, point in (("S1", s1_point), ("S2", s2_point)):
+            delta_e, d = evaluate_components(model, tree, window_table(model, name, K).actions)
             pt = point(model, K)
             assert delta_e == pytest.approx(pt.delta_e, abs=1e-12)
             assert d == pytest.approx(pt.d, abs=1e-12)
+
+
+def _oldest_important(entries, v_min):
+    return next((j for j, v in enumerate(entries, 1) if v > v_min), len(entries))
+
+
+def _newest_important(entries, v_min):
+    return next((j for j in range(len(entries), 0, -1) if entries[j - 1] > v_min), len(entries))
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 8])
+def test_window_tables_match_per_buffer_rules(fig1, K):
+    """Every state of the S1/S2 tables picks what the per-buffer rule picks."""
+    tree = StateTree(fig1, K)
+    for name, rule in (("S1", _oldest_important), ("S2", _newest_important)):
+        table = window_table(fig1, name, K)
+        assert table.values == fig1.v.values and len(table.actions) == K + 1
+        for l in range(1, K + 1):
+            want = [rule(tree.entries_of(l, i), 1.0) for i in range(tree.level_size[l])]
+            assert table.actions[l].tolist() == want, (name, l)
 
 
 @pytest.mark.parametrize("K", [1, 3, 7, 10])
@@ -160,15 +196,13 @@ def test_curve_csv(fig1):
     assert lines[1].startswith("S2,1,")
 
 
-@pytest.mark.parametrize(
-    "name,policy_cls,closed",
-    [("S1", S1Policy, s1_point), ("S2", S2Policy, s2_point), ("S3", S3Policy, s3_point)],
-)
-def test_simulation_matches_closed_form(fig1, name, policy_cls, closed):
+@pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+def test_simulation_matches_closed_form(fig1, name):
     K = 4
-    pt = closed(fig1, K)
+    pt = strategy_point(fig1, name, K)
+    policy = S3Policy(fig1, K) if name == "S3" else window_table(fig1, name, K)
     res = simulate_policy(
-        SimConfig(horizon=400_000, seed=zlib.crc32(name.encode()), model=fig1), policy_cls(fig1, K)
+        SimConfig(horizon=400_000, seed=zlib.crc32(name.encode()), model=fig1), policy
     )
     assert abs(res.delta_e - pt.delta_e) < 4 * res.se_delta
     assert abs(res.d - pt.d) < 4 * res.se_d
