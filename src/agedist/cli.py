@@ -89,6 +89,8 @@ def cmd_tradeoff(args) -> int:
     curve = sweep_eta(model, etas)
     for eta, msg in curve.failures:
         print(f"warning: eta={eta:.6g} skipped: {msg}", file=sys.stderr)
+    if not curve.points:
+        raise RuntimeError(f"none of the {len(etas)} eta values could be solved")
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "points.csv"), "w", encoding="utf-8") as fh:
         curve.write_points_csv(fh)
@@ -142,12 +144,24 @@ def cmd_bufferignorant(args) -> int:
     return 0
 
 
+def _check_simulate_flags(args) -> None:
+    """Reject a flag the mode would ignore, and more than one packet policy."""
+    packet = [f"--{f}" for f in ("policy", "strategy", "k", "eta") if getattr(args, f) is not None]
+    bits = [f for f, on in (("--tau", args.tau is not None), ("--tunstall", args.tunstall)) if on]
+    ignored = packet if args.mode == "bits" else bits
+    if ignored:
+        raise UsageError(f"{ignored[0]} does not apply to {args.mode} mode")
+    chosen = [f for f in packet if f != "--k"]
+    if len(chosen) > 1:
+        raise UsageError(f"{chosen[0]} and {chosen[1]} both choose the policy; give one")
+
+
 def _resolve_packet_policy(args, model: Model):
-    if args.policy:
+    if args.policy is not None:
         if not os.path.exists(args.policy):
             raise UsageError(f"policy file not found: {args.policy}")
         return PolicySolution.from_json(args.policy, model)
-    if args.strategy:
+    if args.strategy is not None:
         name = args.strategy.lower()
         if name not in ("send-latest", "s1", "s2", "s3"):
             raise UsageError(f"unknown strategy {args.strategy!r}")
@@ -157,12 +171,12 @@ def _resolve_packet_policy(args, model: Model):
             raise UsageError(f"strategy {args.strategy} needs --k")
         return S3Policy(model, args.k) if name == "s3" else window_table(model, name, args.k)
     if args.eta is not None:
-        sol = policy_iteration(model, args.eta)
-        return sol
+        return policy_iteration(model, args.eta)
     raise UsageError("simulate needs --policy, --strategy, or --eta (or --tau for bits mode)")
 
 
 def cmd_simulate(args) -> int:
+    _check_simulate_flags(args)
     model = _load_model(args.model)
     if args.mode == "bits":
         if args.tau is None:
@@ -177,11 +191,8 @@ def cmd_simulate(args) -> int:
         result = simulate_bit_policy(cfg, src, policy)
     else:
         policy = _resolve_packet_policy(args, model)
-        cfg = SimConfig(horizon=args.horizon, seed=args.seed, model=model)
-        if args.mode == "erasure":
-            result = simulate_erasure(cfg, policy)
-        else:
-            result = simulate_policy(cfg, policy)
+        run = simulate_erasure if args.mode == "erasure" else simulate_policy
+        result = run(SimConfig(horizon=args.horizon, seed=args.seed, model=model), policy)
     doc = json.dumps(result.to_json_dict())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -192,11 +203,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     model = _load_model(args.model) if args.model else None
-    checks = run_battery(
-        model, seed=args.seed, lambda_perturbation=args.perturb_lambda
-    )
-    ok = print_report(checks)
-    return 0 if ok else 1
+    checks = run_battery(model, seed=args.seed, lambda_perturbation=args.perturb_lambda)
+    return 0 if print_report(checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,12 +264,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return USAGE_ERROR if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

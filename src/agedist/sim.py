@@ -1,49 +1,37 @@
 """Monte Carlo simulation of the discrete-time model; the universal oracle.
 
-Randomness comes from numpy's Philox counter generator, split into two
-documented substreams of the config seed via ``SeedSequence.spawn``:
-stream 0 drives arrivals (one packet, or one bit, per slot), stream 1
-drives timing.  For geometric interspeaking times the timing stream is
-consumed as one Bernoulli success indicator per slot in *both* the direct
-and the erasure-commitment modes, so the two modes see identical arrival
-and speaking processes under a shared seed; with a stationary policy their
-trajectories then coincide slot for slot.  Cross-language reproducibility
-is statistical only.
+Randomness comes from numpy's Philox generator, split by
+``SeedSequence.spawn`` into two substreams of the config seed: stream 0
+drives arrivals (one packet, or one bit, per slot), stream 1 timing.  With
+geometric gaps the timing stream is one Bernoulli success flag per slot in
+both the direct and the erasure-commitment modes, so under a shared seed
+the two modes see the same arrivals and speaking slots.
 
-One loop serves the direct, erasure and bits modes.  Deliveries and
-window drops both take entries from the oldest end of the buffer, so once
-slot t's arrival is in, the buffer is always the newest l arrivals,
-``arrivals[t - l:t]``, and the integer l is the only state.  The loop walks
-the mode's query slots: the speaking slots in direct and bits mode, every
-slot in erasure mode, where the sender commits each slot and only
-successful slots deliver.  At each query l grows by the slot gap, the
-policy picks an action for the buffer of the last l arrivals, and a
-delivery removes the oldest entries the mode's selection consumed.
+One loop serves the direct, erasure and bits modes.  Deliveries and window
+drops both take entries from the oldest end, so the buffer at slot t is
+the newest l arrivals, ``arrivals[t - l:t]``, and the integer l is the
+only state.  The loop walks the mode's query slots (the speaking slots, or
+every slot in erasure mode); at each, l grows by the gap, the policy picks
+an action and a delivery removes the oldest entries it consumed.
 
 A policy that carries a per-level action table, ``actions`` and
-``values``, is read by table instead of being called: a solved
-``PolicySolution``, or a window table of S1, S2 or send-latest from
-``strategies.window_table``.  Its trie index
-for the buffer ``arrivals[t - l:t]`` is ``key_t mod m**l``, where the
-rolling key ``key_t`` is the mixed-radix number of the last K arrival
-digits, newest digit least significant; numpy computes the keys at the
-query slots in fixed-size chunks, and the action is
-``actions[l][key_t % m**l]``.  Every table entry is checked once, before
-the first slot, against the rule the callable route applies per query:
+``values`` (a ``PolicySolution`` or a ``strategies.window_table``), is read
+by table: the action is ``actions[l][key_t % m**l]``, where the rolling
+key ``key_t`` is the mixed-radix number of the last K arrival digits,
+newest least significant, computed by numpy in chunks.  Each level is read
+in place, one entry per query.  Before the first slot every entry is
+checked against the rule the callable route applies per query:
 ``1 <= s <= l``, and no pick of a ``v_min`` packet unless it is the
-newest.  With a checked table, the commitment made on a failed erasure
-slot can neither raise nor change the state, so erasure mode walks only
-the delivering slots; under a shared seed those are the speaking slots of
-direct mode, and the two modes stay bit-identical.  Any other policy (S3,
-whose buffer is untruncated, or a plain callable) is called with the
-buffer slice, at every slot in erasure mode.
+newest.  A checked table cannot fail on a lost erasure slot, so erasure
+mode walks only the delivering slots and stays bit-identical to direct
+mode.  Any other policy (S3, whose buffer is untruncated, or a plain
+callable) is called with the buffer slice, at every slot in erasure mode.
 
-Distortion is charged the moment an entry becomes permanently unsendable:
-a delivery passes over it (charged at the delivery slot), or it falls off
-the policy's window K (the arrival of slot j is charged at slot j + K, in
-every mode).  Excess age is recorded per delivery.  After a burn-in of 1%
-of the horizon, standard errors come from the means of ``BATCHES`` equal
-slot spans; the loop keeps one running sum per batch, never a per-event record.
+Distortion is charged when an entry becomes unsendable: a delivery passes
+over it, or it falls off the window K (slot j's arrival at slot j + K).
+Excess age is recorded per delivery.  After a burn-in of 1% of the
+horizon, standard errors come from the means of ``BATCHES`` equal slot
+spans, each kept as one running sum.
 """
 
 from __future__ import annotations
@@ -57,7 +45,7 @@ from operator import add
 import numpy as np
 
 from .model import Geometric, Model
-from .statetree import picked_digits
+from .statetree import buffer_entries
 
 BATCHES = 32  # equal slot spans behind each batch-means standard error
 KEY_CHUNK = 4096  # query slots per numpy pass of the rolling trie key
@@ -269,11 +257,17 @@ def _check_table_level(acts: np.ndarray, l: int, values) -> None:
     m = len(values)
     if acts.shape != (m**l,):
         raise ValueError(f"action table level {l} has shape {acts.shape}, expected ({m**l},)")
-    s = acts.astype(np.int64)
-    bad = (s < 1) | (s > l) | ((s < l) & (picked_digits(s, l, m) == 0))
+    if acts.dtype.kind not in "iu":
+        raise ValueError(f"action table level {l} has dtype {acts.dtype}, expected integers")
+    bad = acts < 1
+    bad |= acts > l
+    for s in range(1, l):
+        # action s picks entry s - 1 (oldest first): the middle axis of this view
+        stale = bad.reshape(m ** (s - 1), m, -1)[:, 0]
+        stale |= acts.reshape(m ** (s - 1), m, -1)[:, 0] == s
     if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        entries = [values[i // m**p % m] for p in range(l - 1, -1, -1)]
+        i = int(bad.argmax())
+        entries = list(buffer_entries(values, l, i))
         raise RuntimeError(f"policy table has infeasible action {acts[i]} for buffer {entries}")
 
 
@@ -286,7 +280,8 @@ def _table_select(model: Model, policy, digits: np.ndarray, slots: np.ndarray):
     K = len(tables) - 1
     for l in range(1, K + 1):
         _check_table_level(tables[l], l, values)
-    rows = [acts.tolist() for acts in tables]
+    # each query reads one entry, in place: a memoryview item is a Python int
+    rows = list(map(memoryview, tables))
     size = [len(values) ** l for l in range(K + 1)]
     # select is called once per query slot, in order, so the keys are consumed in step
     keys = _trie_keys(digits, slots, len(values), K)

@@ -24,13 +24,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import Model, check_eta, is_number, numbers
-from .statetree import StateTree
+from .statetree import StateTree, buffer_digits, buffer_entries, buffer_index
 
 TIE_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -86,7 +85,7 @@ def _transition_blocks(model: Model, tree: StateTree, l: int, i: int, s: int):
 def _c_value_node(
     model: Model, tree: StateTree, h_levels, l: int, i: int, s: int, eta: float
 ) -> float:
-    digits = tree.digits_of(l, i)
+    digits = buffer_digits(l, i, tree.m)
     val = eta * (l - s)
     val += sum(tree.values[d] for d in digits[: s - 1]) / model.mu
     val += _forgetting_terms(model, tree, digits, l, s)
@@ -153,14 +152,20 @@ def _chain_actions(tree: StateTree, takes) -> list[np.ndarray]:
 
     A state of level ``l`` sends its oldest packet (action 1) where
     ``takes[l]`` is set and otherwise takes its parent's action plus one;
-    levels past the end of ``takes`` chain throughout, so no masks gives
-    send-latest.  Level 0 holds the root's placeholder action 0, which makes
-    every level-1 action 1.
+    levels past the end of ``takes``, or whose mask is None, chain
+    throughout, so no masks gives send-latest.  A mask is flat over the
+    level or broadcasts against its (oldest digit, parent) view.  Level 0
+    holds the root's placeholder action 0, which makes every level-1
+    action 1.
     """
     actions = [np.zeros(1, dtype=np.int32)]
     for l in range(1, tree.K + 1):
-        chain = np.tile(actions[l - 1] + 1, tree.m)
-        actions.append(np.where(takes[l], 1, chain).astype(np.int32) if l < len(takes) else chain)
+        acts = np.empty(tree.level_size[l], dtype=np.int32)
+        view = acts.reshape(tree.m, -1)
+        np.add(actions[l - 1], 1, out=view)
+        if l < len(takes) and takes[l] is not None:
+            np.copyto(view, 1, where=np.reshape(takes[l], (tree.m, -1)))
+        actions.append(acts)
     return actions
 
 
@@ -279,7 +284,7 @@ def _evaluate_chain(model: Model, tree: StateTree, chain: _Chain, eta: float):
         if not len(rows):
             continue
         own = np.searchsorted(suffixes[p], parents[rows])
-        forget = _forgetting_terms(model, tree, tree.digits_of(p + 1, index[rows]), p + 1, 1)
+        forget = _forgetting_terms(model, tree, buffer_digits(p + 1, index[rows], tree.m), p + 1, 1)
         P[rows] = suffix_trans[own]
         cost[rows, 1] = suffix_edge[own] + forget
         for k in range(1, K - p):
@@ -426,30 +431,17 @@ class PolicySolution:
     def max_buffer(self) -> int:
         return self.K
 
-    @cached_property
-    def _digit(self) -> dict[float, int]:
-        return {v: d for d, v in enumerate(self.values)}
-
     def action_for(self, entries) -> int:
-        l = len(entries)
-        if l == 0 or l > self.K:
-            raise ValueError(f"buffer length {l} outside 1..{self.K}")
-        i = 0
-        for v in entries:
-            d = self._digit.get(float(v))
-            if d is None:
-                raise ValueError(f"entry {v!r} is not an importance value {self.values}")
-            i = i * self.m + d
+        if not 1 <= len(entries) <= self.K:
+            raise ValueError(f"buffer length {len(entries)} outside 1..{self.K}")
+        l, i = buffer_index(self.values, entries)
         return int(self.actions[l][i])
 
     def __call__(self, entries) -> int:
         return self.action_for(entries)
 
     def b1_states(self):
-        m = self.m
-        for l, i in self.b1:
-            digits = [(i // m**p) % m for p in range(l - 1, -1, -1)]
-            yield tuple(self.values[d] for d in digits)
+        return (buffer_entries(self.values, l, i) for l, i in self.b1)
 
     def to_json(self, path: str) -> None:
         doc = {
@@ -657,7 +649,7 @@ def _evaluate_full(model: Model, tree: StateTree, actions, eta: float):
         for i in range(tree.level_size[l]):
             r = tree.level_offset[l] + i - 1
             s = int(actions[l][i])
-            digits = tree.digits_of(l, i)
+            digits = buffer_digits(l, i, tree.m)
             cost[r, 0] = l - s
             cost[r, 1] = sum(tree.values[d] for d in digits[: s - 1]) / model.mu
             cost[r, 1] += _forgetting_terms(model, tree, digits, l, s)
@@ -682,7 +674,7 @@ def generic_policy_iteration(model: Model, eta: float, K: int) -> PolicySolution
         changed = False
         for l in range(1, K + 1):
             for i in range(tree.level_size[l]):
-                digits = tree.digits_of(l, i)
+                digits = buffer_digits(l, i, tree.m)
                 best_s = l
                 best_c = _c_value_node(model, tree, h_levels, l, i, l, eta)
                 for s in range(l - 1, 0, -1):
@@ -702,12 +694,7 @@ def generic_policy_iteration(model: Model, eta: float, K: int) -> PolicySolution
             f"generic policy iteration did not converge within {MAX_ITERS} iterations "
             f"(eta={eta}, K={K})"
         )
-    b1 = [
-        (l, i)
-        for l in range(2, K + 1)
-        for i in range(tree.level_size[l])
-        if actions[l][i] == 1
-    ]
+    b1 = [(l, int(i)) for l in range(2, K + 1) for i in np.flatnonzero(actions[l] == 1)]
     return PolicySolution(
         eta=eta,
         K=K,

@@ -1,17 +1,21 @@
 """Suffix trie over truncated buffer states, stored as flat per-level arrays.
 
-A buffer state is a sequence of importance values, oldest first.  The trie
-parent relation drops the oldest entry, so the children of a state prepend
-one value in front of it.  Nodes are laid out breadth first; within level
-``l`` a state maps to the mixed-radix integer whose most significant digit
-is the oldest entry.  The layout is the index: a level-``l`` array viewed in
-C order as ``(m, m**(l-1))`` has the oldest digit as its row and the parent
-as its column, so a parent-level array broadcasts as a row and a per-value
-array as a column; viewed as ``(m**(l-k), m**k)`` its row ``i`` is the
-appended block ``b || V^k`` of node ``i`` of level ``l-k``.
+A buffer state is a sequence of importance values, oldest first; its
+parent drops the oldest entry.  Within level ``l`` a state is the
+mixed-radix number of its value digits (0 is v_min), oldest most
+significant: ``buffer_index`` and ``buffer_entries`` are this map and its
+inverse, the package's one buffer codec.  So a level viewed in C order as
+``(m, m**(l-1))`` has the oldest digit as its row and the parent as its
+column (a parent-level array broadcasts as a row, a per-value array as a
+column), and viewed as ``(m**(l-k), m**k)`` its row ``i`` is the block
+``b || V^k`` of node ``i`` of level ``l-k``.  A ``StateTree`` holds this
+topology only, at O(K) cost; the block weights ``wprob`` are built on
+first read.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +33,28 @@ def max_depth(alphabet_size: int) -> int:
     while alphabet_size ** (k + 2) <= NODE_CAP:
         k += 1
     return k
+
+
+def buffer_digits(level: int, index, m: int) -> tuple:
+    """Value digits of node ``index`` of a level, oldest first; ``index`` may be an array."""
+    return tuple(index // m**p % m for p in range(level - 1, -1, -1))
+
+
+def buffer_entries(values, level: int, index: int) -> tuple[float, ...]:
+    """The buffer (importance values, oldest first) of node ``index`` of a level."""
+    return tuple(float(values[d]) for d in buffer_digits(level, index, len(values)))
+
+
+def buffer_index(values, state) -> tuple[int, int]:
+    """(level, index) of a buffer (importance values, oldest first) over a sequence ``values``."""
+    idx = 0
+    for v in state:
+        try:
+            d = values.index(float(v))
+        except (TypeError, ValueError):
+            raise ValueError(f"entry {v!r} is not an importance value {values}") from None
+        idx = idx * len(values) + d
+    return len(state), idx
 
 
 def picked_digits(s: np.ndarray, l: int, m: int) -> np.ndarray:
@@ -66,57 +92,32 @@ class StateTree:
         self.K = K
         self.m = m
         self.values = np.asarray(model.v.values, dtype=np.float64)
+        self.probs = model.v.probs
         self.level_size = [m**l for l in range(K + 1)]
         self.level_offset = np.cumsum([0] + self.level_size).tolist()
-        self._value_to_digit = {v: d for d, v in enumerate(model.v.values)}
-
-        # Product weights over appended blocks: wprob[k][j] = Pr(V^k == digits of j).
-        self.wprob: list[np.ndarray] = [np.ones(1)]
-        for _ in range(K):
-            self.wprob.append(np.outer(model.v.probs, self.wprob[-1]).ravel())
-
         self.last_actions: list[np.ndarray] | None = None
+
+    @cached_property
+    def wprob(self) -> list[np.ndarray]:
+        """Product weights over appended blocks: ``wprob[k][j] = Pr(V^k == digits of j)``."""
+        wprob = [np.ones(1)]
+        for _ in range(self.K):
+            wprob.append(np.outer(self.probs, wprob[-1]).ravel())
+        return wprob
 
     # -- bookkeeping -------------------------------------------------------
 
     def node_count(self) -> int:
         return sum(self.level_size)
 
-    def digits_of(self, level: int, idx: int) -> tuple[int, ...]:
-        out = []
-        for pos in range(level - 1, -1, -1):
-            out.append((idx // self.m**pos) % self.m)
-        return tuple(out)
-
     def entries_of(self, level: int, idx: int) -> tuple[float, ...]:
-        return tuple(float(self.values[d]) for d in self.digits_of(level, idx))
-
-    # -- global BFS ids ----------------------------------------------------
-
-    def index_of(self, state) -> int:
-        """Global breadth-first node id of a buffer state (root = 0)."""
-        l = len(state)
-        if l > self.K:
-            raise ValueError(f"state length {l} exceeds tree depth {self.K}")
-        idx = 0
-        for v in state:
-            d = self._value_to_digit.get(float(v))
-            if d is None:
-                raise ValueError(f"entry {v!r} is not an importance value of the model")
-            idx = idx * self.m + d
-        return self.level_offset[l] + idx
-
-    def state_of(self, node_id: int) -> tuple[float, ...]:
-        if not (0 <= node_id < self.node_count()):
-            raise ValueError(f"node id {node_id} out of range")
-        level = next(l for l in range(self.K + 1) if node_id < self.level_offset[l + 1])
-        return self.entries_of(level, node_id - self.level_offset[level])
+        return buffer_entries(self.values, level, idx)
 
     def locate(self, state) -> tuple[int, int]:
         """(level, local index) of a buffer state."""
-        gid = self.index_of(state)
-        level = next(l for l in range(self.K + 1) if gid < self.level_offset[l + 1])
-        return level, gid - self.level_offset[level]
+        if len(state) > self.K:
+            raise ValueError(f"state length {len(state)} exceeds tree depth {self.K}")
+        return buffer_index(self.values.tolist(), state)
 
     # -- expectations ------------------------------------------------------
 

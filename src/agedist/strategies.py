@@ -260,8 +260,7 @@ def window_table(model: Model, strategy: str, K: int = 1) -> WindowTable:
     important = np.arange(tree.m)[:, None] > 0
     takes = [None]
     for n in tree.level_size[:-1]:  # level l has one column per level-(l-1) parent
-        parent_empty = np.arange(n) == 0 if name == "S2" else True
-        takes.append(np.broadcast_to(important & parent_empty, (tree.m, n)).ravel())
+        takes.append(important & (np.arange(n) == 0) if name == "S2" else important)
     return WindowTable(model.v.values, _chain_actions(tree, takes))
 
 

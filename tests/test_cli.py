@@ -84,6 +84,16 @@ def test_tradeoff_skips_depths_beyond_cap(fig1_file, tmp_path, capsys):
     assert len(_lines(os.path.join(out, "points.csv"))) == 2  # only eta = 3.8 solved
 
 
+def test_tradeoff_fails_when_no_eta_is_solved(fig1_file, tmp_path, capsys):
+    out = tmp_path / "none"
+    rc = main(["tradeoff", "--model", fig1_file, "--out", str(out), "--eta-list", "0.01,0.02"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("skipped: K=") == 2  # both need K > 23
+    assert err.splitlines()[-1] == "error: none of the 2 eta values could be solved"
+    assert not out.exists()
+
+
 def test_strategies_csv_with_floor_row(fig1_file, tmp_path):
     out = str(tmp_path / "strat.csv")
     rc = main(["strategies", "--model", fig1_file, "--out", out, "--k-range", "1:1"])
@@ -230,6 +240,26 @@ def test_simulate_rejects_bad_window_or_threshold(fig1_file, capsys, args):
 
 
 @pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--mode", "bits", "--tau", "2", "--policy", "P.json"], "--policy does not apply to bits mode"),
+        (["--mode", "bits", "--tau", "2", "--strategy", "S1"], "--strategy does not apply to bits mode"),
+        (["--mode", "bits", "--tau", "2", "--k", "3"], "--k does not apply to bits mode"),
+        (["--mode", "bits", "--tau", "2", "--eta", "1"], "--eta does not apply to bits mode"),
+        (["--eta", "1", "--tau", "0"], "--tau does not apply to direct mode"),
+        (["--mode", "erasure", "--eta", "1", "--tunstall"], "--tunstall does not apply to erasure mode"),
+        (["--policy", "P.json", "--strategy", "S1"], "--policy and --strategy both choose the policy"),
+        (["--strategy", "S1", "--k", "3", "--eta", "1"], "--strategy and --eta both choose the policy"),
+        (["--policy", "P.json", "--eta", "1"], "--policy and --eta both choose the policy"),
+    ],
+)
+def test_simulate_rejects_ignored_flags(fig1_file, capsys, args, flag):
+    rc = main(["simulate", "--model", fig1_file, "--horizon", "20000", *args])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+
+
+@pytest.mark.parametrize(
     "field, value, match",
     [("eta", float("nan"), "eta must be finite"), ("lambda", float("inf"), "lambda=inf"),
      ("K", None, "no K field"), ("model_hash", None, "no model_hash field"),
@@ -262,3 +292,33 @@ def test_verify_pass_and_negative_control(fig1_file, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out and "dominance" in out
+
+
+@pytest.mark.parametrize(
+    "cfg, skipped",
+    [
+        ({"values": [1, 5, 20], "probs": [0.5, 0.3, 0.2], "z": {"geometric": 0.2}}, ["dominance"]),
+        ({"values": [1, 20], "probs": [0.7, 0.3], "z": {"pmf": [0.1, 0.3, 0.6]}}, ["dominance", "erasure"]),
+    ],
+    ids=["three-values", "finite-pmf"],
+)
+def test_verify_skips_closed_form_checks_on_other_models(tmp_path, capsys, cfg, skipped):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--model", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 11 and rows[-1] == "all checks passed"
+    skip_rows = [r for r in rows if "  SKIP  (needs " in r]
+    assert len(skip_rows) == len(skipped) and all(s in r for s, r in zip(skipped, skip_rows))
+    assert sum("  PASS" in r for r in rows) == 10 - len(skipped)
+
+
+def test_verify_reports_a_check_that_raises(tmp_path, capsys):
+    path = tmp_path / "wide.json"  # K(eta=1) = 200 is past the depth cap
+    path.write_text(json.dumps({"values": [1, 1000], "probs": [0.7, 0.3], "z": {"geometric": 0.2}}))
+    assert main(["verify", "--model", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 11 and out[-1] == "FAILURES present"
+    failed = [r for r in out if "  FAIL  " in r]
+    assert [r.split("  FAIL")[0].strip() for r in failed] == ["solver vs simulator", "erasure equivalence"]
+    assert "error: K=200 exceeds the dense-storage cap" in failed[0]

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,3 +271,47 @@ def test_table_route_rejects_other_values(fig1):
     other = Model(ImportanceDist((1.0, 2.0), (0.5, 0.5)), Geometric(0.2))
     with pytest.raises(ValueError, match="policy values"):
         simulate_policy(SimConfig(horizon=10_000, seed=0, model=other), policy_iteration(fig1, 1.0))
+
+
+def _level3(edits):
+    acts = np.full(8, 3, dtype=np.int32)  # send-latest at level 3
+    for i, s in edits.items():
+        acts[i] = s
+    return acts
+
+
+@pytest.mark.parametrize(
+    "acts, err, msg",
+    [
+        (_level3({5: 0}), RuntimeError, "policy table has infeasible action 0 for buffer [20.0, 1.0, 20.0]"),
+        (_level3({6: 4}), RuntimeError, "policy table has infeasible action 4 for buffer [20.0, 20.0, 1.0]"),
+        (np.full(7, 3, dtype=np.int32), ValueError, "action table level 3 has shape (7,), expected (8,)"),
+        (_level3({1: 1, 7: 0}), RuntimeError, "policy table has infeasible action 1 for buffer [1.0, 1.0, 20.0]"),
+        (_level3({4: 2}), RuntimeError, "policy table has infeasible action 2 for buffer [20.0, 1.0, 1.0]"),
+        (_level3({6: 9, 4: 2, 3: 0}), RuntimeError, "policy table has infeasible action 0 for buffer [1.0, 20.0, 20.0]"),
+    ],
+    ids=["s-below-1", "s-above-l", "wrong-shape", "stale-oldest", "stale-middle", "first-of-three"],
+)
+def test_check_table_level_messages(fig1, acts, err, msg):
+    with pytest.raises(err) as info:
+        sim._check_table_level(acts, 3, fig1.v.values)
+    assert str(info.value) == msg
+    sim._check_table_level(_level3({2: 2, 3: 2, 5: 1, 6: 1, 7: 1}), 3, fig1.v.values)  # fresh picks pass
+
+
+def test_check_table_level_rejects_non_integer_actions(fig1):
+    with pytest.raises(ValueError, match="level 2 has dtype float64, expected integers"):
+        sim._check_table_level(np.full(4, 2.0), 2, fig1.v.values)
+
+
+def test_deep_table_is_read_in_place(fig1):
+    # the S1 K=23 table is 64 MB; a 10^4-slot run reads at most 10^4 entries of it
+    table = window_table(fig1, "S1", 23)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_policy(SimConfig(horizon=10_000, seed=0, model=fig1), table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 32 << 20

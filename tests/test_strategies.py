@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -145,6 +146,20 @@ def test_window_tables_match_per_buffer_rules(fig1, K):
         for l in range(1, K + 1):
             want = [rule(tree.entries_of(l, i), 1.0) for i in range(tree.level_size[l])]
             assert table.actions[l].tolist() == want, (name, l)
+
+
+def test_deepest_window_table_builds_without_copies(fig1):
+    # the S2 table at the depth cap is 2**24 - 1 int32 actions, 64 MB
+    tracemalloc.start()
+    try:
+        table = window_table(fig1, "S2", 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for a in table.actions) == 4 * ((1 << 24) - 1)
+    assert peak < 96 << 20
+    # all v_min sends the newest; otherwise the newest important packet
+    assert table.actions[23][[0, 1, 2, 1 << 22]].tolist() == [23, 23, 22, 1]
 
 
 @pytest.mark.parametrize("K", [1, 3, 7, 10])
