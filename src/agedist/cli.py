@@ -145,7 +145,7 @@ def cmd_bufferignorant(args) -> int:
 
 
 def _check_simulate_flags(args) -> None:
-    """Reject a flag the mode would ignore, and more than one packet policy."""
+    """Reject a flag the mode or strategy would ignore, and more than one packet policy."""
     packet = [f"--{f}" for f in ("policy", "strategy", "k", "eta") if getattr(args, f) is not None]
     bits = [f for f, on in (("--tau", args.tau is not None), ("--tunstall", args.tunstall)) if on]
     ignored = packet if args.mode == "bits" else bits
@@ -154,6 +154,8 @@ def _check_simulate_flags(args) -> None:
     chosen = [f for f in packet if f != "--k"]
     if len(chosen) > 1:
         raise UsageError(f"{chosen[0]} and {chosen[1]} both choose the policy; give one")
+    if args.k is not None and (args.strategy is None or args.strategy.lower() == "send-latest"):
+        raise UsageError("--k applies only to --strategy S1, S2 or S3")
 
 
 def _resolve_packet_policy(args, model: Model):

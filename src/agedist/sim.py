@@ -12,7 +12,9 @@ drops both take entries from the oldest end, so the buffer at slot t is
 the newest l arrivals, ``arrivals[t - l:t]``, and the integer l is the
 only state.  The loop walks the mode's query slots (the speaking slots, or
 every slot in erasure mode); at each, l grows by the gap, the policy picks
-an action and a delivery removes the oldest entries it consumed.
+an action and a delivery removes the oldest entries it consumed.  The loop
+records only this trajectory: l, skipped and removed per delivery, in
+``array('q')`` buffers that hold no Python ints.
 
 A policy that carries a per-level action table, ``actions`` and
 ``values`` (a ``PolicySolution`` or a ``strategies.window_table``), is read
@@ -27,20 +29,23 @@ mode walks only the delivering slots and stays bit-identical to direct
 mode.  Any other policy (S3, whose buffer is untruncated, or a plain
 callable) is called with the buffer slice, at every slot in erasure mode.
 
-Distortion is charged when an entry becomes unsendable: a delivery passes
-over it, or it falls off the window K (slot j's arrival at slot j + K).
-Excess age is recorded per delivery.  After a burn-in of 1% of the
-horizon, standard errors come from the means of ``BATCHES`` equal slot
-spans, each kept as one running sum.
+Distortion and age are accounted after the loop, by numpy, one slot span
+at a time, so no temporary spans the horizon.  Distortion is charged when
+an entry becomes unsendable: a delivery passes over it, or it falls off
+the window K (slot j's arrival at slot j + K); the fall-offs follow from
+the trajectory.  Each importance is read on demand from the arrival's
+value index.  Excess age is recorded per delivery.  After a burn-in of 1%
+of the horizon, standard errors come from the means of ``BATCHES`` equal
+slot spans, each summed in slot order by a sequential ``cumsum``, so the
+result has the bits of a loop that charged each slot as it went.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain, repeat
-from operator import add
 
 import numpy as np
 
@@ -49,6 +54,7 @@ from .statetree import buffer_entries
 
 BATCHES = 32  # equal slot spans behind each batch-means standard error
 KEY_CHUNK = 4096  # query slots per numpy pass of the rolling trie key
+SHORT_RUN = 32  # below this inner run a table check tests the flat level, not a 3-d view
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,8 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 def _draw_arrival_digits(model: Model, rng: np.random.Generator, n: int) -> np.ndarray:
     """Index into ``model.v.values`` of each slot's arrival, in the smallest unsigned dtype."""
     cum = np.cumsum(model.v.probs)
-    digits = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
+    digits = np.searchsorted(cum, rng.random(n), side="right")
+    np.minimum(digits, len(cum) - 1, out=digits)  # in place: one int64 array at a time
     return digits.astype(np.min_scalar_type(len(cum) - 1))
 
 
@@ -159,75 +166,88 @@ def _trie_keys(digits: np.ndarray, slots: np.ndarray, m: int, K: int):
     return chain.from_iterable(map(chunk, range(0, len(slots), KEY_CHUNK)))
 
 
-def _age_area(a: int, b: int, S: int, burn: int) -> float:
-    """Sum of tau - S over the post-burn-in slots tau in (a, b]."""
-    a = max(a, burn)
-    if b <= a:
-        return 0.0
-    n = b - a
-    return (a + 1 + b) * n / 2.0 - n * S
+def _run(config: SimConfig, weights, codes, speaks, select, max_buffer, success=None) -> SimResult:
+    """The simulation loop of every mode: it records the l trajectory, numpy charges it.
 
-
-def _run(config: SimConfig, arrivals, importance, slots, delivers, select, max_buffer) -> SimResult:
-    """The simulation loop of every mode.
-
-    ``arrivals[j - 1]`` is the arrival of slot j and ``importance[j - 1]``
-    what it costs when it goes unsent.  ``slots`` are the query slots in
-    increasing order and ``delivers`` their success flags.  At each query
-    ``select(t, l)`` picks for the buffer ``arrivals[t - l:t]`` and returns
-    ``(skipped, removed)``: on delivery the oldest ``removed`` entries leave,
-    the oldest ``skipped`` of them unsent, and the delivered entry has age
-    ``l - removed``.  ``max_buffer`` is the window K, or None.
+    Slot j's arrival costs ``weights[codes[j - 1]]`` when it goes unsent.
+    The query slots are the delivering slots ``speaks``, or with ``success``
+    every slot, delivering where its flag is set.  At each query
+    ``select(t, l)`` picks for the buffer of the newest l arrivals and
+    returns ``(skipped, removed)``: on delivery the oldest ``removed``
+    entries leave, the oldest ``skipped`` of them unsent, and the delivered
+    entry has age ``l - removed``.  ``max_buffer`` is the window K, or None.
     """
-    horizon, burn, nb = config.horizon, config.burn, BATCHES
-    # bin 0 tallies the burn-in; bin i >= 1 is batch i - 1, which ends at slot ends[i]
-    ends = [burn + (i * (horizon - burn) + nb - 1) // nb for i in range(nb + 1)]
-    age = [0] * (nb + 1)
-    speaks = [0] * (nb + 1)
-    charge = [0.0] * (nb + 1)
-    i, end = 0, burn
-    raw_age = 0.0
-    K = max_buffer
+    K = config.horizon if max_buffer is None else max_buffer  # l never exceeds the horizon
+    if success is None:
+        queries = zip(map(int, speaks), repeat(True))
+    else:
+        queries = zip(range(1, config.horizon + 1), success)
+    # per delivery: l, skipped, removed, after an empty delivery at slot 0
+    trajectory = array("q", [0]), array("q", [0]), array("q", [0])
+    put_l, put_skipped, put_removed = (a.append for a in trajectory)
     l = prev = 0
-    last_t = last_S = 0  # the last delivery slot and its entry's arrival slot
-    # the horizon closes the run: arrivals after the last query can still fall off
-    for t, deliver in chain(zip(slots, delivers), [(horizon, None)]):
+    for t, deliver in queries:
         l += t - prev
         prev = t
-        if K is not None and l > K:
-            for u in range(t - l + 1 + K, t + 1):  # slot u - K's arrival falls off at u
-                while u > end:
-                    i += 1
-                    end = ends[i]
-                charge[i] += importance[u - K - 1]
+        if l > K:
             l = K
-        if deliver is None:
-            break
         skipped, removed = select(t, l)
         if not 1 <= removed <= l:
             raise RuntimeError(f"policy returned infeasible action {removed} for length {l}")
-        if not deliver:
-            continue
-        while t > end:
-            i += 1
-            end = ends[i]
-        age[i] += l - removed
-        speaks[i] += 1
-        if skipped:
-            # plain left-to-right float additions (sum() compensates on Python >= 3.12)
-            charge[i] += reduce(add, importance[t - l : t - l + skipped])
-        raw_age += _age_area(last_t, t, last_S, burn)
-        last_t, last_S = t, t - l + removed
-        l -= removed
-    raw_age += _age_area(last_t, horizon, last_S, burn)
-    return _batch_means(config, age[1:], speaks[1:], charge[1:], np.diff(ends), raw_age)
+        if deliver:
+            put_l(l)
+            put_skipped(skipped)
+            put_removed(removed)
+            l -= removed
+    return _account(config, np.asarray(weights, dtype=float), codes, K, speaks, trajectory)
+
+
+def _account(config: SimConfig, weights, codes, K, speaks, trajectory) -> SimResult:
+    """SimResult from the loop's trajectory, accounted by numpy one slot span at a time.
+
+    After delivery k everything up to the delivered entry's arrival slot
+    ``S_k = t_k - l_k + removed_k`` has left the buffer, so the arrival of
+    slot u - K falls off at each slot u in (S_k + K, t_(k+1)], and the
+    horizon closes the run like one more delivery.  A span's charges are
+    added in slot order, a fall-off before the delivery of its slot and a
+    skip's entries oldest first, by sequential ``cumsum``: the float
+    additions of a per-slot loop, so its bits.
+    """
+    horizon, burn, nb = config.horizon, config.burn, BATCHES
+    # span 0 is the burn-in; span i >= 1 is batch i - 1, slots (ends[i], ends[i + 1]]
+    ends = [0] + [burn + (i * (horizon - burn) + nb - 1) // nb for i in range(nb + 1)]
+    points = np.concatenate(([0], speaks, [horizon]))  # delivery k's slot at index k
+    dl, ds, dr = (np.frombuffer(a, np.int64) for a in trajectory)
+    at = np.searchsorted(speaks, ends, side="right")
+    age, charge = np.zeros(nb + 1), np.zeros(nb + 1)
+    raw_age = 0.0
+    for i in range(nb + 1):
+        k = slice(at[i] + 1, at[i + 1] + 1)  # the span's deliveries
+        t, skipped, oldest = points[k], ds[k], points[k] - dl[k]  # oldest: the buffer's 0-based start
+        age[i] = (dl[k] - dr[k]).sum()
+        skips = np.zeros(len(t))
+        for j in range(skipped.max(initial=0)):  # left to right, one running sum per delivery
+            on = skipped > j
+            skips[on] += weights[codes[oldest[on] + j]]
+        # the span's points and the next one, whose fall-offs may reach back into the span
+        b, before = points[at[i] + 1 : at[i + 1] + 2], slice(at[i], at[i + 1] + 1)
+        last_t, last_s = points[before], points[before] - dl[before] + dr[before]
+        x = np.maximum(b - last_s - K, 0)
+        u = np.repeat(b - x + 1 - (np.cumsum(x) - x), x) + np.arange(x.sum())
+        u = u[(u > ends[i]) & (u <= ends[i + 1])]
+        events = np.insert(weights[codes[u - K - 1]], np.searchsorted(u, t, side="right"), skips)
+        charge[i] = np.cumsum(events)[-1] if len(events) else 0.0
+        # excess age tau - S_k over the post-burn-in slots tau in (t_k, t_(k+1)]; the last span closes
+        n_areas = len(t) + (i == nb)
+        a = np.maximum(last_t[:n_areas], burn)
+        n = np.maximum(b[:n_areas] - a, 0)
+        areas = (a + 1 + b[:n_areas]) * n / 2.0 - n * last_s[:n_areas]
+        raw_age = np.cumsum(np.append(raw_age, areas))[-1]
+    return _batch_means(config, age[1:], np.diff(at)[1:], charge[1:], np.diff(ends)[1:], raw_age)
 
 
 def _batch_means(config: SimConfig, age, speaks, charge, slot_counts, raw_age) -> SimResult:
     """SimResult from the per-batch sums of age, deliveries and charge."""
-    age = np.array(age, dtype=float)
-    speaks = np.array(speaks, dtype=np.int64)
-    charge = np.array(charge)
     n_eff = config.horizon - config.burn
     ok = speaks > 0
     bm_delta = np.where(ok, age / np.maximum(speaks, 1), 0.0)[ok]
@@ -246,7 +266,7 @@ def _batch_means(config: SimConfig, age, speaks, charge, slot_counts, raw_age) -
         horizon=config.horizon,
         seed=config.seed,
         batches=nb,
-        raw_age=raw_age / n_eff,
+        raw_age=float(raw_age / n_eff),
         batch_delta=bm_delta,
         batch_d=bm_d,
     )
@@ -262,9 +282,14 @@ def _check_table_level(acts: np.ndarray, l: int, values) -> None:
     bad = acts < 1
     bad |= acts > l
     for s in range(1, l):
-        # action s picks entry s - 1 (oldest first): the middle axis of this view
-        stale = bad.reshape(m ** (s - 1), m, -1)[:, 0]
-        stale |= acts.reshape(m ** (s - 1), m, -1)[:, 0] == s
+        run = m ** (l - s)  # action s picks entry s - 1 (oldest first), whose digit holds for run entries
+        if run >= SHORT_RUN:  # the picked digit is the middle axis of this view
+            stale = bad.reshape(m ** (s - 1), m, -1)[:, 0]
+            stale |= acts.reshape(m ** (s - 1), m, -1)[:, 0] == s
+        else:  # the view would loop once per short run: test the flat level against a tiled mask
+            stale = np.tile(np.repeat((True, False), (run, (m - 1) * run)), m ** (s - 1))
+            stale &= acts == s
+            bad |= stale
     if bad.any():
         i = int(bad.argmax())
         entries = list(buffer_entries(values, l, i))
@@ -303,10 +328,11 @@ def _run_packets(config: SimConfig, policy, digits, speaks, success=None) -> Sim
     slice at each query slot, which in erasure mode is every slot.
     """
     model = config.model
-    arrivals = np.array(model.v.values, dtype=object)[digits].tolist()
+    values = model.v.values
     if hasattr(policy, "actions") and hasattr(policy, "values"):
         select, K = _table_select(model, policy, digits, speaks)
-        return _run(config, arrivals, arrivals, map(int, speaks), repeat(True), select, K)
+        return _run(config, values, digits, speaks, select, K)
+    arrivals = np.array(values, dtype=object)[digits].tolist()
     v_min = model.v.v_min
 
     def select(t, l):
@@ -316,12 +342,8 @@ def _run_packets(config: SimConfig, policy, digits, speaks, success=None) -> Sim
             raise RuntimeError(f"policy returned infeasible action {s} for buffer {entries}")
         return s - 1, s
 
-    if success is None:
-        slots, delivers = map(int, speaks), repeat(True)
-    else:
-        slots, delivers = range(1, config.horizon + 1), success
     maxb = getattr(policy, "max_buffer", None)
-    return _run(config, arrivals, arrivals, slots, delivers, select, maxb)
+    return _run(config, values, digits, speaks, select, maxb, success)
 
 
 def simulate_policy(config: SimConfig, policy) -> SimResult:
@@ -373,9 +395,7 @@ def simulate_bit_policy(config: SimConfig, source, policy) -> SimResult:
     arr_rng, tim_rng = _streams(config.seed)
     # bytes hold one byte per slot where a list would hold an 8-byte pointer
     bits = (arr_rng.random(config.horizon) < source.q).astype(np.int8).tobytes()
-    weight = (1.0, source.v)
-    importance = [weight[b] for b in bits]
-    speaks = map(int, _slots_where(tim_rng.random(config.horizon) < source.p))
+    speaks = _slots_where(tim_rng.random(config.horizon) < source.p)
     N = policy.n_bits
     tunstall = hasattr(policy, "parse_newest_first")
 
@@ -388,4 +408,4 @@ def simulate_bit_policy(config: SimConfig, source, policy) -> SimResult:
         return max(s - N, 0), s
 
     maxb = getattr(policy, "max_buffer", None)
-    return _run(config, bits, importance, speaks, repeat(True), select, maxb)
+    return _run(config, (1.0, source.v), np.frombuffer(bits, np.int8), speaks, select, maxb)

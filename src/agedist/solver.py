@@ -508,13 +508,11 @@ class PolicySolution:
 
 
 def _rle_encode(arr) -> list[list[int]]:
-    out: list[list[int]] = []
-    for x in np.asarray(arr, dtype=np.int64):
-        if out and out[-1][0] == int(x):
-            out[-1][1] += 1
-        else:
-            out.append([int(x), 1])
-    return out
+    """One level's [value, count] runs; a run starts wherever the action changes."""
+    arr = np.ravel(arr)
+    starts = np.concatenate(([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1))[: len(arr)]
+    counts = np.diff(starts, append=len(arr))
+    return [list(pair) for pair in zip(arr[starts].tolist(), counts.tolist())]
 
 
 def _rle_decode(rle, level: int, size: int) -> np.ndarray:

@@ -251,6 +251,9 @@ def test_simulate_rejects_bad_window_or_threshold(fig1_file, capsys, args):
         (["--policy", "P.json", "--strategy", "S1"], "--policy and --strategy both choose the policy"),
         (["--strategy", "S1", "--k", "3", "--eta", "1"], "--strategy and --eta both choose the policy"),
         (["--policy", "P.json", "--eta", "1"], "--policy and --eta both choose the policy"),
+        (["--policy", "P.json", "--k", "99"], "--k applies only to --strategy S1, S2 or S3"),
+        (["--strategy", "send-latest", "--k", "99"], "--k applies only to --strategy S1, S2 or S3"),
+        (["--eta", "1", "--k", "99"], "--k applies only to --strategy S1, S2 or S3"),
     ],
 )
 def test_simulate_rejects_ignored_flags(fig1_file, capsys, args, flag):

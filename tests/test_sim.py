@@ -1,5 +1,10 @@
+import bisect
 import dataclasses
+import functools
 import hashlib
+import itertools
+import operator
+import random
 import tracemalloc
 
 import numpy as np
@@ -20,6 +25,16 @@ from agedist.strategies import S3Policy, window_table
 
 def _latest(model):
     return window_table(model, "send-latest")
+
+
+def _assert_same_result(a, b):
+    """Every SimResult field bit for bit, NaN equal to NaN."""
+    for f in dataclasses.fields(SimResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y or (x != x and y != y), f.name
 
 
 def test_config_validation(fig1):
@@ -79,13 +94,7 @@ def test_s1_table_erasure_equals_direct(fig1):
     """A window table takes the table route, so erasure walks direct mode's slots."""
     cfg = SimConfig(horizon=100_000, seed=23, model=fig1)
     table = window_table(fig1, "S1", 5)
-    direct, erasure = simulate_policy(cfg, table), simulate_erasure(cfg, table)
-    for f in dataclasses.fields(SimResult):
-        a, b = getattr(direct, f.name), getattr(erasure, f.name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
-        else:
-            assert a == b, f.name
+    _assert_same_result(simulate_policy(cfg, table), simulate_erasure(cfg, table))
 
 
 def test_erasure_probability_zero(fig1):
@@ -146,22 +155,29 @@ def test_missing_model_rejected(fig1):
         simulate_policy(SimConfig(horizon=20_000, seed=0), _latest(fig1))
 
 
-# (delta_e, se_delta, d, se_d, batches, digest of batch_delta, digest of batch_d),
-# recorded with the per-mode simulation loops of commit 9917e7b; the one loop
-# that replaced them must reproduce every bit.  "S1-K4-erasure" and "S2-K4"
-# were recorded at 660426a with the per-buffer S1/S2 classes that the window
-# tables replaced.
+THREE_GEO = Model(ImportanceDist((0.3, 1.7, 5.1), (0.5, 0.3, 0.2)), Geometric(0.3))
+
+# (delta_e, se_delta, d, se_d, batches, raw_age, digest of batch_delta, digest
+# of batch_d), recorded with the per-mode simulation loops of commit 9917e7b;
+# the one loop that replaced them must reproduce every bit.  "S1-K4-erasure"
+# and "S2-K4" were recorded at 660426a with the per-buffer S1/S2 classes that
+# the window tables replaced.  raw_age, "S3-K6-erasure", "three-geo-K2" and
+# "three-geo-K10" were recorded at d699059, whose loop still charged each
+# fall-off and skip and added each age area as it went.
 PINNED = {
-    "direct-eta1": (0.509125475285171, 0.010675292380909866, 4.216843434343434, 0.03980112710807024, 32, "09e7ed908b24dc87", "30588d951a1212f8"),
-    "erasure-eta1": (0.509125475285171, 0.010675292380909866, 4.216843434343434, 0.03980112710807024, 32, "09e7ed908b24dc87", "30588d951a1212f8"),
-    "S1-K4": (1.1316975463194792, 0.016813491853025858, 3.921818181818182, 0.05096496713323175, 32, "f4f4737102e4d476", "6d1a9a0ad738dc5d"),
-    "S1-K4-erasure": (1.1645869727976041, 0.01648268264862117, 3.949469696969697, 0.04193051015010204, 32, "47fc881f77b5432d", "4d72ef16a28c0929"),
-    "S2-K4": (0.514179104477612, 0.008906570490638907, 4.077878787878788, 0.045325732391995416, 32, "20afc007759a22ec", "5b0fd60e07059f43"),
-    "S3-K6": (4.826654717705799, 0.05720708813020016, 3.151010101010101, 0.04818434768672347, 32, "4266610a36926f7a", "ed7c14b9572aafdd"),
-    "three-latest": (0.0, 0.0, 0.8404015151515143, 0.0063223318200095815, 32, "fab19e942d1b9314", "4d712d0e25d21b5a"),
-    "three-solved": (0.1592195713708047, 0.0029016290960440084, 0.5444065656565658, 0.004837700181539542, 32, "f9e28b44d524ebe0", "db4c2fd9dd94ee86"),
-    "bits-tunstall": (2.033806711072012, 0.02210058500748691, 2.6965151515151513, 0.05141628040701598, 32, "e4c76b20e31cac5c", "fbfab8f682aa4b2d"),
-    "bits-length": (1.2456229383405226, 0.010762052801207619, 2.9307575757575757, 0.03563471584468595, 32, "91c8f3e10f1aff9d", "7c8bc10f5963ec1f"),
+    "direct-eta1": (0.509125475285171, 0.010675292380909866, 4.216843434343434, 0.03980112710807024, 32, 5.447878787878788, "09e7ed908b24dc87", "30588d951a1212f8"),
+    "erasure-eta1": (0.509125475285171, 0.010675292380909866, 4.216843434343434, 0.03980112710807024, 32, 5.447878787878788, "09e7ed908b24dc87", "30588d951a1212f8"),
+    "S1-K4": (1.1316975463194792, 0.016813491853025858, 3.921818181818182, 0.05096496713323175, 32, 6.123080808080808, "f4f4737102e4d476", "6d1a9a0ad738dc5d"),
+    "S1-K4-erasure": (1.1645869727976041, 0.01648268264862117, 3.949469696969697, 0.04193051015010204, 32, 6.133661616161616, "47fc881f77b5432d", "4d72ef16a28c0929"),
+    "S2-K4": (0.514179104477612, 0.008906570490638907, 4.077878787878788, 0.045325732391995416, 32, 5.3781060606060604, "20afc007759a22ec", "5b0fd60e07059f43"),
+    "S3-K6": (4.826654717705799, 0.05720708813020016, 3.151010101010101, 0.04818434768672347, 32, 9.938535353535354, "4266610a36926f7a", "ed7c14b9572aafdd"),
+    "S3-K6-erasure": (4.7730263157894735, 0.055546028166402486, 3.1221717171717174, 0.05373977009521275, 32, 9.825530303030304, "f512a34c794242a8", "57eda5709e6d4795"),
+    "three-latest": (0.0, 0.0, 0.8404015151515143, 0.0063223318200095815, 32, 1.6503282828282828, "fab19e942d1b9314", "4d712d0e25d21b5a"),
+    "three-solved": (0.1592195713708047, 0.0029016290960440084, 0.5444065656565658, 0.004837700181539542, 32, 1.8097979797979797, "f9e28b44d524ebe0", "db4c2fd9dd94ee86"),
+    "three-geo-K2": (0.1118756371049949, 0.00265695063969561, 1.0241363636363594, 0.00842627065911905, 32, 3.469419191919192, "d1b1294dde19dcf7", "92b4e220b9c0d655"),
+    "three-geo-K10": (1.0403651285486977, 0.016066774215594482, 0.7246691919191915, 0.008319231357337354, 32, 4.362550505050505, "387a6bae96a876b9", "eccb981204c1bda2"),
+    "bits-tunstall": (2.033806711072012, 0.02210058500748691, 2.6965151515151513, 0.05141628040701598, 32, 6.993156565656566, "e4c76b20e31cac5c", "fbfab8f682aa4b2d"),
+    "bits-length": (1.2456229383405226, 0.010762052801207619, 2.9307575757575757, 0.03563471584468595, 32, 6.222676767676767, "91c8f3e10f1aff9d", "7c8bc10f5963ec1f"),
 }
 
 
@@ -180,8 +196,13 @@ def _pinned_run(name, fig1):
         "S1-K4-erasure": lambda: simulate_erasure(SimConfig(H, 18, fig1), window_table(fig1, "S1", 4)),
         "S2-K4": lambda: simulate_policy(SimConfig(H, 17, fig1), window_table(fig1, "S2", 4)),
         "S3-K6": lambda: simulate_policy(SimConfig(H, 13, fig1), S3Policy(fig1, 6)),
+        "S3-K6-erasure": lambda: simulate_erasure(SimConfig(H, 19, fig1), S3Policy(fig1, 6)),
         "three-latest": lambda: simulate_policy(SimConfig(H, 14, three), _latest(three)),
         "three-solved": lambda: simulate_policy(SimConfig(H, 14, three), policy_iteration(three, 1.0)),
+        # K=2 on non-integer values: fall-off and skip charges interleave in every batch
+        "three-geo-K2": lambda: simulate_policy(SimConfig(H, 20, THREE_GEO), policy_iteration(THREE_GEO, 1.0)),
+        # K=10: skips of three or more non-integer entries, whose sum depends on their order
+        "three-geo-K10": lambda: simulate_policy(SimConfig(H, 22, THREE_GEO), policy_iteration(THREE_GEO, 0.15)),
         "bits-tunstall": lambda: simulate_bit_policy(
             SimConfig(H, 15), src, TunstallThresholdBitPolicy(src, 3, tunstall_build(src.q, 8))
         ),
@@ -195,7 +216,7 @@ def _pinned_run(name, fig1):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_results_pinned_bit_for_bit(fig1, name):
     res = _pinned_run(name, fig1)
-    got = (res.delta_e, res.se_delta, res.d, res.se_d, res.batches)
+    got = (res.delta_e, res.se_delta, res.d, res.se_d, res.batches, res.raw_age)
     assert got + (_digest(res.batch_delta), _digest(res.batch_d)) == PINNED[name]
 
 
@@ -210,9 +231,6 @@ class _Called:
         return self._sol.action_for(entries)
 
 
-THREE_GEO = Model(ImportanceDist((0.3, 1.7, 5.1), (0.5, 0.3, 0.2)), Geometric(0.3))
-
-
 @pytest.mark.parametrize("mode", ["direct", "erasure"])
 @pytest.mark.parametrize(
     "which, eta",
@@ -225,13 +243,84 @@ def test_table_route_matches_callable_route(fig1, which, eta, mode):
         assert sol.K >= 9  # rolling keys reach m**j >= 256, wider than a uint8 digit
     run = simulate_erasure if mode == "erasure" else simulate_policy
     cfg = SimConfig(horizon=40_000, seed=21, model=model)
-    table, called = run(cfg, sol), run(cfg, _Called(sol))
-    for f in dataclasses.fields(SimResult):
-        a, b = getattr(table, f.name), getattr(called, f.name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
-        else:
-            assert a == b or (a != a and b != b), f.name
+    _assert_same_result(run(cfg, sol), run(cfg, _Called(sol)))
+
+
+def _area(a, b, s, burn):
+    """Sum of tau - s over the post-burn-in slots tau in (a, b]."""
+    a = max(a, burn)
+    return (a + 1 + b) * (b - a) / 2.0 - (b - a) * s if b > a else 0.0
+
+
+def _loop_run(config, weights, codes, speaks, select, max_buffer, success=None):
+    """Reference for ``sim._run``: a per-slot loop charging each fall-off, skip and age area at once."""
+    importance = [float(weights[c]) for c in codes]
+    horizon, burn, nb = config.horizon, config.burn, sim.BATCHES
+    ends = [burn + (i * (horizon - burn) + nb - 1) // nb for i in range(nb + 1)]
+    age, count, charge = [0] * (nb + 1), [0] * (nb + 1), [0.0] * (nb + 1)
+    if success is None:
+        queries = zip(speaks.tolist(), itertools.repeat(True))
+    else:
+        queries = zip(range(1, horizon + 1), success.tolist())
+    K, raw_age = max_buffer, 0.0
+    l = prev = last_t = last_s = 0
+    for t, deliver in itertools.chain(queries, [(horizon, None)]):
+        l += t - prev
+        prev = t
+        if K is not None and l > K:
+            for u in range(t - l + 1 + K, t + 1):  # slot u - K's arrival falls off at u
+                charge[bisect.bisect_left(ends, u)] += importance[u - K - 1]
+            l = K
+        if deliver is None:
+            break
+        skipped, removed = select(t, l)
+        if deliver:
+            i = bisect.bisect_left(ends, t)
+            age[i] += l - removed
+            count[i] += 1
+            if skipped:
+                charge[i] += functools.reduce(operator.add, importance[t - l : t - l + skipped])
+            raw_age += _area(last_t, t, last_s, burn)
+            last_t, last_s = t, t - l + removed
+            l -= removed
+    raw_age += _area(last_t, horizon, last_s, burn)
+    age, count, charge = np.array(age[1:], dtype=float), np.array(count[1:]), np.array(charge[1:])
+    return sim._batch_means(config, age, count, charge, np.diff(ends), raw_age)
+
+
+class _RandomPick:
+    """A random feasible pick: any entry but a stale v_min one, so skips of every length occur."""
+
+    def __init__(self, model, max_buffer):
+        self.v_min, self.max_buffer = model.v.v_min, max_buffer
+        self.rng = random.Random(7)
+
+    def __call__(self, entries):
+        l = len(entries)
+        return self.rng.choice([s for s in range(1, l) if entries[s - 1] > self.v_min] + [l])
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["random-K5", "random-K5-erasure", "random-untruncated", "table-eta0.3", "table-erasure", "bits-tunstall"],
+)
+def test_accounting_matches_per_slot_loop(fig1, monkeypatch, name):
+    cfg = SimConfig(horizon=20_000, seed=31, model=THREE_GEO)
+    fig1_cfg = SimConfig(horizon=20_000, seed=32, model=fig1)
+    src = BinarySource.from_model(fig1, 3)
+    runs = {
+        "random-K5": lambda: simulate_policy(cfg, _RandomPick(THREE_GEO, 5)),
+        "random-K5-erasure": lambda: simulate_erasure(cfg, _RandomPick(THREE_GEO, 5)),
+        "random-untruncated": lambda: simulate_policy(cfg, _RandomPick(THREE_GEO, None)),
+        "table-eta0.3": lambda: simulate_policy(fig1_cfg, policy_iteration(fig1, 0.3)),
+        "table-erasure": lambda: simulate_erasure(cfg, policy_iteration(THREE_GEO, 0.15)),
+        "bits-tunstall": lambda: simulate_bit_policy(
+            SimConfig(20_000, 33), src, TunstallThresholdBitPolicy(src, 2, tunstall_build(src.q, 8))
+        ),
+    }
+    got = runs[name]()
+    monkeypatch.setattr(sim, "_run", _loop_run)
+    _assert_same_result(got, runs[name]())
 
 
 @pytest.mark.parametrize("run", [simulate_policy, simulate_erasure])
@@ -297,6 +386,24 @@ def test_check_table_level_messages(fig1, acts, err, msg):
         sim._check_table_level(acts, 3, fig1.v.values)
     assert str(info.value) == msg
     sim._check_table_level(_level3({2: 2, 3: 2, 5: 1, 6: 1, 7: 1}), 3, fig1.v.values)  # fresh picks pass
+
+
+@pytest.mark.parametrize("values", [(1.0, 20.0), THREE_GEO.v.values], ids=["m2-l8", "m3-l6"])
+def test_check_table_level_stale_pick_at_every_depth(values):
+    # deep levels test long runs by a 3-d view and short runs by a flat mask; both must catch it
+    m = len(values)
+    l = 8 if m == 2 else 6
+    for s in range(1, l):
+        digits = [m - 1] * l  # oldest first: every entry of the top value ...
+        acts = np.full(m**l, l, dtype=np.int32)
+        acts[np.ravel_multi_index(digits, (m,) * l)] = s
+        sim._check_table_level(acts, l, values)  # ... so picking entry s - 1 is fresh
+        digits[s - 1] = 0  # ... except the picked one, a v_min packet: stale
+        acts[np.ravel_multi_index(digits, (m,) * l)] = s
+        with pytest.raises(RuntimeError) as info:
+            sim._check_table_level(acts, l, values)
+        entries = [values[d] for d in digits]
+        assert str(info.value) == f"policy table has infeasible action {s} for buffer {entries}"
 
 
 def test_check_table_level_rejects_non_integer_actions(fig1):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -451,6 +452,27 @@ def test_policy_solution_round_trip(fig1, tmp_path):
     other = Model(ImportanceDist((1.0, 2.0), (0.5, 0.5)), Geometric(0.2))
     with pytest.raises(ValueError):
         PolicySolution.from_json(str(path), other)
+
+
+def _rle_by_entry(arr):
+    """The per-entry run-length encoder that the vectorised one replaced."""
+    out = []
+    for x in np.asarray(arr, dtype=np.int64):
+        if out and out[-1][0] == int(x):
+            out[-1][1] += 1
+        else:
+            out.append([int(x), 1])
+    return out
+
+
+def test_rle_encode_matches_per_entry_encoder(fig1):
+    rng = np.random.default_rng(5)
+    arrays = [rng.integers(1, 4, size=n, dtype=np.int32) for n in (1, 2, 7, 1000)]
+    arrays += [np.full(n, 3, dtype=np.int32) for n in (1, 64)] + [np.zeros(0, dtype=np.int32)]
+    arrays += list(policy_iteration(fig1, 0.2).actions)
+    for arr in arrays:
+        got = solver._rle_encode(arr)
+        assert json.dumps(got) == json.dumps(_rle_by_entry(arr))
 
 
 def _corrupt(doc):
