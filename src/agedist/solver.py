@@ -4,7 +4,11 @@ Two solver routes are provided.  The efficient route exploits the chain
 structure of improving policies: every state either sends its oldest packet
 (the B1 set) or inherits its parent's choice, so relative values obey
 ``h(b) = b1/mu + h(parent(b))`` and policy evaluation reduces to a linear
-system over B1 alone.  The generic route is textbook policy iteration with
+system over B1 alone.  The system is assembled from the B1 list by suffix
+corrections: a next state shares the system state of the one without its
+oldest entry unless it is in B1, so each row is the all-fresh distribution
+plus one term per B1 state whose prefix ends the row's parent, and no trie
+block is read.  The generic route is textbook policy iteration with
 a dense full-state linear solve and an exhaustive argmin; it exists as the
 correctness oracle for the efficient route and is only tractable for small
 depths.
@@ -16,7 +20,7 @@ system is linear in the one-step cost, so every evaluation factors it once
 and solves for the age and the distortion parts of the cost as two
 right-hand sides: their average costs are ``delta_e`` and ``d``, and lambda
 and h are the eta-weighted sums.  The residual gate and the improvement both
-read C_h(b, 1) from one kappa pass per evaluation.
+read C_h(b, 1) from one pass per evaluation that reduces each trie level once.
 """
 
 from __future__ import annotations
@@ -110,17 +114,29 @@ def c_value(model: Model, tree: StateTree, h_levels, state, s: int, eta: float) 
 # ---------------------------------------------------------------------------
 
 
+def _level_reductions(tree: StateTree, h_levels, L: int) -> list[np.ndarray]:
+    """``red[z]`` is E[h(x || V^z)] over the level-(L - z) nodes x, for z = 0..L.
+
+    Each step sums out the newest digit, so all of a level costs
+    O(m^L m / (m - 1)) however many z are read.
+    """
+    red = [h_levels[L]]
+    for _ in range(L):
+        red.append(red[-1].reshape(-1, tree.m) @ tree.probs)
+    return red
+
+
 def kappa_update(model: Model, tree: StateTree, h_levels):
     """kappa arrays for levels 0..K-1 (only parents are ever queried)."""
     K = tree.K
     mu = model.mu
+    eh = _level_reductions(tree, h_levels, K)
     kappa: list[np.ndarray] = [np.empty(0)] * K
-    base = model.z_tail(K) * float(h_levels[K] @ tree.wprob[K])
+    base = model.z_tail(K) * float(eh[K][0])
     base += model.mean_importance / mu * model.z_excess_mean(K)
     kappa[0] = np.array([base])
     for l in range(1, K):
-        eh = tree.level_suffix_expectation(l, K - l, h_levels).reshape(tree.m, -1)
-        kap = model.z_pmf(K - l) * eh + kappa[l - 1]
+        kap = model.z_pmf(K - l) * eh[K - l].reshape(tree.m, -1) + kappa[l - 1]
         kap += model.z_tail(K - l + 1) * tree.values[:, None] / mu
         kappa[l] = kap.ravel()
     return kappa
@@ -130,15 +146,13 @@ def _c1_parts(model: Model, tree: StateTree, h_levels) -> list[np.ndarray]:
     """Per-parent parts of C_h(b, 1): ``C_h(b, 1) = eta * (l - 1) + parts[l][parent(b)]``.
 
     ``parts[l]``, over the level-(l-1) nodes, is sum_z p_z E[h(parent || V^z)]
-    + kappa(parent) for l = 1..K (``parts[0]`` is unused).
+    + kappa(parent) for l = 1..K (``parts[0]`` is unused).  Each trie level
+    is reduced once: level K by ``kappa_update``, level L < K here.
     """
-    kappa = kappa_update(model, tree, h_levels)
-    parts: list[np.ndarray] = [np.empty(0)]
-    for l in range(1, tree.K + 1):
-        psum = kappa[l - 1].copy()
-        for z in range(1, tree.K - l + 1):
-            psum += model.z_pmf(z) * tree.level_suffix_expectation(l - 1, z, h_levels)
-        parts.append(psum)
+    parts = [np.empty(0)] + [k.copy() for k in kappa_update(model, tree, h_levels)]
+    for L in range(1, tree.K):
+        for z, red in enumerate(_level_reductions(tree, h_levels, L)[1:], start=1):
+            parts[L - z + 1] += model.z_pmf(z) * red
     return parts
 
 
@@ -183,8 +197,8 @@ class _Chain(NamedTuple):
     b1: list[tuple[int, int]]
 
 
-def _chain(model: Model, tree: StateTree, actions) -> _Chain:
-    """Check that ``actions`` is a chain policy on ``tree``; derive its bookkeeping.
+def _b1_list(tree: StateTree, actions) -> list[tuple[int, int]]:
+    """Check that ``actions`` is a chain policy on ``tree``; return its B1 list.
 
     Every state of length >= 2 must send its oldest packet or take its
     parent's action plus one, and length-1 states take action 1; anything
@@ -202,9 +216,6 @@ def _chain(model: Model, tree: StateTree, actions) -> _Chain:
             )
     if not np.all(np.asarray(actions[1]) == 1):
         raise ValueError("action table level 1: length-1 states must take action 1")
-    b1mu = (tree.values / model.mu)[:, None]
-    cost = [np.zeros(n) for n in tree.level_size[:2]]
-    po = [np.full(n, -1, dtype=np.int64) for n in tree.level_size[:2]]
     b1: list[tuple[int, int]] = []
     for l in range(2, tree.K + 1):
         acts = np.asarray(actions[l]).reshape(tree.m, -1)
@@ -215,11 +226,24 @@ def _chain(model: Model, tree: StateTree, actions) -> _Chain:
             raise ValueError(
                 f"action table level {l} is not chain-structured at state {tree.entries_of(l, bad)}"
             )
+        b1.extend((l, int(j)) for j in np.flatnonzero(is_b1))
+    return b1
+
+
+def _chain(model: Model, tree: StateTree, actions) -> _Chain:
+    """Check a chain policy with ``_b1_list`` and derive its per-node bookkeeping."""
+    b1 = _b1_list(tree, actions)
+    b1mu = (tree.values / model.mu)[:, None]
+    cost = [np.zeros(n) for n in tree.level_size[:2]]
+    po = [np.full(n, -1, dtype=np.int64) for n in tree.level_size[:2]]
+    seen = 0
+    for l in range(2, tree.K + 1):
+        is_b1 = (np.asarray(actions[l]) == 1).reshape(tree.m, -1)
         cost.append(np.where(is_b1, 0.0, cost[l - 1] + b1mu).ravel())
         new = np.flatnonzero(is_b1)
         po.append(np.tile(po[l - 1], tree.m))
-        po[l][new] = len(b1) + np.arange(len(new))
-        b1.extend((l, int(j)) for j in new)
+        po[l][new] = seen + np.arange(len(new))
+        seen += len(new)
     return _Chain(cost, po, b1)
 
 
@@ -228,72 +252,77 @@ def _chain(model: Model, tree: StateTree, actions) -> _Chain:
 # ---------------------------------------------------------------------------
 
 
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """``0..c-1`` for each count ``c``, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _assemble(model: Model, tree: StateTree, chain: _Chain):
+    """The reduced system (P, [age, distortion] cost) from the B1 list; see ``_evaluate_chain``."""
+    K, m, n, mu = tree.K, tree.m, len(chain.b1) + 1, model.mu
+    lev, idx = np.array(chain.b1, dtype=np.int64).reshape(-1, 2).T
+    par, ys = idx % m ** (lev - 1), np.arange(n - 1)
+    digits = idx[:, None] // m ** np.arange(K) % m  # newest first
+    pi = np.cumprod(tree.probs[digits], axis=1)  # pi[y, t - 1]: the newest t digits of y
+    sys_par, c_hat = np.empty(n - 1, dtype=np.int64), tree.values[idx // m ** (lev - 1)] / mu
+    for l in range(2, K + 1):
+        at = lev == l
+        sys_par[at] = chain.po[l - 1][par[at]] + 1
+        c_hat[at] += chain.cost[l - 1][par[at]]
+    pmf = np.array([0.0] + [model.z_pmf(k) for k in range(1, K + 1)])
+
+    def scatter(out, rows, y, w):
+        """Add ``w * delta(y)`` to ``rows`` of ``out``; column n is the edge cost."""
+        at = np.concatenate([y + 1, sys_par[y], np.full(len(y), n)]) + np.tile(rows * (n + 1), 3)
+        np.add.at(out, at, np.concatenate([w, -w, -w * c_hat[y]]))
+
+    gamma = np.eye(1, n + 1).ravel()
+    tail = np.array([0.0] + [model.z_tail(k) for k in range(1, K + 1)])
+    scatter(gamma, np.zeros(n - 1, dtype=np.int64), ys, tail[lev] * pi[ys, lev - 1])
+    # every (B1 state y, 1 <= j < |y|): prefix y[:j] and the length-j suffix of row y's parent
+    y = np.repeat(ys, lev - 1)
+    j = _ranges(lev - 1) + 1
+    prefix = j * m**K + idx[y] // m ** (lev[y] - j)
+    order = np.argsort(prefix, kind="stable")
+    prefix = prefix[order]
+    suffix = j * m**K + par[y] % m**j
+    lo = np.searchsorted(prefix, suffix, "left")
+    hits = np.searchsorted(prefix, suffix, "right") - lo
+    match = order[np.repeat(lo, hits) + _ranges(hits)]
+    aug = np.tile(gamma, (n, 1))
+    w = pmf[lev[y] - j] * pi[y, lev[y] - j - 1]
+    scatter(aug.reshape(-1), np.repeat(y + 1, hits), y[match], w[match])
+    asum = np.where(np.arange(K) < (lev - 1)[:, None], tree.values[digits], 0.0).sum(axis=1)
+    cost = np.zeros((n, 2))  # [age, distortion] one-step costs
+    cost[1:, 0] = lev - 1
+    cost[:, 1] = aug[:, n] + model.mean_importance / mu * (mu - 1.0)
+    cost[1:, 1] += asum / mu
+    return aug[:, :n], cost
+
+
 def _evaluate_chain(model: Model, tree: StateTree, chain: _Chain, eta: float):
     """Solve the reduced system over the singletons and B1; returns (lambda, delta_e, d, h).
 
     Relies on the chain identity: every node's relative value equals its
     accumulated edge cost plus the value of its nearest B1 ancestor (zero if
-    that ancestor is a singleton), so state 0 of the system stands for all
-    singletons and B1 entry j for state j + 1.
+    that ancestor is a singleton), so row 0 of the system stands for all
+    singletons and row r for B1 state y_r = b1[r - 1].  With ``sys(x)`` that
+    row for node x, ``delta(y) = e_sys(y) - e_sys(parent y)`` and pi the
+    probability of a digit string, ``sys(x || w) = sys(x[1:] || w)`` unless
+    ``x || w`` is in B1.  So the next state of a row, which sends its oldest
+    packet and so depends only on its parent ``a``, unrolls by suffix
+    corrections into
 
-    Each row sends its oldest packet, so by ``_transition_blocks`` its next
-    state depends only on its parent ``a``, of length ``p``: it lies in
-    ``a || V^k`` at level ``p + k < K`` with probability Pr(Z = k), or in the
-    level-K block ``x || V^(K - q)`` of a suffix ``x`` of ``a`` of length ``q``
-    with probability Pr(Z = K - q) (Pr(Z >= K) for the empty suffix).  The
-    level-K part is summed along the suffix chain once per suffix node, so
-    each level-K slice is read once per assembly, not once per row reaching it.
+        P[r] = e_0 + sum_y Pr(Z >= |y|) pi(y) delta(y)
+                   + sum_{j = 1..|a|} sum_{y : y[:j] = a[-j:]} Pr(Z = |y| - j) pi(y[j:]) delta(y)
+
+    over the B1 states y: the interior and level-K blocks of
+    ``_transition_blocks`` fold into one weight per prefix length.  The edge
+    cost takes the same sums with ``-(y_1/mu + cost[parent y])`` for
+    ``delta(y)``, plus sum(a)/mu for the entries the row forgets or keeps and
+    E[V]/mu (E[Z] - 1) for the all-fresh ones.  No trie block is read.
     """
-    K, m = tree.K, tree.m
-    n = len(chain.b1) + 1
-    levels = np.array([1] + [l for l, _ in chain.b1])
-    index = np.array([0] + [i for _, i in chain.b1])
-    parents = index % m ** (levels - 1)
-
-    def expect(level: int, anchors: np.ndarray, k: int, w: float):
-        """w * E over V^k of (one-hot system state, edge cost) at ``anchor || V^k``, per anchor."""
-        if w == 0.0:
-            return np.zeros((len(anchors), n)), np.zeros(len(anchors))
-        cols = chain.po[level].reshape(-1, m**k)[anchors]  # a copy: anchors is an index array
-        cols += (np.arange(len(anchors)) * n + 1)[:, None]
-        wts = np.tile(tree.wprob[k], len(anchors))
-        trans = np.bincount(cols.ravel(), weights=wts, minlength=len(anchors) * n).reshape(-1, n)
-        trans *= w
-        return trans, w * (chain.cost[level].reshape(-1, m**k)[anchors] @ tree.wprob[k])
-
-    suffixes = []  # per length p < K: every length-p suffix of a parent, sorted
-    deeper = np.empty(0, dtype=np.int64)
-    for p in range(K - 1, -1, -1):
-        deeper = np.unique(np.concatenate([parents[levels == p + 1], deeper % m**p]))
-        suffixes.insert(0, deeper)
-    P = np.zeros((n, n))
-    cost = np.zeros((n, 2))  # [age, distortion] one-step costs
-    cost[:, 0] = levels - 1
-    for p in range(K):
-        if not len(suffixes[p]):
-            break  # no B1 state is longer than p
-        # level-K blocks of each length-p suffix node and of all its own suffixes
-        w = model.z_tail(K) if p == 0 else model.z_pmf(K - p)
-        trans, edge = expect(K, suffixes[p], K - p, w)
-        if p > 0:
-            shorter = np.searchsorted(suffixes[p - 1], suffixes[p] % m ** (p - 1))
-            trans += suffix_trans[shorter]
-            edge += suffix_edge[shorter]
-        suffix_trans, suffix_edge = trans, edge
-        rows = np.flatnonzero(levels == p + 1)
-        if not len(rows):
-            continue
-        own = np.searchsorted(suffixes[p], parents[rows])
-        forget = _forgetting_terms(model, tree, buffer_digits(p + 1, index[rows], tree.m), p + 1, 1)
-        P[rows] = suffix_trans[own]
-        cost[rows, 1] = suffix_edge[own] + forget
-        for k in range(1, K - p):
-            w = model.z_pmf(k)
-            if w != 0.0:
-                trans, edge = expect(p + k, parents[rows], k, w)
-                P[rows] += trans
-                cost[rows, 1] += edge
-    lam, delta_e, d, u = age_distortion_solve(P, cost, eta)
+    lam, delta_e, d, u = age_distortion_solve(*_assemble(model, tree, chain), eta)
     h_levels = [np.zeros(1)] + [u[chain.po[l] + 1] + chain.cost[l] for l in range(1, tree.K + 1)]
     return lam, delta_e, d, h_levels
 
@@ -491,7 +520,7 @@ class PolicySolution:
                 f"action table has {len(rles)} levels, expected {tree.K + 1} (levels 0..{tree.K})"
             )
         actions = [_rle_decode(rle, l, n) for l, (rle, n) in enumerate(zip(rles, tree.level_size))]
-        b1 = _chain(model, tree, actions).b1
+        b1 = _b1_list(tree, actions)
         return cls(
             eta=eta,
             K=tree.K,
@@ -613,7 +642,8 @@ def average_cost_solve(P: np.ndarray, cost: np.ndarray):
     factorization; lambda is then a row.  A singular system (the policy has
     more than one recurrent class) raises.
     """
-    A = np.eye(len(cost)) - P
+    A = np.subtract(0.0, P)  # I - P with one n x n array, bit for bit
+    np.fill_diagonal(A, A.diagonal() + 1.0)
     A[:, 0] = 1.0
     try:
         u = np.linalg.solve(A, cost)

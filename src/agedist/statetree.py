@@ -9,8 +9,8 @@ inverse, the package's one buffer codec.  So a level viewed in C order as
 column (a parent-level array broadcasts as a row, a per-value array as a
 column), and viewed as ``(m**(l-k), m**k)`` its row ``i`` is the block
 ``b || V^k`` of node ``i`` of level ``l-k``.  A ``StateTree`` holds this
-topology only, at O(K) cost; the block weights ``wprob`` are built on
-first read.
+topology only, at O(K) cost; the block weights ``wprob``, which only the
+oracle routes read, are built on first read.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class StateTree:
         self.K = K
         self.m = m
         self.values = np.asarray(model.v.values, dtype=np.float64)
-        self.probs = model.v.probs
+        self.probs = np.asarray(model.v.probs, dtype=np.float64)
         self.level_size = [m**l for l in range(K + 1)]
         self.level_offset = np.cumsum([0] + self.level_size).tolist()
         self.last_actions: list[np.ndarray] | None = None
@@ -118,14 +118,3 @@ class StateTree:
         if len(state) > self.K:
             raise ValueError(f"state length {len(state)} exceeds tree depth {self.K}")
         return buffer_index(self.values.tolist(), state)
-
-    # -- expectations ------------------------------------------------------
-
-    def level_suffix_expectation(self, level: int, k: int, arr) -> np.ndarray:
-        """E over V^k of field(b || V^k) for every node b of a level; ``arr`` is the field."""
-        if level + k > self.K:
-            raise ValueError(f"suffix length {k} overflows depth {self.K} from level {level}")
-        if k == 0:
-            return arr[level]
-        mk = self.m**k
-        return arr[level + k].reshape(self.level_size[level], mk) @ self.wprob[k]

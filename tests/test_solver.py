@@ -29,8 +29,10 @@ from agedist.solver import (
     _chain_actions,
     _evaluate,
     _evaluate_full,
+    _level_reductions,
     average_cost_solve,
 )
+from agedist.statetree import buffer_digits
 from agedist.verify import (
     property1_violations,
     property2_violations,
@@ -147,15 +149,54 @@ def test_c_value_dominates_one_step(fig1):
 
 
 def test_kappa_matches_direct_c1(fig1):
-    for K in (2, 3, 5):
-        tree = StateTree(fig1, K)
+    # the level reductions run up to six digit steps against c_value's block reads
+    three = Model(ImportanceDist((1.0, 5.0, 20.0), (0.5, 0.3, 0.2)), Geometric(0.2))
+    gapped = Model(ImportanceDist((1.0, 4.0, 9.0), (0.3, 0.4, 0.3)), FinitePMF((0.4, 0.0, 0.6)))
+    cases = [(fig1, K) for K in (2, 3, 5, 6)] + [(three, K) for K in (2, 4, 6)] + [(gapped, 6)]
+    for model, K in cases:
+        tree = StateTree(model, K)
         h = random_h(tree, 100 + K)
-        parts = _c1_parts(fig1, tree, h)
+        parts = _c1_parts(model, tree, h)
         for l in range(1, K + 1):
             for i in range(tree.level_size[l]):
                 c1 = 1.0 * (l - 1) + parts[l][i % tree.level_size[l - 1]]
-                direct = c_value(fig1, tree, h, tree.entries_of(l, i), 1, 1.0)
+                direct = c_value(model, tree, h, tree.entries_of(l, i), 1, 1.0)
                 assert c1 == pytest.approx(direct, abs=1e-10)
+
+
+def test_level_reductions(fig1):
+    tree = StateTree(fig1, 3)
+    h = [np.zeros(n) for n in tree.level_size]
+    # z = 0 is the field itself
+    h[2][:] = np.arange(4)
+    assert _level_reductions(tree, h, 2)[0][3] == 3.0
+    # constant field has constant expectation
+    for arr in h:
+        arr[:] = 2.5
+    assert _level_reductions(tree, h, 3)[2][0] == pytest.approx(2.5, abs=1e-12)
+    # weighted average of the two children: 0.7*10 + 0.3*20
+    h[2][:] = 0.0
+    node = tree.locate((20.0,))
+    h[2][node[1] * 2 + 0] = 10.0
+    h[2][node[1] * 2 + 1] = 20.0
+    got = _level_reductions(tree, h, 2)[1][node[1]]
+    assert got == pytest.approx(13.0, abs=1e-12)
+
+
+def test_level_reductions_are_linear_block_expectations(fig1):
+    three = Model(ImportanceDist((1.0, 5.0, 20.0), (0.5, 0.3, 0.2)), Geometric(0.2))
+    for model in (fig1, three):
+        tree = StateTree(model, 4)
+        h = random_h(tree, 7)
+        doubled = [2.0 * arr for arr in h]
+        for L in range(5):
+            red, two = _level_reductions(tree, h, L), _level_reductions(tree, doubled, L)
+            assert len(red) == L + 1
+            for z in range(L + 1):
+                # row x of the (m^(L-z), m^z) view is the block x || V^z
+                block = h[L].reshape(tree.level_size[L - z], -1) @ tree.wprob[z]
+                np.testing.assert_allclose(red[z], block, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(two[z], 2.0 * red[z], rtol=0, atol=1e-12)
 
 
 def test_kappa_root_value(fig1):
@@ -245,6 +286,21 @@ def test_average_cost_solve_cost_matrix():
         np.testing.assert_allclose(h[:, c], h_c, atol=1e-12)
 
 
+def test_average_cost_solve_matches_identity_minus_p():
+    # A is built as 0 - P with 1 added on its diagonal: bit for bit I - P
+    rng = np.random.default_rng(8)
+    P = rng.uniform(size=(7, 7)) * (rng.random((7, 7)) < 0.5)
+    P[:, 1] += 0.1
+    P /= P.sum(axis=1, keepdims=True)
+    cost = rng.normal(size=(7, 2))
+    A = np.eye(7) - P
+    A[:, 0] = 1.0
+    want = np.linalg.solve(A, cost)
+    lam, h = average_cost_solve(P, cost)
+    assert lam.tobytes() == want[0].tobytes()
+    assert h[1:].tobytes() == want[1:].tobytes()
+
+
 def _random_chain_models():
     rng = np.random.default_rng(31)
     gaps = [
@@ -280,6 +336,87 @@ def test_reduced_system_matches_dense_on_random_chain_policies(model):
             assert ev.d == pytest.approx(d, abs=1e-10)
             for l in range(1, K + 1):
                 np.testing.assert_allclose(ev.h[l], h[l], atol=1e-9)
+
+
+def _block_assembly(model, tree, chain):
+    """Reference for ``solver._assemble``: the reduced system read from the trie blocks.
+
+    Each row sends its oldest packet, so its next state depends only on its
+    parent ``a``, of length ``p``: it lies in ``a || V^k`` at level ``p + k < K``
+    with probability Pr(Z = k), or in the level-K block ``x || V^(K - q)`` of
+    a suffix ``x`` of ``a`` of length ``q`` with probability Pr(Z = K - q)
+    (Pr(Z >= K) for the empty suffix).  The level-K part is summed along the
+    suffix chain once per suffix node; the other blocks are read per row.
+    """
+    K, m = tree.K, tree.m
+    n = len(chain.b1) + 1
+    levels = np.array([1] + [l for l, _ in chain.b1])
+    index = np.array([0] + [i for _, i in chain.b1])
+    parents = index % m ** (levels - 1)
+
+    def expect(level, anchors, k, w):
+        """w * E over V^k of (one-hot system state, edge cost) at ``anchor || V^k``, per anchor."""
+        if w == 0.0:
+            return np.zeros((len(anchors), n)), np.zeros(len(anchors))
+        cols = chain.po[level].reshape(-1, m**k)[anchors]
+        cols += (np.arange(len(anchors)) * n + 1)[:, None]
+        wts = np.tile(tree.wprob[k], len(anchors))
+        trans = np.bincount(cols.ravel(), weights=wts, minlength=len(anchors) * n).reshape(-1, n)
+        trans *= w
+        return trans, w * (chain.cost[level].reshape(-1, m**k)[anchors] @ tree.wprob[k])
+
+    suffixes = []  # per length p < K: every length-p suffix of a parent, sorted
+    deeper = np.empty(0, dtype=np.int64)
+    for p in range(K - 1, -1, -1):
+        deeper = np.unique(np.concatenate([parents[levels == p + 1], deeper % m**p]))
+        suffixes.insert(0, deeper)
+    P = np.zeros((n, n))
+    cost = np.zeros((n, 2))
+    cost[:, 0] = levels - 1
+    for p in range(K):
+        if not len(suffixes[p]):
+            break
+        w = model.z_tail(K) if p == 0 else model.z_pmf(K - p)
+        trans, edge = expect(K, suffixes[p], K - p, w)
+        if p > 0:
+            shorter = np.searchsorted(suffixes[p - 1], suffixes[p] % m ** (p - 1))
+            trans += suffix_trans[shorter]
+            edge += suffix_edge[shorter]
+        suffix_trans, suffix_edge = trans, edge
+        rows = np.flatnonzero(levels == p + 1)
+        if not len(rows):
+            continue
+        own = np.searchsorted(suffixes[p], parents[rows])
+        digits = buffer_digits(p + 1, index[rows], m)
+        P[rows] = suffix_trans[own]
+        cost[rows, 1] = suffix_edge[own] + solver._forgetting_terms(model, tree, digits, p + 1, 1)
+        for k in range(1, K - p):
+            w = model.z_pmf(k)
+            if w != 0.0:
+                trans, edge = expect(p + k, parents[rows], k, w)
+                P[rows] += trans
+                cost[rows, 1] += edge
+    return P, cost
+
+
+def test_assembly_matches_block_reference(fig1):
+    # random "send oldest" masks, so B1 prefixes meet parent suffixes in
+    # patterns the improvement step never produces; the FinitePMF gap law has
+    # a zero-probability gap
+    three = Model(ImportanceDist((1.0, 5.0, 20.0), (0.5, 0.3, 0.2)), Geometric(0.2))
+    gapped = Model(ImportanceDist((1.0, 4.0, 9.0), (0.3, 0.4, 0.3)), FinitePMF((0.4, 0.0, 0.6)))
+    rng = np.random.default_rng(13)
+    for model in (fig1, three, gapped):
+        for K in range(1, 9):
+            tree = StateTree(model, K)
+            for density in (0.1, 0.6):
+                density = min(density, 150 / tree.node_count())
+                takes = [None, None] + [rng.random(n) < density for n in tree.level_size[2:]]
+                chain = solver._chain(model, tree, _chain_actions(tree, takes))
+                P, cost = solver._assemble(model, tree, chain)
+                want_P, want_cost = _block_assembly(model, tree, chain)
+                np.testing.assert_allclose(P, want_P, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(cost, want_cost, rtol=0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +469,17 @@ def test_components_bitwise_equal_across_paths(case, fig1, three_level):
     assert [(a.dtype, a.tobytes()) for a in actions] == [
         (a.dtype, a.tobytes()) for a in sol.actions
     ]
+
+
+def test_efficient_route_reads_no_block_weights(fig1):
+    # evaluation, components and improvement work from the B1 list and one
+    # reduction per trie level; the block weights are never built
+    sol = policy_iteration(fig1, 0.3)
+    tree = StateTree(fig1, sol.K)
+    lam, h = evaluate_policy(fig1, tree, sol.actions, sol.eta)
+    evaluate_components(fig1, tree)
+    policy_improve(fig1, tree, h, lam, sol.eta)
+    assert "wprob" not in vars(tree)
 
 
 def test_residual_gate_rejects_perturbed_h(fig1, monkeypatch):
@@ -452,6 +600,20 @@ def test_policy_solution_round_trip(fig1, tmp_path):
     other = Model(ImportanceDist((1.0, 2.0), (0.5, 0.5)), Geometric(0.2))
     with pytest.raises(ValueError):
         PolicySolution.from_json(str(path), other)
+
+
+def test_policy_file_load_builds_no_bookkeeping(fig1, tmp_path, monkeypatch):
+    # loading checks the table and lists B1; the per-node edge costs and
+    # B1 ancestors are built only for an evaluation
+    sol = policy_iteration(fig1, 0.5)
+    path = tmp_path / "pol.json"
+    sol.to_json(str(path))
+
+    def bookkeeping(*args):
+        raise AssertionError("per-node bookkeeping built at load")
+
+    monkeypatch.setattr(solver, "_chain", bookkeeping)
+    assert PolicySolution.from_json(str(path), fig1).b1 == sol.b1
 
 
 def _rle_by_entry(arr):

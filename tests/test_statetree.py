@@ -85,38 +85,6 @@ def test_depth_cap_rejected(fig1):
     assert "nodes" in str(err.value)
 
 
-def test_level_suffix_expectation(fig1):
-    tree = StateTree(fig1, 3)
-    h = [np.zeros(n) for n in tree.level_size]
-    # empty suffix returns the field itself
-    h[2][:] = np.arange(4)
-    assert tree.level_suffix_expectation(2, 0, h)[3] == 3.0
-    # constant field has constant expectation
-    for arr in h:
-        arr[:] = 2.5
-    assert tree.level_suffix_expectation(1, 2, h)[0] == pytest.approx(2.5, abs=1e-12)
-    # weighted average of the two children: 0.7*10 + 0.3*20
-    h[2][:] = 0.0
-    node = tree.locate((20.0,))
-    h[2][node[1] * 2 + 0] = 10.0
-    h[2][node[1] * 2 + 1] = 20.0
-    got = tree.level_suffix_expectation(1, 1, h)[node[1]]
-    assert got == pytest.approx(13.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        tree.level_suffix_expectation(2, 2, h)
-
-
-def test_expectation_is_linear(fig1):
-    tree = StateTree(fig1, 4)
-    rng = np.random.default_rng(0)
-    h = [rng.normal(size=tree.level_size[l]) for l in range(5)]
-    doubled = [2.0 * arr for arr in h]
-    for (l, i, k) in [(0, 0, 3), (1, 1, 2), (2, 3, 2), (3, 5, 1)]:
-        base = tree.level_suffix_expectation(l, k, h)[i]
-        two = tree.level_suffix_expectation(l, k, doubled)[i]
-        assert two == pytest.approx(2.0 * base, abs=1e-12)
-
-
 def test_enumeration_is_exhaustive(fig1):
     tree = StateTree(fig1, 3)
     seen = {tree.entries_of(l, i) for l in range(4) for i in range(tree.level_size[l])}
