@@ -384,6 +384,17 @@ class TunstallThresholdBitPolicy(PlainThresholdBitPolicy):
         self.dictionary = dictionary
         self._leaves = set(dictionary.leaves)
         self._max_len = max(len(w) for w in dictionary.leaves)
+        # the dictionary's binary trie, newest bit first: a leaf is its own child
+        nodes = {"": 0}
+        for word in dictionary.leaves:
+            for i in range(1, len(word) + 1):
+                nodes.setdefault(word[:i], len(nodes))
+        self._child = np.empty(2 * len(nodes), dtype=np.int32)  # child of node n by bit b at 2n + b
+        self._depth = np.empty(len(nodes), dtype=np.int64)
+        for prefix, n in nodes.items():
+            self._depth[n] = len(prefix)
+            leaf = prefix in self._leaves
+            self._child[2 * n : 2 * n + 2] = (n, n) if leaf else (nodes[prefix + "0"], nodes[prefix + "1"])
 
     def parse_newest_first(self, bits, sendable: int) -> int:
         """Length of the first word parsed from bits[sendable-1] downward."""
@@ -393,6 +404,20 @@ class TunstallThresholdBitPolicy(PlainThresholdBitPolicy):
             if "".join(word) in self._leaves:
                 return consumed
         return min(sendable, self._max_len)
+
+    def word_lengths(self, bits: np.ndarray, newest: np.ndarray) -> np.ndarray:
+        """Length of the word parsed from ``bits[newest]`` downward, for each index of ``newest``.
+
+        One trie step per word length, for all indices at once.  A parse
+        that runs off bit 0 reads bit 0 again, so its length exceeds
+        newest + 1; for any region of ``sendable`` bits ending at ``newest``,
+        ``min(length, sendable)`` is ``parse_newest_first``, because the
+        dictionary is complete and prefix-free.
+        """
+        node = np.zeros(len(newest), dtype=np.int32)
+        for j in range(self._max_len):
+            node = self._child[2 * node + bits.take(newest - j, mode="clip")]
+        return self._depth[node]
 
 
 @dataclass

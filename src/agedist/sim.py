@@ -5,39 +5,51 @@ Randomness comes from numpy's Philox generator, split by
 drives arrivals (one packet, or one bit, per slot), stream 1 timing.  With
 geometric gaps the timing stream is one Bernoulli success flag per slot in
 both the direct and the erasure-commitment modes, so under a shared seed
-the two modes see the same arrivals and speaking slots.
+the two modes see the same arrivals and speaking slots.  Each per-slot
+draw is taken ``DRAW_CHUNK`` uniforms at a time: the same stream as one
+``rng.random(horizon)`` call, without its horizon-long float64 array.
 
-One loop serves the direct, erasure and bits modes.  Deliveries and window
-drops both take entries from the oldest end, so the buffer at slot t is
-the newest l arrivals, ``arrivals[t - l:t]``, and the integer l is the
-only state.  The loop walks the mode's query slots (the speaking slots, or
-every slot in erasure mode); at each, l grows by the gap, the policy picks
-an action and a delivery removes the oldest entries it consumed.  The loop
-records only this trajectory: l, skipped and removed per delivery, in
-``array('q')`` buffers that hold no Python ints.
+Deliveries and window drops both take entries from the oldest end, so the
+buffer at slot t is the newest l arrivals, ``arrivals[t - l:t]``, and the
+integer l is the only state.  At each delivery l grows by the gap (capped
+at the window K), the policy picks, and the oldest entries the pick
+consumed leave.  Every route records only this trajectory, l, skipped and
+removed per delivery, and the routes differ in how they pick.
 
-A policy that carries a per-level action table, ``actions`` and
-``values`` (a ``PolicySolution`` or a ``strategies.window_table``), is read
-by table: the action is ``actions[l][key_t % m**l]``, where the rolling
-key ``key_t`` is the mixed-radix number of the last K arrival digits,
-newest least significant, computed by numpy in chunks.  Each level is read
-in place, one entry per query.  Before the first slot every entry is
-checked against the rule the callable route applies per query:
-``1 <= s <= l``, and no pick of a ``v_min`` packet unless it is the
-newest.  A checked table cannot fail on a lost erasure slot, so erasure
-mode walks only the delivering slots and stays bit-identical to direct
-mode.  Any other policy (S3, whose buffer is untruncated, or a plain
-callable) is called with the buffer slice, at every slot in erasure mode.
+- Rest tables.  A policy that carries a per-level action table,
+  ``actions`` and ``values`` (a ``PolicySolution`` or a
+  ``strategies.window_table``), and the bit policies have every pick
+  computed before the walk.  ``after[k, l]``, the entries left after
+  delivery k at length l, is built by numpy ``KEY_CHUNK`` deliveries at a
+  time, and the walk ``r = after[k][min(r + g_k, cap)]`` is one table read
+  per delivery; numpy then derives l and removed.  An action table's pick
+  is ``actions[l][key_k % m**l]``, where the rolling key ``key_k`` is the
+  mixed-radix number of the last K arrival digits at the delivery slot,
+  newest least significant; each level is read in place.  A bit policy
+  removes a number that depends on l alone, so one row serves every
+  delivery, and a Tunstall policy's skip-state word lengths are parsed for
+  all deliveries at once.
+- S3 (``index_pick``) picks in O(1) from two index arrays over the
+  arrivals, called once per delivery by ``_run``.
+- Any other policy is a plain callable: ``_run`` calls it with the buffer
+  slice, at every slot in erasure mode.
 
-Distortion and age are accounted after the loop, by numpy, one slot span
-at a time, so no temporary spans the horizon.  Distortion is charged when
-an entry becomes unsendable: a delivery passes over it, or it falls off
-the window K (slot j's arrival at slot j + K); the fall-offs follow from
-the trajectory.  Each importance is read on demand from the arrival's
-value index.  Excess age is recorded per delivery.  After a burn-in of 1%
-of the horizon, standard errors come from the means of ``BATCHES`` equal
-slot spans, each summed in slot order by a sequential ``cumsum``, so the
-result has the bits of a loop that charged each slot as it went.
+Before the first slot every action table entry, and every length of a bit
+policy's row, is checked against the rule the callable route applies per
+query: ``1 <= s <= l``, and no pick of a ``v_min`` packet unless it is the
+newest.  A checked table, like S3's pick, cannot fail on a lost erasure
+slot, so erasure mode walks only the delivering slots and stays
+bit-identical to direct mode.
+
+Distortion and age are accounted after the walk, by numpy, one slot span
+at a time.  Distortion is charged when an entry becomes unsendable: a
+delivery passes over it, or it falls off the window K (slot j's arrival at
+slot j + K); the fall-offs follow from the trajectory.  Each importance is
+read on demand from the arrival's value index.  Excess age is recorded per
+delivery.  After a burn-in of 1% of the horizon, standard errors come from
+the means of ``BATCHES`` equal slot spans, each summed in slot order by a
+sequential ``cumsum``, so the result has the bits of a loop that charged
+each slot as it went.
 """
 
 from __future__ import annotations
@@ -45,15 +57,17 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
 from .model import Geometric, Model
 from .statetree import buffer_entries
 
+MAX_HORIZON = 2**31 - 1  # slots and lengths are int32 in the trajectory
 BATCHES = 32  # equal slot spans behind each batch-means standard error
-KEY_CHUNK = 4096  # query slots per numpy pass of the rolling trie key
+KEY_CHUNK = 4096  # deliveries per numpy pass: rolling trie keys, rest tables, skip sums
+DRAW_CHUNK = 1 << 14  # uniforms per rng.random call: one stream, no horizon-long float64 array
 SHORT_RUN = 32  # below this inner run a table check tests the flat level, not a 3-d view
 
 
@@ -68,6 +82,8 @@ class SimConfig:
     def __post_init__(self):
         if self.horizon < 10_000:
             raise ValueError(f"horizon must be at least 10^4, got {self.horizon}")
+        if self.horizon > MAX_HORIZON:
+            raise ValueError(f"horizon must be at most 2^31 - 1 (int32 trajectories), got {self.horizon}")
 
     @property
     def burn(self) -> int:
@@ -115,12 +131,29 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     )
 
 
+def _uniforms(rng: np.random.Generator, n: int):
+    """(offset, uniforms) pairs that together are the stream of ``rng.random(n)``."""
+    for lo in range(0, n, DRAW_CHUNK):
+        yield lo, rng.random(min(DRAW_CHUNK, n - lo))
+
+
 def _draw_arrival_digits(model: Model, rng: np.random.Generator, n: int) -> np.ndarray:
     """Index into ``model.v.values`` of each slot's arrival, in the smallest unsigned dtype."""
     cum = np.cumsum(model.v.probs)
-    digits = np.searchsorted(cum, rng.random(n), side="right")
-    np.minimum(digits, len(cum) - 1, out=digits)  # in place: one int64 array at a time
-    return digits.astype(np.min_scalar_type(len(cum) - 1))
+    digits = np.empty(n, np.min_scalar_type(len(cum) - 1))
+    for lo, u in _uniforms(rng, n):
+        chunk = np.searchsorted(cum, u, side="right")
+        np.minimum(chunk, len(cum) - 1, out=chunk)  # a draw past the rounded last sum
+        digits[lo : lo + len(u)] = chunk
+    return digits
+
+
+def _flags(rng: np.random.Generator, prob: float, n: int) -> np.ndarray:
+    """``rng.random(n) < prob``, one bool per slot."""
+    flags = np.empty(n, dtype=bool)
+    for lo, u in _uniforms(rng, n):
+        np.less(u, prob, out=flags[lo : lo + len(u)])
+    return flags
 
 
 def _slots_where(flags: np.ndarray) -> np.ndarray:
@@ -133,109 +166,162 @@ def _slots_where(flags: np.ndarray) -> np.ndarray:
 def _speak_slots(model: Model, rng: np.random.Generator, horizon: int) -> np.ndarray:
     """1-based slots at which the sender speaks."""
     if isinstance(model.z, Geometric):
-        return _slots_where(rng.random(horizon) < model.z.p)
+        return _slots_where(_flags(rng, model.z.p, horizon))
     cum = np.cumsum(model.z.probs)
     chunks = []
     t = 0
     while t <= horizon:
-        ends = t + np.cumsum(np.searchsorted(cum, rng.random(1024), side="right") + 1)
+        gaps = np.searchsorted(cum, rng.random(1024), side="right")
+        np.minimum(gaps, len(cum) - 1, out=gaps)  # a draw past the rounded last sum
+        ends = t + np.cumsum(gaps + 1)
         chunks.append(ends[ends <= horizon])
         t = int(ends[-1])
     return np.concatenate(chunks)
 
 
-def _trie_keys(digits: np.ndarray, slots: np.ndarray, m: int, K: int):
-    """Iterator over the rolling key of each query slot t.
+def _walk(speaks: np.ndarray, cap: int, window, table):
+    """The l and removed trajectory of a rest-table policy, after an empty delivery at slot 0.
 
-    ``key_t`` is the mixed-radix number of the arrival digits of slots
-    t - K + 1 .. t, newest least significant, computed KEY_CHUNK slots at
-    a time.  Slots before slot 1 read slot 1's digit: they sit at powers
-    m**j with j >= t >= l, so they drop out of every lookup ``key_t % m**l``.
+    ``table(lo, hi)`` gives ``after[k, l]``, the entries left after delivery
+    k at length l, for deliveries lo .. hi - 1: an (hi - lo, 2 cap) array, or
+    one row of 2 cap entries that serves every delivery.  Columns above cap
+    repeat column cap, so with r < cap the walk ``r = after[k][r + min(g_k,
+    cap)]`` reads ``after[k][min(r + g_k, cap)]`` without a call.  ``window``
+    is K, or None for an untruncated buffer, whose leftover beyond the cap
+    is the cap's.
     """
+    n = len(speaks)
+    lengths = np.zeros(n + 1, dtype=np.int32)  # the gaps, then l
+    lengths[1:] = speaks
+    lengths[2:] -= speaks[:-1]
+    gaps = lengths[1:]
+    rest = np.zeros(n + 1, np.min_scalar_type(cap))
+    r = 0
+    for lo in range(0, n, KEY_CHUNK):
+        hi = min(lo + KEY_CHUNK, n)
+        after = table(lo, hi)
+        base = np.minimum(gaps[lo:hi], cap)
+        if after.ndim == 2:
+            base += np.arange(0, after.size, 2 * cap)
+        flat = memoryview(after.reshape(-1))  # an item is a Python int
+        rest[lo + 1 : hi + 1] = [r := flat[b + r] for b in memoryview(base)]
+    gaps += rest[:-1]
+    if window is not None:
+        np.minimum(lengths, window, out=lengths)
+    return lengths, lengths - rest
 
-    def chunk(lo: int) -> list:
-        idx = slots[lo : lo + KEY_CHUNK] - K  # 0-based index of each key's oldest digit
-        key = np.zeros(len(idx), dtype=np.int64)
+
+def _table_rows(model: Model, policy, digits: np.ndarray, speaks: np.ndarray):
+    """A checked action table as ``_walk``'s rest table at the delivering ``speaks``, and its K."""
+    values = model.v.values
+    if tuple(policy.values) != values:
+        raise ValueError(f"policy values {tuple(policy.values)} differ from the model's {values}")
+    tables = [np.asarray(acts) for acts in policy.actions]
+    K = len(tables) - 1
+    for l in range(1, K + 1):
+        _check_table_level(tables[l], l, values)
+    m = len(values)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        # key_k: the mixed-radix number of the digits of slots t_k - K + 1 .. t_k,
+        # newest least significant.  Slots before slot 1 read slot 1's digit: they
+        # sit at powers m**j with j >= t_k >= l, so they drop out of every key % m**l.
+        idx = speaks[lo:hi] - K  # 0-based index of each key's oldest digit
+        key = np.zeros(hi - lo, dtype=np.int64)
         for _ in range(K):
             # Horner in int64: uint8 digits are never multiplied in their own dtype
             key *= m
             key += digits.take(idx, mode="clip")
             idx += 1
-        return key.tolist()
+        after = np.zeros((hi - lo, 2 * K), np.min_scalar_type(K))
+        for l in range(1, K + 1):
+            after[:, l] = l - tables[l].take(key % m**l)  # read in place
+        after[:, K + 1 :] = after[:, K, None]
+        return after
 
-    return chain.from_iterable(map(chunk, range(0, len(slots), KEY_CHUNK)))
+    return rows, K
 
 
-def _run(config: SimConfig, weights, codes, speaks, select, max_buffer, success=None) -> SimResult:
-    """The simulation loop of every mode: it records the l trajectory, numpy charges it.
+def _run(config: SimConfig, weights, codes, speaks, pick, max_buffer, success=None) -> SimResult:
+    """The per-query loop of S3 and plain callables: it records l and removed, numpy charges them.
 
     Slot j's arrival costs ``weights[codes[j - 1]]`` when it goes unsent.
     The query slots are the delivering slots ``speaks``, or with ``success``
     every slot, delivering where its flag is set.  At each query
-    ``select(t, l)`` picks for the buffer of the newest l arrivals and
-    returns ``(skipped, removed)``: on delivery the oldest ``removed``
-    entries leave, the oldest ``skipped`` of them unsent, and the delivered
-    entry has age ``l - removed``.  ``max_buffer`` is the window K, or None.
+    ``pick(t, l)`` selects the s-th oldest of the newest l arrivals: on
+    delivery the oldest s entries leave, the oldest s - 1 of them unsent.
+    ``max_buffer`` is the window K, or None.
     """
     K = config.horizon if max_buffer is None else max_buffer  # l never exceeds the horizon
     if success is None:
-        queries = zip(map(int, speaks), repeat(True))
+        queries = zip(memoryview(speaks), repeat(True))
     else:
-        queries = zip(range(1, config.horizon + 1), success)
-    # per delivery: l, skipped, removed, after an empty delivery at slot 0
-    trajectory = array("q", [0]), array("q", [0]), array("q", [0])
-    put_l, put_skipped, put_removed = (a.append for a in trajectory)
+        queries = zip(range(1, config.horizon + 1), memoryview(success))
+    # per delivery: l and removed, after an empty delivery at slot 0
+    lengths, removals = array("i", [0]), array("i", [0])
+    put_l, put_removed = lengths.append, removals.append
     l = prev = 0
     for t, deliver in queries:
         l += t - prev
         prev = t
         if l > K:
             l = K
-        skipped, removed = select(t, l)
-        if not 1 <= removed <= l:
-            raise RuntimeError(f"policy returned infeasible action {removed} for length {l}")
+        s = pick(t, l)
+        if not 1 <= s <= l:
+            raise RuntimeError(f"policy returned infeasible action {s} for length {l}")
         if deliver:
             put_l(l)
-            put_skipped(skipped)
-            put_removed(removed)
-            l -= removed
-    return _account(config, np.asarray(weights, dtype=float), codes, K, speaks, trajectory)
+            put_removed(s)
+            l -= s
+    del pick  # S3's index arrays
+    dl, dr = (np.frombuffer(a, np.intc) for a in (lengths, removals))
+    ds = dr - 1
+    ds[0] = 0
+    return _account(config, weights, codes, K, speaks, dl, ds, dr)
 
 
-def _account(config: SimConfig, weights, codes, K, speaks, trajectory) -> SimResult:
-    """SimResult from the loop's trajectory, accounted by numpy one slot span at a time.
+def _account(config: SimConfig, weights, codes, K, speaks, dl, ds, dr) -> SimResult:
+    """SimResult from a trajectory, accounted by numpy one slot span at a time.
 
-    After delivery k everything up to the delivered entry's arrival slot
-    ``S_k = t_k - l_k + removed_k`` has left the buffer, so the arrival of
-    slot u - K falls off at each slot u in (S_k + K, t_(k+1)], and the
-    horizon closes the run like one more delivery.  A span's charges are
-    added in slot order, a fall-off before the delivery of its slot and a
-    skip's entries oldest first, by sequential ``cumsum``: the float
-    additions of a per-slot loop, so its bits.
+    ``dl``, ``ds`` and ``dr`` hold l, skipped and removed per delivery,
+    after an empty delivery at slot 0.  After delivery k everything up to
+    the delivered entry's arrival slot ``S_k = t_k - l_k + removed_k`` has
+    left the buffer, so the arrival of slot u - K falls off at each slot u
+    in (S_k + K, t_(k+1)], and the horizon closes the run like one more
+    delivery.  A span's charges are added in slot order, a fall-off before
+    the delivery of its slot and a skip's entries oldest first, by
+    sequential ``cumsum``: the float additions of a per-slot loop, so its
+    bits.
     """
     horizon, burn, nb = config.horizon, config.burn, BATCHES
+    weights = np.asarray(weights, dtype=float)
     # span 0 is the burn-in; span i >= 1 is batch i - 1, slots (ends[i], ends[i + 1]]
     ends = [0] + [burn + (i * (horizon - burn) + nb - 1) // nb for i in range(nb + 1)]
     points = np.concatenate(([0], speaks, [horizon]))  # delivery k's slot at index k
-    dl, ds, dr = (np.frombuffer(a, np.int64) for a in trajectory)
     at = np.searchsorted(speaks, ends, side="right")
+    # each delivery's skip sum, its entries added oldest first: one pass per skip depth,
+    # KEY_CHUNK deliveries at a time, so no index array spans the run
+    skips = np.zeros(len(dl))
+    for lo in range(1, len(dl), KEY_CHUNK):
+        on = np.flatnonzero(ds[lo : lo + KEY_CHUNK]) + lo
+        entry = points[on] - dl[on]  # each skip's next entry, from the buffer's 0-based start
+        for depth in range(1, int(ds[lo : lo + KEY_CHUNK].max()) + 1):
+            skips[on] += weights[codes[entry]]
+            more = ds[on] > depth
+            on, entry = on[more], entry[more] + 1
     age, charge = np.zeros(nb + 1), np.zeros(nb + 1)
     raw_age = 0.0
     for i in range(nb + 1):
         k = slice(at[i] + 1, at[i + 1] + 1)  # the span's deliveries
-        t, skipped, oldest = points[k], ds[k], points[k] - dl[k]  # oldest: the buffer's 0-based start
+        t = points[k]
         age[i] = (dl[k] - dr[k]).sum()
-        skips = np.zeros(len(t))
-        for j in range(skipped.max(initial=0)):  # left to right, one running sum per delivery
-            on = skipped > j
-            skips[on] += weights[codes[oldest[on] + j]]
         # the span's points and the next one, whose fall-offs may reach back into the span
         b, before = points[at[i] + 1 : at[i + 1] + 2], slice(at[i], at[i + 1] + 1)
         last_t, last_s = points[before], points[before] - dl[before] + dr[before]
         x = np.maximum(b - last_s - K, 0)
         u = np.repeat(b - x + 1 - (np.cumsum(x) - x), x) + np.arange(x.sum())
         u = u[(u > ends[i]) & (u <= ends[i + 1])]
-        events = np.insert(weights[codes[u - K - 1]], np.searchsorted(u, t, side="right"), skips)
+        events = np.insert(weights[codes[u - K - 1]], np.searchsorted(u, t, side="right"), skips[k])
         charge[i] = np.cumsum(events)[-1] if len(events) else 0.0
         # excess age tau - S_k over the post-burn-in slots tau in (t_k, t_(k+1)]; the last span closes
         n_areas = len(t) + (i == nb)
@@ -296,54 +382,39 @@ def _check_table_level(acts: np.ndarray, l: int, values) -> None:
         raise RuntimeError(f"policy table has infeasible action {acts[i]} for buffer {entries}")
 
 
-def _table_select(model: Model, policy, digits: np.ndarray, slots: np.ndarray):
-    """``select`` of the table route for the query ``slots``, and the window K."""
-    values = model.v.values
-    if tuple(policy.values) != values:
-        raise ValueError(f"policy values {tuple(policy.values)} differ from the model's {values}")
-    tables = [np.asarray(acts) for acts in policy.actions]
-    K = len(tables) - 1
-    for l in range(1, K + 1):
-        _check_table_level(tables[l], l, values)
-    # each query reads one entry, in place: a memoryview item is a Python int
-    rows = list(map(memoryview, tables))
-    size = [len(values) ** l for l in range(K + 1)]
-    # select is called once per query slot, in order, so the keys are consumed in step
-    keys = _trie_keys(digits, slots, len(values), K)
-
-    def select(t, l):
-        s = rows[l][next(keys) % size[l]]
-        return s - 1, s
-
-    return select, K
-
-
 def _run_packets(config: SimConfig, policy, digits, speaks, success=None) -> SimResult:
     """Direct and erasure modes: a delivery skips every packet older than the pick.
 
     ``digits`` are the arrivals' value indices and ``speaks`` the delivering
     slots; in erasure mode ``success`` holds every slot's flag.  A policy
-    carrying ``actions`` and ``values`` takes the table route over the
-    delivering slots alone.  Any other policy is called with the buffer
-    slice at each query slot, which in erasure mode is every slot.
+    carrying ``actions`` and ``values`` walks its rest table, and S3 (a
+    policy with ``index_pick``) picks by index, both over the delivering
+    slots alone.  Any other policy is called with the buffer slice at each
+    query slot, which in erasure mode is every slot.
     """
     model = config.model
     values = model.v.values
     if hasattr(policy, "actions") and hasattr(policy, "values"):
-        select, K = _table_select(model, policy, digits, speaks)
-        return _run(config, values, digits, speaks, select, K)
+        rows, K = _table_rows(model, policy, digits, speaks)
+        dl, dr = _walk(speaks, K, K, rows)
+        ds = dr - 1
+        ds[0] = 0
+        return _account(config, values, digits, K, speaks, dl, ds, dr)
+    if hasattr(policy, "index_pick"):
+        important = np.asarray(values) > model.v.v_min  # per value index
+        return _run(config, values, digits, speaks, policy.index_pick(important[digits]), policy.max_buffer)
     arrivals = np.array(values, dtype=object)[digits].tolist()
     v_min = model.v.v_min
 
-    def select(t, l):
+    def pick(t, l):
         entries = arrivals[t - l : t]
         s = int(policy(entries))
         if 1 <= s < l and entries[s - 1] <= v_min:
             raise RuntimeError(f"policy returned infeasible action {s} for buffer {entries}")
-        return s - 1, s
+        return s
 
     maxb = getattr(policy, "max_buffer", None)
-    return _run(config, values, digits, speaks, select, maxb, success)
+    return _run(config, values, digits, speaks, pick, maxb, success)
 
 
 def simulate_policy(config: SimConfig, policy) -> SimResult:
@@ -379,33 +450,51 @@ def simulate_erasure(config: SimConfig, policy) -> SimResult:
         raise ValueError("erasure mode requires geometric interspeaking times")
     arr_rng, tim_rng = _streams(config.seed)
     digits = _draw_arrival_digits(model, arr_rng, config.horizon)
-    success = tim_rng.random(config.horizon) < model.z.p
+    success = _flags(tim_rng, model.z.p, config.horizon)
     return _run_packets(config, policy, digits, _slots_where(success), success)
+
+
+def _parse_skips(policy, bits, speaks, dl, dr, ds) -> None:
+    """Set ``ds`` in a Tunstall policy's skip states, l > tau + N, from its parsed word lengths.
+
+    There ``removed`` is the sendable region, whose newest bit is the
+    arrival of slot t - tau; the skip is what the first word leaves of it.
+    """
+    skip = np.flatnonzero(dl > policy.tau + policy.n_bits)
+    sendable = dr[skip]
+    words = policy.word_lengths(bits, speaks[skip - 1] - policy.tau - 1)
+    ds[skip] = sendable - np.minimum(words, sendable)
 
 
 def simulate_bit_policy(config: SimConfig, source, policy) -> SimResult:
     """Bit-chunk mode for the headerless problem of the buffer-length MDP.
 
     The sender holds raw bits (1 important with importance v, 0 with
-    importance 1) and transmits N-bit chunks.  ``policy`` is either a plain
-    length policy (``action(l)`` gives the chunk end index) or a Tunstall
-    threshold policy (``parse_newest_first``); both expose ``n_bits`` and
-    ``max_buffer``.
+    importance 1) and transmits N-bit chunks.  ``policy`` exposes
+    ``n_bits``, ``max_buffer`` and ``action(l)``, the chunk end index: a
+    plain length policy, or a threshold policy with ``tau`` on an
+    untruncated buffer, which keeps tau bits beyond length tau + N.  Its
+    leftover ``l - action(l)`` is read once per length up to that cap and
+    checked before the first slot.  A Tunstall threshold policy
+    (``word_lengths``) sends, in the skip states l > tau + N, the word
+    parsed newest-first from the sendable region's newest bit.
     """
     arr_rng, tim_rng = _streams(config.seed)
-    # bytes hold one byte per slot where a list would hold an 8-byte pointer
-    bits = (arr_rng.random(config.horizon) < source.q).astype(np.int8).tobytes()
-    speaks = _slots_where(tim_rng.random(config.horizon) < source.p)
-    N = policy.n_bits
-    tunstall = hasattr(policy, "parse_newest_first")
-
-    def select(t, l):
-        if tunstall and l > policy.tau + N:
-            # unavoidable skips: keep tau bits, parse the sendable region newest-first
-            sendable = l - policy.tau
-            return sendable - policy.parse_newest_first(bits[t - l : t], sendable), sendable
+    bits = _flags(arr_rng, source.q, config.horizon).view(np.int8)
+    speaks = _slots_where(_flags(tim_rng, source.p, config.horizon))
+    N, K = policy.n_bits, policy.max_buffer
+    cap = policy.tau + N if K is None else K
+    after = np.zeros(2 * cap, np.min_scalar_type(cap))
+    for l in range(1, cap + 1):
         s = int(policy.action(l))
-        return max(s - N, 0), s
-
-    maxb = getattr(policy, "max_buffer", None)
-    return _run(config, (1.0, source.v), np.frombuffer(bits, np.int8), speaks, select, maxb)
+        if not 1 <= s <= l:
+            raise RuntimeError(f"policy returned infeasible action {s} for length {l}")
+        after[l] = l - s
+    after[cap + 1 :] = after[cap]
+    dl, dr = _walk(speaks, cap, K, lambda lo, hi: after)
+    ds = dr - N
+    np.maximum(ds, 0, out=ds)
+    if hasattr(policy, "word_lengths"):
+        _parse_skips(policy, bits, speaks, dl, dr, ds)
+    K = config.horizon if K is None else K
+    return _account(config, (1.0, source.v), bits, K, speaks, dl, ds, dr)

@@ -10,7 +10,8 @@ powers of r = (1-q)/(1-p) or, when r > 1, of 1/r; the explicit transition
 matrices are built here so tests can cross-check them against
 ``stationary_distribution``, the one dense solver's law.  For simulation,
 S1, S2 and send-latest are chain action tables (``window_table``), which
-the simulator reads as it reads a solved policy; ``S3Policy`` is a callable.
+the simulator reads as it reads a solved policy; ``S3Policy`` is a callable
+whose ``index_pick`` the simulator reads in O(1) per delivery.
 """
 
 from __future__ import annotations
@@ -290,3 +291,32 @@ class S3Policy:
         if oldest_important:
             return oldest_important
         return l
+
+    def index_pick(self, important: np.ndarray):
+        """This policy as ``pick(t, l)``, the action at slot t for the newest l arrivals, in O(1).
+
+        ``important[i]`` flags the arrival of slot i + 1, so the buffer holds
+        indices t - l .. t - 1.  The pick reads two int32 index arrays: the
+        newest important arrival at or before index t - 1 - K, if the buffer
+        holds it, else the first important arrival from index t - l, if
+        before t, else the newest entry.  Every pick is feasible.
+        """
+        n, K = len(important), self.K
+        older = np.full(n, -1, dtype=np.int32)  # older[t - 1]: newest important index <= t - 1 - K
+        first = np.arange(n, dtype=np.int32)  # first[i]: first important index >= i, else n
+        np.copyto(older[K:], first[: max(n - K, 0)], where=important[: max(n - K, 0)])
+        np.maximum.accumulate(older, out=older)
+        np.copyto(first, n, where=~important)
+        np.minimum.accumulate(first[::-1], out=first[::-1])
+        older, first = memoryview(older), memoryview(first)  # an item is a Python int
+
+        def pick(t: int, l: int) -> int:
+            start = t - l
+            j = older[t - 1]
+            if j < start:
+                j = first[start]
+                if j >= t:
+                    return l
+            return j - start + 1
+
+        return pick

@@ -1,8 +1,11 @@
 import bisect
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import itertools
+import json
 import operator
 import random
 import tracemalloc
@@ -11,9 +14,10 @@ import numpy as np
 import pytest
 
 from agedist import FinitePMF, Geometric, ImportanceDist, Model, PolicySolution, policy_iteration
-from agedist import sim
+from agedist import cli, sim
 from agedist.bufferignorant import (
     BinarySource,
+    LengthActionPolicy,
     PlainThresholdBitPolicy,
     TunstallThresholdBitPolicy,
     bi_policy_iteration,
@@ -40,6 +44,8 @@ def _assert_same_result(a, b):
 def test_config_validation(fig1):
     with pytest.raises(ValueError):
         SimConfig(horizon=5000, seed=1, model=fig1)
+    with pytest.raises(ValueError, match="int32"):
+        SimConfig(horizon=2**31, seed=1, model=fig1)
     cfg = SimConfig(horizon=100_000, seed=1, model=fig1)
     assert cfg.burn == 1000
 
@@ -213,11 +219,23 @@ def _pinned_run(name, fig1):
     return runs[name]()
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_results_pinned_bit_for_bit(fig1, name):
+def _assert_pinned(name, fig1):
     res = _pinned_run(name, fig1)
     got = (res.delta_e, res.se_delta, res.d, res.se_d, res.batches, res.raw_age)
     assert got + (_digest(res.batch_delta), _digest(res.batch_d)) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_results_pinned_bit_for_bit(fig1, name):
+    _assert_pinned(name, fig1)
+
+
+@pytest.mark.parametrize("name", ["three-geo-K10", "S1-K4-erasure", "S3-K6", "bits-tunstall", "bits-length"])
+def test_chunk_sizes_keep_pinned_results(fig1, monkeypatch, name):
+    """Draws, rest tables and skip passes cut at other chunk sizes: the walk carries across cuts."""
+    monkeypatch.setattr(sim, "DRAW_CHUNK", 1000)
+    monkeypatch.setattr(sim, "KEY_CHUNK", 7)
+    _assert_pinned(name, fig1)
 
 
 class _Called:
@@ -253,7 +271,10 @@ def _area(a, b, s, burn):
 
 
 def _loop_run(config, weights, codes, speaks, select, max_buffer, success=None):
-    """Reference for ``sim._run``: a per-slot loop charging each fall-off, skip and age area at once."""
+    """Reference for every route: a per-slot loop charging each fall-off, skip and age area at once.
+
+    ``select(t, l)`` returns ``(skipped, removed)`` for the newest l arrivals at slot t.
+    """
     importance = [float(weights[c]) for c in codes]
     horizon, burn, nb = config.horizon, config.burn, sim.BATCHES
     ends = [burn + (i * (horizon - burn) + nb - 1) // nb for i in range(nb + 1)]
@@ -300,27 +321,121 @@ class _RandomPick:
         return self.rng.choice([s for s in range(1, l) if entries[s - 1] > self.v_min] + [l])
 
 
+def _reference_packets(cfg, policy, erasure=False):
+    """``_loop_run`` on a packet run's draws, calling ``policy`` with each buffer slice.
+
+    The calls are those of the callable route: at every delivering slot, or
+    at every slot in erasure mode.
+    """
+    arr_rng, tim_rng = sim._streams(cfg.seed)
+    digits = sim._draw_arrival_digits(cfg.model, arr_rng, cfg.horizon)
+    if erasure:
+        success = sim._flags(tim_rng, cfg.model.z.p, cfg.horizon)
+        speaks = sim._slots_where(success)
+    else:
+        success, speaks = None, sim._speak_slots(cfg.model, tim_rng, cfg.horizon)
+    values = cfg.model.v.values
+    arrivals = [values[d] for d in digits.tolist()]
+
+    def select(t, l):
+        s = policy(arrivals[t - l : t])
+        return s - 1, s
+
+    return _loop_run(cfg, values, digits, speaks, select, policy.max_buffer, success)
+
+
+def _reference_bits(cfg, src, policy):
+    """``_loop_run`` on a bits run's draws, asking ``policy`` per delivery: the scalar Tunstall parse."""
+    arr_rng, tim_rng = sim._streams(cfg.seed)
+    bits = sim._flags(arr_rng, src.q, cfg.horizon).view(np.int8)
+    speaks = sim._slots_where(sim._flags(tim_rng, src.p, cfg.horizon))
+    N, coded = policy.n_bits, isinstance(policy, TunstallThresholdBitPolicy)
+
+    def select(t, l):
+        if coded and l > policy.tau + N:
+            sendable = l - policy.tau
+            return sendable - policy.parse_newest_first(bits[t - l : t], sendable), sendable
+        s = policy.action(l)
+        return max(s - N, 0), s
+
+    return _loop_run(cfg, (1.0, src.v), bits, speaks, select, policy.max_buffer)
+
+
 @pytest.mark.parametrize(
     "name",
-    ["random-K5", "random-K5-erasure", "random-untruncated", "table-eta0.3", "table-erasure", "bits-tunstall"],
+    [
+        "random-K5",
+        "random-K5-erasure",
+        "random-untruncated",
+        "table-eta0.3",
+        "table-erasure",
+        "S3-K6",
+        "S3-K6-erasure",
+        "bits-tunstall",
+        "bits-length",
+    ],
 )
-def test_accounting_matches_per_slot_loop(fig1, monkeypatch, name):
+def test_accounting_matches_per_slot_loop(fig1, name):
     cfg = SimConfig(horizon=20_000, seed=31, model=THREE_GEO)
     fig1_cfg = SimConfig(horizon=20_000, seed=32, model=fig1)
-    src = BinarySource.from_model(fig1, 3)
-    runs = {
-        "random-K5": lambda: simulate_policy(cfg, _RandomPick(THREE_GEO, 5)),
-        "random-K5-erasure": lambda: simulate_erasure(cfg, _RandomPick(THREE_GEO, 5)),
-        "random-untruncated": lambda: simulate_policy(cfg, _RandomPick(THREE_GEO, None)),
-        "table-eta0.3": lambda: simulate_policy(fig1_cfg, policy_iteration(fig1, 0.3)),
-        "table-erasure": lambda: simulate_erasure(cfg, policy_iteration(THREE_GEO, 0.15)),
-        "bits-tunstall": lambda: simulate_bit_policy(
-            SimConfig(20_000, 33), src, TunstallThresholdBitPolicy(src, 2, tunstall_build(src.q, 8))
-        ),
+    if name.startswith("bits"):
+        src = BinarySource.from_model(fig1, 3)
+        if name == "bits-tunstall":
+            policy = TunstallThresholdBitPolicy(src, 2, tunstall_build(src.q, 8))
+        else:
+            policy = bi_policy_iteration(src, 0.2).policy()
+        bits_cfg = SimConfig(20_000, 33)
+        _assert_same_result(simulate_bit_policy(bits_cfg, src, policy), _reference_bits(bits_cfg, src, policy))
+        return
+    cases = {  # (config, erasure mode, a fresh policy)
+        "random-K5": (cfg, False, lambda: _RandomPick(THREE_GEO, 5)),
+        "random-K5-erasure": (cfg, True, lambda: _RandomPick(THREE_GEO, 5)),
+        "random-untruncated": (cfg, False, lambda: _RandomPick(THREE_GEO, None)),
+        "table-eta0.3": (fig1_cfg, False, lambda: policy_iteration(fig1, 0.3)),
+        "table-erasure": (cfg, True, lambda: policy_iteration(THREE_GEO, 0.15)),
+        "S3-K6": (fig1_cfg, False, lambda: S3Policy(fig1, 6)),
+        "S3-K6-erasure": (fig1_cfg, True, lambda: S3Policy(fig1, 6)),
     }
-    got = runs[name]()
-    monkeypatch.setattr(sim, "_run", _loop_run)
-    _assert_same_result(got, runs[name]())
+    config, erasure, make = cases[name]
+    got = (simulate_erasure if erasure else simulate_policy)(config, make())
+    policy = make()
+    if isinstance(policy, PolicySolution):
+        policy = _Called(policy)  # the reference asks the solved policy per query
+    _assert_same_result(got, _reference_packets(config, policy, erasure))
+
+
+class _HiddenIndex:
+    """S3 without its index route, so it is called with each buffer slice."""
+
+    def __init__(self, policy):
+        self._policy = policy
+        self.max_buffer = policy.max_buffer
+
+    def __call__(self, entries):
+        return self._policy(entries)
+
+
+@pytest.mark.parametrize("run", [simulate_policy, simulate_erasure], ids=["direct", "erasure"])
+@pytest.mark.parametrize("K", [1, 6, 12])
+def test_s3_index_route_matches_callable_route(fig1, K, run):
+    cfg = SimConfig(horizon=40_000, seed=24, model=fig1)
+    _assert_same_result(run(cfg, S3Policy(fig1, K)), run(cfg, _HiddenIndex(S3Policy(fig1, K))))
+
+
+@pytest.mark.parametrize("N", [2, 3, 6])
+def test_tunstall_word_lengths_match_scalar_parse(N):
+    """Vectorized word lengths against ``parse_newest_first``, short regions that run off bit 0 included."""
+    src = BinarySource(q=0.3, v=20.0, p=0.2, N=N)
+    policy = TunstallThresholdBitPolicy(src, 2, tunstall_build(src.q, 2**N))
+    rng = np.random.default_rng(N)
+    bits = (rng.random(4000) < src.q).astype(np.int8)
+    newest = rng.integers(0, len(bits), 2000)
+    newest[:50] = np.arange(50) % (policy._max_len + 1)  # regions shorter than the longest word
+    sendable = np.minimum(rng.integers(1, 3 * policy._max_len, len(newest)), newest + 1)
+    words = np.minimum(policy.word_lengths(bits, newest), sendable)
+    for i in range(len(newest)):
+        region = bits[newest[i] + 1 - sendable[i] : newest[i] + 1]
+        assert words[i] == policy.parse_newest_first(region, int(sendable[i])), i
 
 
 @pytest.mark.parametrize("run", [simulate_policy, simulate_erasure])
@@ -337,6 +452,7 @@ def test_stale_pick_in_policy_file_fails_before_first_slot(fig1, tmp_path, monke
         raise AssertionError("the simulation loop started")
 
     monkeypatch.setattr(sim, "_run", loop)
+    monkeypatch.setattr(sim, "_walk", loop)
     with pytest.raises(RuntimeError, match=r"infeasible action 1 for buffer \[1.0, 1.0"):
         run(SimConfig(horizon=10_000, seed=0, model=fig1), edited)
 
@@ -422,3 +538,75 @@ def test_deep_table_is_read_in_place(fig1):
     finally:
         tracemalloc.stop()
     assert peak - base < 32 << 20
+
+
+class _TopDraws:
+    """A generator stub whose every uniform is the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+def test_top_draw_stays_in_finite_pmf_support():
+    ten = (0.1,) * 10
+    assert np.cumsum(ten)[-1] <= np.nextafter(1.0, 0.0)  # rounded down: a top draw reaches past it
+    model = Model(ImportanceDist(tuple(range(1, 11)), ten), FinitePMF(ten))
+    assert sim._speak_slots(model, _TopDraws(), 100).tolist() == list(range(10, 101, 10))
+    assert sim._draw_arrival_digits(model, _TopDraws(), 100).tolist() == [9] * 100
+
+
+@pytest.mark.parametrize("length, action", [(7, 8), (5, 0), ("cap", -1)])
+def test_length_table_checked_before_first_slot(fig1, monkeypatch, length, action):
+    src = BinarySource.from_model(fig1, 3)
+    sol = bi_policy_iteration(src, 0.2)
+    length = sol.L_cap if length == "cap" else length
+    actions = sol.actions.copy()
+    actions[length] = action
+    policy = LengthActionPolicy(actions, src.N, sol.L_cap)
+
+    def walk(*args):
+        raise AssertionError("the simulation walk started")
+
+    monkeypatch.setattr(sim, "_walk", walk)
+    with pytest.raises(RuntimeError) as info:
+        simulate_bit_policy(SimConfig(horizon=10_000, seed=0), src, policy)
+    assert str(info.value) == f"policy returned infeasible action {action} for length {length}"
+
+
+# tracemalloc peak, in MB, of each sim-2e5 benchmark kind through cli.main at
+# 2*10^5 slots and seed 0, after a warm-up run: the lowest of six readings by
+# this test at commit 0601238 (3.2468, 3.2473, 3.7574, 2.0360), rounded down.
+# That simulator drew horizon-long float64 arrays, read tables through a
+# per-delivery select and gave S3 an object arrivals list.
+SIM_2E5_PEAK_MB = {"direct": 3.24, "erasure": 3.24, "s3": 3.75, "bits": 2.03}
+
+
+def _sim_2e5_peaks(fig1, work):
+    """{kind: tracemalloc peak in MB} of the four sim-2e5 kinds, run as the benchmark runs them."""
+    model = work / "model.json"
+    model.write_text(json.dumps(fig1.to_config()))
+    policy = work / "policy.json"
+    policy_iteration(fig1, 1.0).to_json(str(policy))
+    base = ["simulate", "--model", str(model), "--horizon", "200000", "--seed", "0"]
+    kinds = {
+        "direct": ["--policy", str(policy), "--mode", "direct"],
+        "erasure": ["--policy", str(policy), "--mode", "erasure"],
+        "s3": ["--strategy", "S3", "--k", "6"],
+        "bits": ["--mode", "bits", "--n-bits", "3", "--tau", "3", "--tunstall"],
+    }
+    peaks = {}
+    for kind, args in kinds.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(base + args) == 0  # warm-up: lazy imports and caches
+            tracemalloc.start()
+            try:
+                assert cli.main(base + args) == 0
+                peaks[kind] = tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+    return peaks
+
+
+def test_sim_2e5_memory_does_not_grow(fig1, tmp_path):
+    peaks = _sim_2e5_peaks(fig1, tmp_path)
+    assert all(peaks[kind] <= bound for kind, bound in SIM_2E5_PEAK_MB.items()), peaks
