@@ -4,9 +4,10 @@ When packets carry no timestamps the sender transmits contiguous N-bit
 chunks and the receiver infers their position from the (shared) speaking
 schedule, so only the buffer length matters.  This module solves the
 resulting average-cost MDP over lengths, evaluates single-threshold
-policies in closed form, and improves them by replacing the fixed chunk
-with a variable-to-fixed Tunstall parse of the sendable region.  Lengths
-are capped at ``BI_STATE_CAP`` states, dictionaries at ``TUNSTALL_CAP`` words.
+policies exactly by a recursion of positive terms, and improves them by
+replacing the fixed chunk with a variable-to-fixed Tunstall parse of the
+sendable region.  Lengths are capped at ``BI_STATE_CAP`` states,
+dictionaries at ``TUNSTALL_CAP`` words.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def bi_policy_iteration(source: BinarySource, eta: float) -> BIPolicySolution:
 
 
 # ---------------------------------------------------------------------------
-# single-threshold closed forms
+# single-threshold policies
 # ---------------------------------------------------------------------------
 
 
@@ -214,18 +215,21 @@ class ThresholdPoint:
         return float(self.pi_head[1 : self.tau + 1].sum() + self.pi_head[self.tau + 1] / p)
 
 
-def _s_tables(tau: int, N: int, p: float) -> list[np.ndarray]:
-    """S_j^(n) arrays for n = 0..ceil(tau/N), j = 0..tau-1 (negative j is zero)."""
-    kmax = math.ceil(tau / N)
-    width = max(tau, 1)
-    tables = [1.0 + p * np.arange(width)]
-    for _ in range(kmax):
-        tables.append(np.cumsum(tables[-1]))
-    return tables
-
-
 def threshold_point(source: BinarySource, tau: int) -> ThresholdPoint:
     """Stationary distribution and (delta_e, D) of the tau-threshold policy.
+
+    The leftover ``r = l - s(l)`` of a speaking instant is a chain on
+    0..tau, ``r' = clip(r + Z - N, 0, tau)``.  Z is geometric, so the chain
+    enters {k..tau} from below at k + Geometric(p) - 1 wherever it was: on
+    that set state k keeps itself with probability p and is reached with
+    probability p from each r in k+1..k+N-1.  So its law M obeys
+    ``M_k = p / (1-p) * (M_{k+1} + ... + M_{k+N-1})`` for k >= 1, and
+    balance at 0 gives ``M_0 = sum_{r<N} M_r (1 - (1-p)^(N-r)) / (1-p)^N``.
+    Every term is positive, so the recursion down from tau keeps full
+    relative precision at any tau (N = 1 gives M_k = 0 below tau: those
+    leftovers are transient).  The length law is ``pi_1 = p M_0``,
+    ``pi_{j+1} = (1-p) pi_j + p M_j``, geometric past tau + 1, and
+    delta_e = E[r].
 
     The distortion uses the per-slot normalization D = mu_V * pi_{tau+1}
     * (1-p)^N / p: the skipped-bit count per speaking instant gets charged
@@ -235,31 +239,26 @@ def threshold_point(source: BinarySource, tau: int) -> ThresholdPoint:
         raise ValueError(f"threshold tau must be >= 0, got {tau}")
     p, N = source.p, source.N
     pb = 1.0 - p
+    if tau > 0 and pb == 0.0:
+        raise ValueError(f"threshold tau={tau} with N={N} needs p < 1, got p={p}")
+    M = np.zeros(tau + 1)
+    M[tau] = 1.0
+    for k in range(tau - 1, 0, -1):
+        M[k] = p / pb * M[k + 1 : k + N].sum()
+        if M[k] > 1e200:  # rescale; the law is normalized below
+            M[k:] /= M[k]
+    if tau > 0:  # M_0 (1-p)^N = ..., scaled so that nothing is divided by (1-p)^N
+        r = np.arange(1, min(tau, N - 1) + 1)
+        M[0] = (M[r] * -np.expm1((N - r) * np.log1p(-p))).sum()
+        M[1:] *= pb**N
+    M /= M.sum()
     pi_head = np.zeros(tau + 2)
-    if tau == 0:
-        pi_head[1] = p
-        return ThresholdPoint(0, 0.0, source.mu_v * pb**N, pi_head, pb)
-
-    tables = _s_tables(tau, N, p)
-    num = np.ones(tau)  # numerator of pi_{tau-j} for j = 0..tau-1
-    for k, table in enumerate(tables):
-        sign = -1.0 if k % 2 == 0 else 1.0
-        coef = sign * p**k * pb ** ((k + 1) * (N - 1))
-        j = np.arange(tau)
-        shifted = np.where(j - k * N >= 0, table[np.maximum(j - k * N, 0)], 0.0)
-        num += coef * shifted
-    ratios = num / pb ** (np.arange(tau) + 1.0)
-    pi_top = 1.0 / (ratios.sum() + 1.0 / p)
-    pi_head[tau + 1] = pi_top
-    for j in range(tau):
-        pi_head[tau - j] = pi_top * ratios[j]
-
-    point = ThresholdPoint(tau, 0.0, 0.0, pi_head, pb)
-    delta_e = sum(j * point.pi_of(N + j) for j in range(1, tau)) + tau * pi_top * pb ** (N - 1) / p
-    d = source.mu_v * pi_top * pb**N / p
-    point.delta_e = float(delta_e)
-    point.d = float(d)
-    return point
+    pi_head[1] = p * M[0]
+    for j in range(1, tau + 1):
+        pi_head[j + 1] = pb * pi_head[j] + p * M[j]
+    delta_e = float(np.arange(tau + 1) @ M)
+    d = source.mu_v * pi_head[tau + 1] * pb**N / p
+    return ThresholdPoint(tau, delta_e, float(d), pi_head, pb)
 
 
 def threshold_chain_matrix(source: BinarySource, tau: int, L: int) -> np.ndarray:

@@ -4,7 +4,7 @@ Two solver routes are provided.  The efficient route exploits the chain
 structure of improving policies: every state either sends its oldest packet
 (the B1 set) or inherits its parent's choice, so relative values obey
 ``h(b) = b1/mu + h(parent(b))`` and policy evaluation reduces to a linear
-system over B1 alone.  The system is assembled from the B1 list by suffix
+system over B1 alone.  The system is assembled from the B1 states by suffix
 corrections: a next state shares the system state of the one without its
 oldest entry unless it is in B1, so each row is the all-fresh distribution
 plus one term per B1 state whose prefix ends the row's parent, and no trie
@@ -157,7 +157,7 @@ def _c1_parts(model: Model, tree: StateTree, h_levels) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# chain policies: the action table and its reduced-system bookkeeping
+# chain policies: the action table and its B1 states
 # ---------------------------------------------------------------------------
 
 
@@ -183,26 +183,14 @@ def _chain_actions(tree: StateTree, takes) -> list[np.ndarray]:
     return actions
 
 
-class _Chain(NamedTuple):
-    """Reduced-system bookkeeping of a chain policy.
-
-    ``cost[l][i]`` is the edge cost b1/mu accumulated from the node up to its
-    nearest B1 ancestor, ``po[l][i]`` that ancestor's position in ``b1`` (-1
-    when the chain ends at a singleton), and ``b1`` lists the states of
-    length >= 2 that send their oldest packet, level by level.
-    """
-
-    cost: list[np.ndarray]
-    po: list[np.ndarray]
-    b1: list[tuple[int, int]]
-
-
-def _b1_list(tree: StateTree, actions) -> list[tuple[int, int]]:
-    """Check that ``actions`` is a chain policy on ``tree``; return its B1 list.
+def _b1_list(tree: StateTree, actions) -> tuple[np.ndarray, np.ndarray]:
+    """Check that ``actions`` is a chain policy on ``tree``; return its B1 states.
 
     Every state of length >= 2 must send its oldest packet or take its
     parent's action plus one, and length-1 states take action 1; anything
-    else cannot be represented by the reduced system and is rejected.
+    else cannot be represented by the reduced system and is rejected.  B1,
+    the states of length >= 2 that send their oldest packet, comes back as
+    int64 arrays ``(lev, idx)``, level by level with ascending indices.
     """
     if len(actions) != tree.K + 1:
         raise ValueError(
@@ -216,7 +204,7 @@ def _b1_list(tree: StateTree, actions) -> list[tuple[int, int]]:
             )
     if not np.all(np.asarray(actions[1]) == 1):
         raise ValueError("action table level 1: length-1 states must take action 1")
-    b1: list[tuple[int, int]] = []
+    idx = [np.zeros(0, dtype=np.int64)]  # level 1 holds no B1 state
     for l in range(2, tree.K + 1):
         acts = np.asarray(actions[l]).reshape(tree.m, -1)
         is_b1 = acts == 1
@@ -226,25 +214,9 @@ def _b1_list(tree: StateTree, actions) -> list[tuple[int, int]]:
             raise ValueError(
                 f"action table level {l} is not chain-structured at state {tree.entries_of(l, bad)}"
             )
-        b1.extend((l, int(j)) for j in np.flatnonzero(is_b1))
-    return b1
-
-
-def _chain(model: Model, tree: StateTree, actions) -> _Chain:
-    """Check a chain policy with ``_b1_list`` and derive its per-node bookkeeping."""
-    b1 = _b1_list(tree, actions)
-    b1mu = (tree.values / model.mu)[:, None]
-    cost = [np.zeros(n) for n in tree.level_size[:2]]
-    po = [np.full(n, -1, dtype=np.int64) for n in tree.level_size[:2]]
-    seen = 0
-    for l in range(2, tree.K + 1):
-        is_b1 = (np.asarray(actions[l]) == 1).reshape(tree.m, -1)
-        cost.append(np.where(is_b1, 0.0, cost[l - 1] + b1mu).ravel())
-        new = np.flatnonzero(is_b1)
-        po.append(np.tile(po[l - 1], tree.m))
-        po[l][new] = seen + np.arange(len(new))
-        seen += len(new)
-    return _Chain(cost, po, b1)
+        idx.append(np.flatnonzero(is_b1))
+    lev = np.repeat(np.arange(1, tree.K + 1), [len(i) for i in idx])
+    return lev, np.concatenate(idx)
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +229,24 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _assemble(model: Model, tree: StateTree, chain: _Chain):
-    """The reduced system (P, [age, distortion] cost) from the B1 list; see ``_evaluate_chain``."""
-    K, m, n, mu = tree.K, tree.m, len(chain.b1) + 1, model.mu
-    lev, idx = np.array(chain.b1, dtype=np.int64).reshape(-1, 2).T
+def _assemble(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray):
+    """The reduced system (P, [age, distortion] cost) from the B1 states; see ``_evaluate_chain``."""
+    K, m, n, mu = tree.K, tree.m, len(idx) + 1, model.mu
     par, ys = idx % m ** (lev - 1), np.arange(n - 1)
     digits = idx[:, None] // m ** np.arange(K) % m  # newest first
     pi = np.cumprod(tree.probs[digits], axis=1)  # pi[y, t - 1]: the newest t digits of y
-    sys_par, c_hat = np.empty(n - 1, dtype=np.int64), tree.values[idx // m ** (lev - 1)] / mu
-    for l in range(2, K + 1):
-        at = lev == l
-        sys_par[at] = chain.po[l - 1][par[at]] + 1
-        c_hat[at] += chain.cost[l - 1][par[at]]
+    # the row of y's parent is that of its longest suffix in B1, of length anchor (1: row 0)
+    keys = lev * m**K + idx
+    sys_par, anchor = np.zeros(n - 1, dtype=np.int64), np.ones(n - 1, dtype=np.int64)
+    for q in range(2, K):
+        key = q * m**K + par % m**q
+        row = np.searchsorted(keys, key)
+        hit = (q < lev) & (keys[np.minimum(row, n - 2)] == key)
+        sys_par[hit], anchor[hit] = row[hit] + 1, q
+    # y_1/mu + cost[parent y]: the edge costs b1/mu, added one at a time from the anchor out to y
+    t = np.arange(K)
+    edges = np.where((anchor[:, None] <= t) & (t < lev[:, None]), tree.values[digits] / mu, 0.0)
+    c_hat = np.cumsum(edges, axis=1)[:, -1]
     pmf = np.array([0.0] + [model.z_pmf(k) for k in range(1, K + 1)])
 
     def scatter(out, rows, y, w):
@@ -300,16 +278,16 @@ def _assemble(model: Model, tree: StateTree, chain: _Chain):
     return aug[:, :n], cost
 
 
-def _evaluate_chain(model: Model, tree: StateTree, chain: _Chain, eta: float):
+def _evaluate_chain(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray, eta: float):
     """Solve the reduced system over the singletons and B1; returns (lambda, delta_e, d, h).
 
-    Relies on the chain identity: every node's relative value equals its
-    accumulated edge cost plus the value of its nearest B1 ancestor (zero if
-    that ancestor is a singleton), so row 0 of the system stands for all
-    singletons and row r for B1 state y_r = b1[r - 1].  With ``sys(x)`` that
-    row for node x, ``delta(y) = e_sys(y) - e_sys(parent y)`` and pi the
-    probability of a digit string, ``sys(x || w) = sys(x[1:] || w)`` unless
-    ``x || w`` is in B1.  So the next state of a row, which sends its oldest
+    Relies on the chain identity: every node outside B1 has the value
+    ``b1/mu + h(parent)``, so its value is its accumulated edge cost plus the
+    value of its nearest B1 ancestor (zero if that ancestor is a singleton).
+    Row 0 of the system stands for all singletons and row r for B1 state
+    y_r = (lev[r - 1], idx[r - 1]).  With ``sys(x)`` that row for node x,
+    ``delta(y) = e_sys(y) - e_sys(parent y)`` and pi the probability of a
+    digit string, ``sys(x || w) = sys(x[1:] || w)`` unless ``x || w`` is in B1.  So the next state of a row, which sends its oldest
     packet and so depends only on its parent ``a``, unrolls by suffix
     corrections into
 
@@ -319,45 +297,53 @@ def _evaluate_chain(model: Model, tree: StateTree, chain: _Chain, eta: float):
     over the B1 states y: the interior and level-K blocks of
     ``_transition_blocks`` fold into one weight per prefix length.  The edge
     cost takes the same sums with ``-(y_1/mu + cost[parent y])`` for
-    ``delta(y)``, plus sum(a)/mu for the entries the row forgets or keeps and
-    E[V]/mu (E[Z] - 1) for the all-fresh ones.  No trie block is read.
+    ``delta(y)``, where ``cost`` is the edge cost accumulated from a node up
+    to its nearest B1 ancestor, plus sum(a)/mu for the entries the row forgets
+    or keeps and E[V]/mu (E[Z] - 1) for the all-fresh ones.  No trie block is
+    read, and h is built level by level from the identity.
     """
-    lam, delta_e, d, u = age_distortion_solve(*_assemble(model, tree, chain), eta)
-    h_levels = [np.zeros(1)] + [u[chain.po[l] + 1] + chain.cost[l] for l in range(1, tree.K + 1)]
+    lam, delta_e, d, u = age_distortion_solve(*_assemble(model, tree, lev, idx), eta)
+    b1mu = (tree.values / model.mu)[:, None]
+    h_levels = [np.zeros(1), np.zeros(tree.m)]
+    for l in range(2, tree.K + 1):
+        h = (h_levels[l - 1] + b1mu).ravel()
+        at = lev == l
+        h[idx[at]] = u[1:][at]
+        h_levels.append(h)
     return lam, delta_e, d, h_levels
 
 
-def _check_residuals(tree: StateTree, b1, h_levels, lam: float, eta: float, parts) -> float:
+def _check_residuals(tree: StateTree, lev, idx, h_levels, lam: float, eta: float, parts) -> float:
     """Worst residual of the root and B1 equations, with C_h(b, 1) from the kappa route."""
     worst = abs(lam - float(parts[1][0]))
-    for l, i in b1:
-        c1 = eta * (l - 1) + float(parts[l][i % tree.level_size[l - 1]])
-        worst = max(worst, abs(float(h_levels[l][i]) + lam - c1))
+    for l in range(2, tree.K + 1):
+        i = idx[lev == l]
+        c1 = eta * (l - 1) + parts[l][i % tree.level_size[l - 1]]
+        worst = float(np.max(np.abs(h_levels[l][i] + lam - c1), initial=worst))
     return worst
 
 
 class _Evaluation(NamedTuple):
-    """A chain policy's average cost, its two components, h, B1 and the parts of C_h(b, 1)."""
+    """A chain policy's average cost, its two components, h and the parts of C_h(b, 1)."""
 
     lam: float
     delta_e: float
     d: float
     h: list[np.ndarray]
-    b1: list[tuple[int, int]]
     parts: list[np.ndarray]
 
 
 def _evaluate(model: Model, tree: StateTree, actions, eta: float) -> _Evaluation:
     """Evaluate a chain policy, gated on the kappa-route residuals."""
-    chain = _chain(model, tree, actions)
-    lam, delta_e, d, h_levels = _evaluate_chain(model, tree, chain, eta)
+    lev, idx = _b1_list(tree, actions)
+    lam, delta_e, d, h_levels = _evaluate_chain(model, tree, lev, idx, eta)
     parts = _c1_parts(model, tree, h_levels)
-    worst = _check_residuals(tree, chain.b1, h_levels, lam, eta, parts)
-    if worst > RESIDUAL_TOL:
+    worst = _check_residuals(tree, lev, idx, h_levels, lam, eta, parts)
+    if not worst <= RESIDUAL_TOL:
         raise RuntimeError(
             f"policy evaluation residual {worst:.3e} exceeds {RESIDUAL_TOL} (eta={eta}, K={tree.K})"
         )
-    return _Evaluation(lam, delta_e, d, h_levels, chain.b1, parts)
+    return _Evaluation(lam, delta_e, d, h_levels, parts)
 
 
 def evaluate_policy(model: Model, tree: StateTree, actions, eta: float):
@@ -384,7 +370,7 @@ def evaluate_components(model: Model, tree: StateTree, actions=None):
         actions = tree.last_actions
         if actions is None:
             raise ValueError("no action table given and none recorded on the tree")
-    _, delta_e, d, _ = _evaluate_chain(model, tree, _chain(model, tree, actions), 1.0)
+    _, delta_e, d, _ = _evaluate_chain(model, tree, *_b1_list(tree, actions), 1.0)
     return delta_e, d
 
 
@@ -415,7 +401,7 @@ def _improve(model: Model, tree: StateTree, parts, lam: float, eta: float) -> li
 
 
 def policy_improve(model: Model, tree: StateTree, h_levels, lam: float, eta: float):
-    """Public improvement step: returns (per-level action arrays, B1 set).
+    """Public improvement step: returns (per-level action arrays, B1 as ``(lev, idx)`` arrays).
 
     The new table is recorded as ``tree.last_actions`` for
     ``evaluate_components``.
@@ -423,8 +409,7 @@ def policy_improve(model: Model, tree: StateTree, h_levels, lam: float, eta: flo
     takes = _improve(model, tree, _c1_parts(model, tree, h_levels), lam, eta)
     actions = _chain_actions(tree, takes)
     tree.last_actions = [a.copy() for a in actions]
-    b1 = [(l, int(j)) for l in range(2, tree.K + 1) for j in np.flatnonzero(takes[l])]
-    return actions, b1
+    return actions, _b1_list(tree, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +430,6 @@ class PolicySolution:
     values: tuple[float, ...]
     actions: list[np.ndarray]
     h: list[np.ndarray]
-    b1: list[tuple[int, int]] = field(default_factory=list)
     model_hash: str = ""
 
     @property
@@ -454,7 +438,7 @@ class PolicySolution:
 
     @property
     def b1_size(self) -> int:
-        return len(self.b1)
+        return sum(int(np.count_nonzero(acts == 1)) for acts in self.actions[2:])
 
     @property
     def max_buffer(self) -> int:
@@ -470,7 +454,12 @@ class PolicySolution:
         return self.action_for(entries)
 
     def b1_states(self):
-        return (buffer_entries(self.values, l, i) for l, i in self.b1)
+        """The states of length >= 2 that send their oldest packet, level by level."""
+        return (
+            buffer_entries(self.values, l, i)
+            for l in range(2, self.K + 1)
+            for i in np.flatnonzero(self.actions[l] == 1).tolist()
+        )
 
     def to_json(self, path: str) -> None:
         doc = {
@@ -520,7 +509,7 @@ class PolicySolution:
                 f"action table has {len(rles)} levels, expected {tree.K + 1} (levels 0..{tree.K})"
             )
         actions = [_rle_decode(rle, l, n) for l, (rle, n) in enumerate(zip(rles, tree.level_size))]
-        b1 = _b1_list(tree, actions)
+        _b1_list(tree, actions)
         return cls(
             eta=eta,
             K=tree.K,
@@ -531,7 +520,6 @@ class PolicySolution:
             values=values,
             actions=actions,
             h=[],
-            b1=b1,
             model_hash=doc["model_hash"],
         )
 
@@ -623,7 +611,6 @@ def policy_iteration(
         values=tuple(model.v.values),
         actions=actions,
         h=ev.h,
-        b1=ev.b1,
         model_hash=model.config_hash(),
     )
 
@@ -722,7 +709,6 @@ def generic_policy_iteration(model: Model, eta: float, K: int) -> PolicySolution
             f"generic policy iteration did not converge within {MAX_ITERS} iterations "
             f"(eta={eta}, K={K})"
         )
-    b1 = [(l, int(i)) for l in range(2, K + 1) for i in np.flatnonzero(actions[l] == 1)]
     return PolicySolution(
         eta=eta,
         K=K,
@@ -733,7 +719,6 @@ def generic_policy_iteration(model: Model, eta: float, K: int) -> PolicySolution
         values=tuple(model.v.values),
         actions=[a.copy() for a in actions],
         h=[x.copy() for x in h_levels],
-        b1=b1,
         model_hash=model.config_hash(),
     )
 

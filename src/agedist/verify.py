@@ -19,7 +19,6 @@ import numpy as np
 
 from .bufferignorant import (
     BinarySource,
-    PlainThresholdBitPolicy,
     TunstallThresholdBitPolicy,
     oracle_chain_length,
     threshold_chain_matrix,
@@ -33,7 +32,6 @@ from .statetree import picked_digits
 from .strategies import (
     s1_point,
     s1_transition_matrix,
-    s2_point,
     s3_point,
     s3_transition_matrix,
     stationary_distribution,

@@ -104,8 +104,21 @@ def test_threshold_tau0(src):
     assert pt.d == pytest.approx(6.7 * 0.512, abs=1e-12)
 
 
-@pytest.mark.parametrize("tau", list(range(0, 13)))
-def test_threshold_pi_against_chain_solve(src, tau):
+@pytest.mark.parametrize(
+    "q,p,N,tau",
+    [pytest.param(0.3, 0.2, 3, tau, id=str(tau)) for tau in range(13)]
+    # depths where an alternating-sum closed form cancelled: d = 1.166 for 5.36
+    # (fig1, N = 1), d < 0 (fig1, N = 3), pi off by a factor of 50 (fig2, N = 2)
+    + [
+        pytest.param(0.3, 0.2, 1, 100, id="fig1-N1-100"),
+        pytest.param(0.3, 0.2, 3, 200, id="fig1-N3-200"),
+        pytest.param(0.2, 0.3, 2, 30, id="fig2-N2-30"),
+        # the leftover law grows about 4.8-fold per step down from tau and is rescaled
+        pytest.param(0.3, 0.8, 3, 600, id="p0.8-N3-600"),
+    ],
+)
+def test_threshold_pi_against_chain_solve(q, p, N, tau):
+    src = BinarySource(q=q, v=20.0, p=p, N=N)
     pt = threshold_point(src, tau)
     assert pt.pi_sum() == pytest.approx(1.0, abs=1e-10)
     L = oracle_chain_length(src, tau)
@@ -114,6 +127,16 @@ def test_threshold_pi_against_chain_solve(src, tau):
     num = stationary_distribution(P)
     worst = max(abs(pt.pi_of(l) - num[l - 1]) for l in range(1, L - 2))
     assert worst < 1e-9
+    s = np.array([PlainThresholdBitPolicy(src, tau).action(l) for l in range(1, L + 1)])
+    assert pt.delta_e == pytest.approx(num @ (np.arange(1, L + 1) - s), abs=1e-9)
+    assert pt.d == pytest.approx(src.mu_v * p * (num @ np.maximum(s - N, 0)), abs=1e-9)
+
+
+def test_threshold_point_rejects_speaking_every_slot():
+    src = BinarySource(q=0.3, v=20.0, p=1.0, N=3)
+    assert threshold_point(src, 0).d == 0.0
+    with pytest.raises(ValueError, match="tau=2 with N=3"):
+        threshold_point(src, 2)
 
 
 @pytest.mark.parametrize("N", [3, 6])

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from agedist.solver import (
     average_cost_solve,
 )
 from agedist.statetree import buffer_digits
+from agedist.strategies import window_table
 from agedist.verify import (
     property1_violations,
     property2_violations,
@@ -338,7 +340,29 @@ def test_reduced_system_matches_dense_on_random_chain_policies(model):
                 np.testing.assert_allclose(ev.h[l], h[l], atol=1e-9)
 
 
-def _block_assembly(model, tree, chain):
+def _chain_bookkeeping(model, tree, actions):
+    """Per-node edge costs and B1 ancestors of a chain policy, by the parent recursion.
+
+    ``cost[l][i]`` is the edge cost b1/mu accumulated from the node up to its
+    nearest B1 ancestor, ``po[l][i]`` that ancestor's position in ``b1`` (-1
+    when the chain ends at a singleton), and ``b1`` lists the states of
+    length >= 2 that send their oldest packet, level by level.
+    """
+    b1mu = (tree.values / model.mu)[:, None]
+    cost = [np.zeros(n) for n in tree.level_size[:2]]
+    po = [np.full(n, -1, dtype=np.int64) for n in tree.level_size[:2]]
+    b1 = []
+    for l in range(2, tree.K + 1):
+        is_b1 = (np.asarray(actions[l]) == 1).reshape(tree.m, -1)
+        cost.append(np.where(is_b1, 0.0, cost[l - 1] + b1mu).ravel())
+        new = np.flatnonzero(is_b1)
+        po.append(np.tile(po[l - 1], tree.m))
+        po[l][new] = len(b1) + np.arange(len(new))
+        b1.extend((l, int(j)) for j in new)
+    return cost, po, b1
+
+
+def _block_assembly(model, tree, actions):
     """Reference for ``solver._assemble``: the reduced system read from the trie blocks.
 
     Each row sends its oldest packet, so its next state depends only on its
@@ -349,21 +373,22 @@ def _block_assembly(model, tree, chain):
     suffix chain once per suffix node; the other blocks are read per row.
     """
     K, m = tree.K, tree.m
-    n = len(chain.b1) + 1
-    levels = np.array([1] + [l for l, _ in chain.b1])
-    index = np.array([0] + [i for _, i in chain.b1])
+    chain_cost, chain_po, b1 = _chain_bookkeeping(model, tree, actions)
+    n = len(b1) + 1
+    levels = np.array([1] + [l for l, _ in b1])
+    index = np.array([0] + [i for _, i in b1])
     parents = index % m ** (levels - 1)
 
     def expect(level, anchors, k, w):
         """w * E over V^k of (one-hot system state, edge cost) at ``anchor || V^k``, per anchor."""
         if w == 0.0:
             return np.zeros((len(anchors), n)), np.zeros(len(anchors))
-        cols = chain.po[level].reshape(-1, m**k)[anchors]
+        cols = chain_po[level].reshape(-1, m**k)[anchors]
         cols += (np.arange(len(anchors)) * n + 1)[:, None]
         wts = np.tile(tree.wprob[k], len(anchors))
         trans = np.bincount(cols.ravel(), weights=wts, minlength=len(anchors) * n).reshape(-1, n)
         trans *= w
-        return trans, w * (chain.cost[level].reshape(-1, m**k)[anchors] @ tree.wprob[k])
+        return trans, w * (chain_cost[level].reshape(-1, m**k)[anchors] @ tree.wprob[k])
 
     suffixes = []  # per length p < K: every length-p suffix of a parent, sorted
     deeper = np.empty(0, dtype=np.int64)
@@ -412,9 +437,9 @@ def test_assembly_matches_block_reference(fig1):
             for density in (0.1, 0.6):
                 density = min(density, 150 / tree.node_count())
                 takes = [None, None] + [rng.random(n) < density for n in tree.level_size[2:]]
-                chain = solver._chain(model, tree, _chain_actions(tree, takes))
-                P, cost = solver._assemble(model, tree, chain)
-                want_P, want_cost = _block_assembly(model, tree, chain)
+                actions = _chain_actions(tree, takes)
+                P, cost = solver._assemble(model, tree, *solver._b1_list(tree, actions))
+                want_P, want_cost = _block_assembly(model, tree, actions)
                 np.testing.assert_allclose(P, want_P, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(cost, want_cost, rtol=0, atol=1e-12)
 
@@ -465,10 +490,14 @@ def test_components_bitwise_equal_across_paths(case, fig1, three_level):
     delta_e, d = evaluate_components(model, tree)
     assert (lam, delta_e, d) == (sol.lam, sol.delta_e, sol.d)
     # the step-wise improvement from the converged (lambda, h) is the fixed point
-    actions, _ = policy_improve(model, tree, h, lam, sol.eta)
+    actions, (lev, idx) = policy_improve(model, tree, h, lam, sol.eta)
     assert [(a.dtype, a.tobytes()) for a in actions] == [
         (a.dtype, a.tobytes()) for a in sol.actions
     ]
+    # its B1 arrays are level-major with ascending indices, as the assembly's search needs
+    assert len(idx) == sol.b1_size
+    assert np.all(np.diff(lev * tree.m**tree.K + idx) > 0)
+    assert all(sol.actions[l][i] == 1 for l, i in zip(lev, idx))
 
 
 def test_efficient_route_reads_no_block_weights(fig1):
@@ -482,23 +511,26 @@ def test_efficient_route_reads_no_block_weights(fig1):
     assert "wprob" not in vars(tree)
 
 
-def test_residual_gate_rejects_perturbed_h(fig1, monkeypatch):
-    # shift one B1 entry of the solved h: the kappa-route residual must fire
-    sol = policy_iteration(fig1, 0.3)
+@pytest.mark.parametrize("which", ["first", "last-of-deepest"])
+def test_residual_gate_rejects_perturbed_h(monkeypatch, which):
+    # shift one B1 entry of the solved h, the first one or the last of the 16
+    # on the deepest level: the kappa-route residual, a maximum per level, must fire
+    model = Model(ImportanceDist((1.0, 5.0, 20.0), (0.5, 0.3, 0.2)), Geometric(0.2))
+    sol = policy_iteration(model, 0.6)
     real = solver._evaluate_chain
 
-    def shifted(model, tree, chain, eta):
-        lam, delta_e, d, h = real(model, tree, chain, eta)
-        if chain.b1:
-            l, i = chain.b1[0]
-            h[l][i] += 1e-6
+    def shifted(model, tree, lev, idx, eta):
+        lam, delta_e, d, h = real(model, tree, lev, idx, eta)
+        if len(idx):
+            y = 0 if which == "first" else -1
+            h[lev[y]][idx[y]] += 1e-6
         return lam, delta_e, d, h
 
     monkeypatch.setattr(solver, "_evaluate_chain", shifted)
     with pytest.raises(RuntimeError, match="residual"):
-        policy_iteration(fig1, 0.3)
+        policy_iteration(model, 0.6)
     with pytest.raises(RuntimeError, match="residual"):
-        evaluate_policy(fig1, StateTree(fig1, sol.K), sol.actions, 0.3)
+        evaluate_policy(model, StateTree(model, sol.K), sol.actions, 0.6)
 
 
 def test_components_respect_floor(fig1):
@@ -519,10 +551,10 @@ def test_improve_keeps_send_latest_above_eta_max(fig1):
     send_latest = [np.full(tree.level_size[l], l, dtype=np.int32) for l in range(K + 1)]
     eta = fig1.eta_max() + 0.2
     lam, h = evaluate_policy(fig1, tree, send_latest, eta)
-    actions, b1 = policy_improve(fig1, tree, h, lam, eta)
+    actions, (lev, idx) = policy_improve(fig1, tree, h, lam, eta)
     for l in range(1, K + 1):
         assert np.all(actions[l] == l)
-    assert b1 == []
+    assert len(lev) == len(idx) == 0
 
 
 def test_improve_extreme_state_both_sides(fig1):
@@ -596,24 +628,48 @@ def test_policy_solution_round_trip(fig1, tmp_path):
     for l in range(1, sol.K + 1):
         assert np.array_equal(back.actions[l], sol.actions[l])
     assert back.action_for((20.0, 1.0)) == sol.action_for((20.0, 1.0))
-    assert back.b1 == sol.b1
+    assert back.b1_size == sol.b1_size
+    assert list(back.b1_states()) == list(sol.b1_states())
     other = Model(ImportanceDist((1.0, 2.0), (0.5, 0.5)), Geometric(0.2))
     with pytest.raises(ValueError):
         PolicySolution.from_json(str(path), other)
 
 
 def test_policy_file_load_builds_no_bookkeeping(fig1, tmp_path, monkeypatch):
-    # loading checks the table and lists B1; the per-node edge costs and
-    # B1 ancestors are built only for an evaluation
+    # loading only checks the table; the reduced system is built only for an
+    # evaluation
     sol = policy_iteration(fig1, 0.5)
     path = tmp_path / "pol.json"
     sol.to_json(str(path))
 
-    def bookkeeping(*args):
-        raise AssertionError("per-node bookkeeping built at load")
+    def assemble(*args):
+        raise AssertionError("reduced system assembled at load")
 
-    monkeypatch.setattr(solver, "_chain", bookkeeping)
-    assert PolicySolution.from_json(str(path), fig1).b1 == sol.b1
+    monkeypatch.setattr(solver, "_assemble", assemble)
+    back = PolicySolution.from_json(str(path), fig1)
+    assert back.b1_size == sol.b1_size
+    for a, b in zip(back.actions, sol.actions, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_deep_policy_file_load_memory(fig1, tmp_path):
+    # the S1 window table at K = 16 (65535 B1 states): loading must not
+    # build a Python object per B1 state, so its traced peak stays within a
+    # few copies of the decoded table
+    table = window_table(fig1, "S1", 16)
+    sol = PolicySolution(1.0, 16, 0.0, 0.0, 0.0, 0, table.values, table.actions, [])
+    sol.model_hash = fig1.config_hash()
+    path = tmp_path / "s1.json"
+    sol.to_json(str(path))
+    table_bytes = sum(a.nbytes for a in table.actions)
+    tracemalloc.start()
+    try:
+        back = PolicySolution.from_json(str(path), fig1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.b1_size == sol.b1_size
+    assert peak < 8 * table_bytes, f"{peak / table_bytes:.1f}x the decoded table"
 
 
 def _rle_by_entry(arr):
@@ -822,7 +878,7 @@ def test_warm_start_matches_cold_solve(fig1):
             warm = policy_iteration(fig1, 0.9, K, start=start)
             cold = policy_iteration(fig1, 0.9, K)
             assert warm.lam == pytest.approx(cold.lam, abs=1e-9)
-            assert warm.b1 == cold.b1
+            assert warm.b1_size == cold.b1_size
             for a, b in zip(warm.actions, cold.actions, strict=True):
                 assert np.array_equal(a, b)
 
