@@ -29,32 +29,33 @@ removed per delivery, and the routes differ in how they pick.
   removes a number that depends on l alone, so one row serves every
   delivery, and a Tunstall policy's skip-state word lengths are parsed for
   all deliveries at once.
-- S3 (``index_pick``) picks in O(1) from two index arrays over the
-  arrivals, called once per delivery by ``_run``.
+- S3 (``S3Policy.starts``) counts the important arrivals it has consumed,
+  one list comprehension per ``KEY_CHUNK`` deliveries.
 - Any other policy is a plain callable: ``_run`` calls it with the buffer
   slice, at every slot in erasure mode.
 
 Before the first slot every action table entry, and every length of a bit
 policy's row, is checked against the rule the callable route applies per
 query: ``1 <= s <= l``, and no pick of a ``v_min`` packet unless it is the
-newest.  A checked table, like S3's pick, cannot fail on a lost erasure
+newest.  A checked table, like S3's walk, cannot fail on a lost erasure
 slot, so erasure mode walks only the delivering slots and stays
 bit-identical to direct mode.
 
-Distortion and age are accounted after the walk, by numpy, one slot span
-at a time.  Distortion is charged when an entry becomes unsendable: a
-delivery passes over it, or it falls off the window K (slot j's arrival at
-slot j + K); the fall-offs follow from the trajectory.  Each importance is
-read on demand from the arrival's value index.  Excess age is recorded per
-delivery.  After a burn-in of 1% of the horizon, standard errors come from
-the means of ``BATCHES`` equal slot spans, each summed in slot order by a
-sequential ``cumsum``, so the result has the bits of a loop that charged
-each slot as it went.
+Distortion and age are accounted after the walk, by numpy.  Distortion is
+charged when an entry becomes unsendable: a delivery passes over it, or it
+falls off the window K (slot j's arrival at slot j + K); the fall-offs
+follow from the trajectory.  Entries leave from the oldest end, so these
+charges come in arrival order, and each arrival's is read from its value
+index.  Excess age is recorded per delivery.  After a burn-in of 1% of the
+horizon, standard errors come from the means of ``BATCHES`` equal slot
+spans, each summed by a sequential ``cumsum``, so the result has the bits
+of a loop that charged each slot as it went.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -66,7 +67,8 @@ from .statetree import buffer_entries
 
 MAX_HORIZON = 2**31 - 1  # slots and lengths are int32 in the trajectory
 BATCHES = 32  # equal slot spans behind each batch-means standard error
-KEY_CHUNK = 4096  # deliveries per numpy pass: rolling trie keys, rest tables, skip sums
+KEY_CHUNK = 4096  # deliveries per list comprehension of a walk, per pass of its table, per age-area sum
+ACCOUNT_BLOCK = 1 << 13  # arrivals per accounting pass: its two buffers stay in cache, reused
 DRAW_CHUNK = 1 << 14  # uniforms per rng.random call: one stream, no horizon-long float64 array
 SHORT_RUN = 32  # below this inner run a table check tests the flat level, not a 3-d view
 
@@ -109,14 +111,10 @@ class SimResult:
         return float(np.std(comb, ddof=1) / np.sqrt(len(comb)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "delta_e": self.delta_e,
-            "se_delta": self.se_delta,
-            "d": self.d,
-            "se_d": self.se_d,
-            "horizon": self.horizon,
-            "seed": self.seed,
-        }
+        """The result's fields as strict JSON: a standard error of fewer than two batches is null, not NaN."""
+        doc = {"delta_e": self.delta_e, "se_delta": self.se_delta, "d": self.d, "se_d": self.se_d}
+        doc = {name: x if math.isfinite(x) else None for name, x in doc.items()}
+        return doc | {"horizon": self.horizon, "seed": self.seed}
 
     def to_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -137,14 +135,22 @@ def _uniforms(rng: np.random.Generator, n: int):
         yield lo, rng.random(min(DRAW_CHUNK, n - lo))
 
 
+def _inverse_cdf(probs, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = each uniform's index: the count of the first len(probs) - 1 cumulative sums <= u.
+
+    That is ``searchsorted(cumsum(probs), u, side="right")`` clipped at the last index.
+    """
+    out[...] = 0
+    for c in np.cumsum(probs)[:-1]:
+        out += u >= c
+    return out
+
+
 def _draw_arrival_digits(model: Model, rng: np.random.Generator, n: int) -> np.ndarray:
     """Index into ``model.v.values`` of each slot's arrival, in the smallest unsigned dtype."""
-    cum = np.cumsum(model.v.probs)
-    digits = np.empty(n, np.min_scalar_type(len(cum) - 1))
+    digits = np.empty(n, np.min_scalar_type(model.v.size - 1))
     for lo, u in _uniforms(rng, n):
-        chunk = np.searchsorted(cum, u, side="right")
-        np.minimum(chunk, len(cum) - 1, out=chunk)  # a draw past the rounded last sum
-        digits[lo : lo + len(u)] = chunk
+        _inverse_cdf(model.v.probs, u, digits[lo : lo + len(u)])
     return digits
 
 
@@ -167,13 +173,11 @@ def _speak_slots(model: Model, rng: np.random.Generator, horizon: int) -> np.nda
     """1-based slots at which the sender speaks."""
     if isinstance(model.z, Geometric):
         return _slots_where(_flags(rng, model.z.p, horizon))
-    cum = np.cumsum(model.z.probs)
     chunks = []
     t = 0
-    while t <= horizon:
-        gaps = np.searchsorted(cum, rng.random(1024), side="right")
-        np.minimum(gaps, len(cum) - 1, out=gaps)  # a draw past the rounded last sum
-        ends = t + np.cumsum(gaps + 1)
+    while t <= horizon:  # gap - 1 is below FINITE_PMF_MAX_SUPPORT, so it fits uint8
+        gaps = _inverse_cdf(model.z.probs, rng.random(DRAW_CHUNK), np.empty(DRAW_CHUNK, np.uint8))
+        ends = t + np.cumsum(gaps + np.int64(1))
         chunks.append(ends[ends <= horizon])
         t = int(ends[-1])
     return np.concatenate(chunks)
@@ -242,30 +246,26 @@ def _table_rows(model: Model, policy, digits: np.ndarray, speaks: np.ndarray):
     return rows, K
 
 
-def _run(config: SimConfig, weights, codes, speaks, pick, max_buffer, success=None) -> SimResult:
-    """The per-query loop of S3 and plain callables: it records l and removed, numpy charges them.
+def _run(config: SimConfig, speaks, pick, max_buffer, success=None):
+    """The per-query loop of a plain callable: l and removed per delivery, after an empty delivery at slot 0.
 
-    Slot j's arrival costs ``weights[codes[j - 1]]`` when it goes unsent.
     The query slots are the delivering slots ``speaks``, or with ``success``
     every slot, delivering where its flag is set.  At each query
     ``pick(t, l)`` selects the s-th oldest of the newest l arrivals: on
-    delivery the oldest s entries leave, the oldest s - 1 of them unsent.
-    ``max_buffer`` is the window K, or None.
+    delivery the oldest s entries leave.  ``max_buffer`` is the window K.
     """
-    K = config.horizon if max_buffer is None else max_buffer  # l never exceeds the horizon
     if success is None:
         queries = zip(memoryview(speaks), repeat(True))
     else:
         queries = zip(range(1, config.horizon + 1), memoryview(success))
-    # per delivery: l and removed, after an empty delivery at slot 0
     lengths, removals = array("i", [0]), array("i", [0])
     put_l, put_removed = lengths.append, removals.append
     l = prev = 0
     for t, deliver in queries:
         l += t - prev
         prev = t
-        if l > K:
-            l = K
+        if l > max_buffer:
+            l = max_buffer
         s = pick(t, l)
         if not 1 <= s <= l:
             raise RuntimeError(f"policy returned infeasible action {s} for length {l}")
@@ -273,62 +273,77 @@ def _run(config: SimConfig, weights, codes, speaks, pick, max_buffer, success=No
             put_l(l)
             put_removed(s)
             l -= s
-    del pick  # S3's index arrays
-    dl, dr = (np.frombuffer(a, np.intc) for a in (lengths, removals))
-    ds = dr - 1
-    ds[0] = 0
-    return _account(config, weights, codes, K, speaks, dl, ds, dr)
+    return np.frombuffer(lengths, np.intc), np.frombuffer(removals, np.intc)
 
 
 def _account(config: SimConfig, weights, codes, K, speaks, dl, ds, dr) -> SimResult:
-    """SimResult from a trajectory, accounted by numpy one slot span at a time.
+    """SimResult from a trajectory, charged by numpy in arrival order.
 
     ``dl``, ``ds`` and ``dr`` hold l, skipped and removed per delivery,
-    after an empty delivery at slot 0.  After delivery k everything up to
-    the delivered entry's arrival slot ``S_k = t_k - l_k + removed_k`` has
-    left the buffer, so the arrival of slot u - K falls off at each slot u
-    in (S_k + K, t_(k+1)], and the horizon closes the run like one more
-    delivery.  A span's charges are added in slot order, a fall-off before
-    the delivery of its slot and a skip's entries oldest first, by
-    sequential ``cumsum``: the float additions of a per-slot loop, so its
-    bits.
+    after an empty delivery at slot 0.  Delivery k at slot t_k removes the
+    arrival indices first_k = t_k - l_k .. left_k - 1, left_k = first_k +
+    removed_k, the oldest skipped_k unsent; those from left_(k-1) up to
+    first_k fell off the window K.  Entries leave from the oldest end, so
+    the charges in slot order are, in arrival order, each fall-off's
+    importance and each skip's sum at its oldest entry, with +0.0 (which
+    changes no float) at every other arrival: a sequential ``cumsum`` over
+    each span's arrivals, ``ACCOUNT_BLOCK`` at a time with the total
+    carried, has the bits of a per-slot loop.  A span's arrivals end at the
+    buffer's start after its last slot E, max(left_k, E - K) for the last
+    delivery k at or before E; the horizon closes the run.
     """
     horizon, burn, nb = config.horizon, config.burn, BATCHES
     weights = np.asarray(weights, dtype=float)
     # span 0 is the burn-in; span i >= 1 is batch i - 1, slots (ends[i], ends[i + 1]]
-    ends = [0] + [burn + (i * (horizon - burn) + nb - 1) // nb for i in range(nb + 1)]
-    points = np.concatenate(([0], speaks, [horizon]))  # delivery k's slot at index k
-    at = np.searchsorted(speaks, ends, side="right")
-    # each delivery's skip sum, its entries added oldest first: one pass per skip depth,
-    # KEY_CHUNK deliveries at a time, so no index array spans the run
-    skips = np.zeros(len(dl))
-    for lo in range(1, len(dl), KEY_CHUNK):
-        on = np.flatnonzero(ds[lo : lo + KEY_CHUNK]) + lo
-        entry = points[on] - dl[on]  # each skip's next entry, from the buffer's 0-based start
-        for depth in range(1, int(ds[lo : lo + KEY_CHUNK].max()) + 1):
-            skips[on] += weights[codes[entry]]
-            more = ds[on] > depth
-            on, entry = on[more], entry[more] + 1
-    age, charge = np.zeros(nb + 1), np.zeros(nb + 1)
+    ends = np.array([0] + [burn + (i * (horizon - burn) + nb - 1) // nb for i in range(nb + 1)])
+    at = np.searchsorted(speaks, ends, side="right")  # the last delivery of each span
+    age = np.diff(np.cumsum(dl - dr)[at])
+    first = np.zeros(len(dl), np.int32)
+    np.subtract(speaks, dl[1:], out=first[1:])
+    bounds = np.maximum(first[at] + dr[at], ends - K).tolist()
+    # excess age tau - left_k over the post-burn-in slots tau in (t_k, t_(k+1)], t_(n+1) = horizon,
+    # read off max(t, burn) and added in delivery order KEY_CHUNK at a time
+    t = np.maximum(np.concatenate(([0], speaks, [horizon])), burn)
     raw_age = 0.0
+    for lo in range(0, len(dl), KEY_CHUNK):
+        chunk = slice(lo, lo + KEY_CHUNK)
+        a, b, left = t[:-1][chunk], t[1:][chunk], first[chunk] + dr[chunk]
+        areas = (a + 1 + b) * (b - a) / 2.0 - (b - a) * left
+        areas[0] += raw_age
+        raw_age = np.cumsum(areas, out=areas)[-1]
+    del t, a, b  # views of t
+    # each skip's sum, its entries added oldest first: pass j adds the j-th entry of every skip
+    # at least j long, and sorted by length those are a suffix
+    on = np.flatnonzero(ds)
+    on = on[np.argsort(ds[on])]
+    entry, sums = first[on], np.zeros(len(on))
+    for j in np.searchsorted(ds[on], np.arange(1, ds.max() + 1)).tolist():
+        sums[j:] += weights.take(codes.take(entry[j:]))
+        entry[j:] += 1
+    skips = np.zeros(len(dl))
+    skips[on] = sums
+    del on, entry, sums  # only the skip sums outlive the passes
+    first, dr, skips = first[1:], dr[1:], skips[1:]  # delivery k at index k - 1
+    charge, cut = np.zeros(nb + 1), horizon - K  # no arrival from the cut on falls off
+    buf, marks = np.empty(ACCOUNT_BLOCK), np.empty(ACCOUNT_BLOCK + 1, np.int8)  # reused by every block
     for i in range(nb + 1):
-        k = slice(at[i] + 1, at[i + 1] + 1)  # the span's deliveries
-        t = points[k]
-        age[i] = (dl[k] - dr[k]).sum()
-        # the span's points and the next one, whose fall-offs may reach back into the span
-        b, before = points[at[i] + 1 : at[i + 1] + 2], slice(at[i], at[i + 1] + 1)
-        last_t, last_s = points[before], points[before] - dl[before] + dr[before]
-        x = np.maximum(b - last_s - K, 0)
-        u = np.repeat(b - x + 1 - (np.cumsum(x) - x), x) + np.arange(x.sum())
-        u = u[(u > ends[i]) & (u <= ends[i + 1])]
-        events = np.insert(weights[codes[u - K - 1]], np.searchsorted(u, t, side="right"), skips[k])
-        charge[i] = np.cumsum(events)[-1] if len(events) else 0.0
-        # excess age tau - S_k over the post-burn-in slots tau in (t_k, t_(k+1)]; the last span closes
-        n_areas = len(t) + (i == nb)
-        a = np.maximum(last_t[:n_areas], burn)
-        n = np.maximum(b[:n_areas] - a, 0)
-        areas = (a + 1 + b[:n_areas]) * n / 2.0 - n * last_s[:n_areas]
-        raw_age = np.cumsum(np.append(raw_age, areas))[-1]
+        for lo in range(bounds[i], min(bounds[i + 1], cut), ACCOUNT_BLOCK):
+            hi = min(lo + ACCOUNT_BLOCK, bounds[i + 1], cut)
+            c, mark = buf[: hi - lo], marks[: hi - lo + 1]
+            weights.take(codes[lo:hi], out=c)
+            # zero the removals from delivery k on, which overlap the block, and place the skip sums
+            k0, k1 = np.searchsorted(first, (lo, hi)).tolist()
+            k = k0 - 1 if k0 and first[k0 - 1] + dr[k0 - 1] > lo else k0
+            starts = first[k:k1] - lo
+            mark[:] = 0
+            mark[np.minimum(starts + dr[k:k1], hi - lo)] = -1
+            mark[np.maximum(starts, 0)] += 1  # a removal that ends where the next begins marks 0
+            np.copyto(c, 0.0, where=np.cumsum(mark, dtype=np.int8, out=mark)[:-1].view(bool))
+            c[starts[k0 - k :]] = skips[k0:k1]
+            c[0] += charge[i]
+            charge[i] = np.cumsum(c, out=c)[-1]
+        k0, k1 = np.searchsorted(first, (max(bounds[i], cut), max(bounds[i + 1], cut))).tolist()
+        charge[i] = np.cumsum(np.append(charge[i], skips[k0:k1]))[-1]  # past the cut, skips alone
     return _batch_means(config, age[1:], np.diff(at)[1:], charge[1:], np.diff(ends)[1:], raw_age)
 
 
@@ -388,33 +403,40 @@ def _run_packets(config: SimConfig, policy, digits, speaks, success=None) -> Sim
     ``digits`` are the arrivals' value indices and ``speaks`` the delivering
     slots; in erasure mode ``success`` holds every slot's flag.  A policy
     carrying ``actions`` and ``values`` walks its rest table, and S3 (a
-    policy with ``index_pick``) picks by index, both over the delivering
-    slots alone.  Any other policy is called with the buffer slice at each
-    query slot, which in erasure mode is every slot.
+    policy with ``starts``) its count of important arrivals, both over the
+    delivering slots alone.  Any other policy is called with the buffer
+    slice at each query slot, which in erasure mode is every slot.
     """
     model = config.model
     values = model.v.values
+    K = config.horizon  # an untruncated buffer never holds more than the horizon
     if hasattr(policy, "actions") and hasattr(policy, "values"):
         rows, K = _table_rows(model, policy, digits, speaks)
         dl, dr = _walk(speaks, K, K, rows)
-        ds = dr - 1
-        ds[0] = 0
-        return _account(config, values, digits, K, speaks, dl, ds, dr)
-    if hasattr(policy, "index_pick"):
+    elif hasattr(policy, "starts"):
         important = np.asarray(values) > model.v.v_min  # per value index
-        return _run(config, values, digits, speaks, policy.index_pick(important[digits]), policy.max_buffer)
-    arrivals = np.array(values, dtype=object)[digits].tolist()
-    v_min = model.v.v_min
+        start = policy.starts(important[digits], speaks, KEY_CHUNK)
+        dl, dr = np.zeros((2, len(start)), np.int32)
+        np.subtract(speaks, start[:-1], out=dl[1:])
+        np.subtract(start[1:], start[:-1], out=dr[1:])
+        del start
+    else:
+        arrivals = np.array(values, dtype=object)[digits].tolist()
+        v_min = model.v.v_min
 
-    def pick(t, l):
-        entries = arrivals[t - l : t]
-        s = int(policy(entries))
-        if 1 <= s < l and entries[s - 1] <= v_min:
-            raise RuntimeError(f"policy returned infeasible action {s} for buffer {entries}")
-        return s
+        def pick(t, l):
+            entries = arrivals[t - l : t]
+            s = int(policy(entries))
+            if 1 <= s < l and entries[s - 1] <= v_min:
+                raise RuntimeError(f"policy returned infeasible action {s} for buffer {entries}")
+            return s
 
-    maxb = getattr(policy, "max_buffer", None)
-    return _run(config, values, digits, speaks, pick, maxb, success)
+        if getattr(policy, "max_buffer", None) is not None:
+            K = policy.max_buffer
+        dl, dr = _run(config, speaks, pick, K, success)
+    ds = dr - 1
+    ds[0] = 0
+    return _account(config, values, digits, K, speaks, dl, ds, dr)
 
 
 def simulate_policy(config: SimConfig, policy) -> SimResult:

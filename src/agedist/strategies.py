@@ -11,7 +11,7 @@ matrices are built here so tests can cross-check them against
 ``stationary_distribution``, the one dense solver's law.  For simulation,
 S1, S2 and send-latest are chain action tables (``window_table``), which
 the simulator reads as it reads a solved policy; ``S3Policy`` is a callable
-whose ``index_pick`` the simulator reads in O(1) per delivery.
+whose ``starts`` the simulator walks as a count of important arrivals.
 """
 
 from __future__ import annotations
@@ -270,6 +270,8 @@ class S3Policy:
 
     Ages matter here, so the buffer is kept untruncated: a packet at
     position j (1-based, oldest first) of a length-l buffer has age l - j.
+    The simulator walks it by ``starts``, a count of important arrivals
+    per delivery; the call on a buffer slice is its reference.
     """
 
     max_buffer = None
@@ -292,31 +294,26 @@ class S3Policy:
             return oldest_important
         return l
 
-    def index_pick(self, important: np.ndarray):
-        """This policy as ``pick(t, l)``, the action at slot t for the newest l arrivals, in O(1).
+    def starts(self, important: np.ndarray, speaks: np.ndarray, chunk: int) -> np.ndarray:
+        """The buffer's start after each delivery at ``speaks``, after an empty delivery at slot 0.
 
-        ``important[i]`` flags the arrival of slot i + 1, so the buffer holds
-        indices t - l .. t - 1.  The pick reads two int32 index arrays: the
-        newest important arrival at or before index t - 1 - K, if the buffer
-        holds it, else the first important arrival from index t - l, if
-        before t, else the newest entry.  Every pick is feasible.
+        ``important[i]`` flags the arrival of slot i + 1, so at slot t the
+        buffer holds indices start .. t - 1.  Every pick leaves through an
+        important arrival, or empties the buffer, so the state is n, the
+        important arrivals consumed.  With ``pos`` their indices, A_k =
+        #{pos < t_k - K} and B_k = #{pos < t_k}, delivery k consumes through
+        the newest important arrival older than K if the buffer holds it,
+        else the oldest one, else none: n_k = max(A_k, min(n_(k-1) + 1, B_k)),
+        one list comprehension per ``chunk`` deliveries.  The start is
+        pos[n_k - 1] + 1 where n_k grew, else t_k.
         """
-        n, K = len(important), self.K
-        older = np.full(n, -1, dtype=np.int32)  # older[t - 1]: newest important index <= t - 1 - K
-        first = np.arange(n, dtype=np.int32)  # first[i]: first important index >= i, else n
-        np.copyto(older[K:], first[: max(n - K, 0)], where=important[: max(n - K, 0)])
-        np.maximum.accumulate(older, out=older)
-        np.copyto(first, n, where=~important)
-        np.minimum.accumulate(first[::-1], out=first[::-1])
-        older, first = memoryview(older), memoryview(first)  # an item is a Python int
-
-        def pick(t: int, l: int) -> int:
-            start = t - l
-            j = older[t - 1]
-            if j < start:
-                j = first[start]
-                if j >= t:
-                    return l
-            return j - start + 1
-
-        return pick
+        pos = np.flatnonzero(important)
+        start = np.concatenate(([0], speaks))
+        n = 0
+        for lo in range(0, len(speaks), chunk):
+            t = speaks[lo : lo + chunk]
+            pairs = zip(np.searchsorted(pos, t - self.K).tolist(), np.searchsorted(pos, t).tolist())
+            taken = np.array([n] + [n := a if a > n else n + (n < b) for a, b in pairs])
+            grew = np.flatnonzero(taken[1:] > taken[:-1])
+            start[lo + 1 + grew] = pos[taken[grew + 1] - 1] + 1
+        return start

@@ -165,6 +165,23 @@ def test_simulate_json_and_reproducibility(fig1_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == first
 
 
+def test_simulate_prints_strict_json_when_batches_are_too_few(fig1, tmp_path, capsys):
+    """A run that never delivers has no standard errors: they print as null, which strict parsers accept."""
+    from agedist import Geometric, Model
+
+    model = tmp_path / "silent.json"
+    model.write_text(json.dumps(Model(fig1.v, Geometric(1e-9)).to_config()))
+    args = ["simulate", "--model", str(model), "--horizon", "10000", "--seed", "0", "--strategy", "S3", "--k", "6"]
+    assert main(args) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc["se_delta"] is None and doc["se_d"] is None
+    assert doc["delta_e"] == doc["d"] == 0.0
+
+
 def test_simulate_policy_file_and_strategy(fig1, fig1_file, tmp_path, capsys):
     from agedist import policy_iteration
 

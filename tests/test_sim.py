@@ -230,11 +230,15 @@ def test_results_pinned_bit_for_bit(fig1, name):
     _assert_pinned(name, fig1)
 
 
-@pytest.mark.parametrize("name", ["three-geo-K10", "S1-K4-erasure", "S3-K6", "bits-tunstall", "bits-length"])
+@pytest.mark.parametrize(
+    "name",
+    ["three-geo-K10", "three-solved", "S1-K4-erasure", "S3-K6", "S3-K6-erasure", "bits-tunstall", "bits-length"],
+)
 def test_chunk_sizes_keep_pinned_results(fig1, monkeypatch, name):
-    """Draws, rest tables and skip passes cut at other chunk sizes: the walk carries across cuts."""
+    """Draws (gaps of a finite PMF too), walks, age areas and accounting blocks cut at other sizes."""
     monkeypatch.setattr(sim, "DRAW_CHUNK", 1000)
     monkeypatch.setattr(sim, "KEY_CHUNK", 7)
+    monkeypatch.setattr(sim, "ACCOUNT_BLOCK", 7)  # removals and skips straddle the blocks
     _assert_pinned(name, fig1)
 
 
@@ -361,6 +365,10 @@ def _reference_bits(cfg, src, policy):
     return _loop_run(cfg, (1.0, src.v), bits, speaks, select, policy.max_buffer)
 
 
+# geometric p and seed of fig1-valued runs that never deliver, or deliver within one batch only
+SPARSE = {"no-delivery": (1e-9, 32), "one-batch": (1e-4, 31)}
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -373,39 +381,51 @@ def _reference_bits(cfg, src, policy):
         "S3-K6-erasure",
         "bits-tunstall",
         "bits-length",
+        *(f"{route}:{run}" for run in SPARSE for route in ("table", "S3", "random", "bits")),
     ],
 )
 def test_accounting_matches_per_slot_loop(fig1, name):
+    route, _, run = name.partition(":")
     cfg = SimConfig(horizon=20_000, seed=31, model=THREE_GEO)
     fig1_cfg = SimConfig(horizon=20_000, seed=32, model=fig1)
+    if run:  # the accounting's blocks and carries meet empty spans
+        p, seed = SPARSE[run]
+        model = Model(fig1.v, Geometric(p))
+        fig1_cfg = SimConfig(horizon=20_000, seed=seed, model=model)
     if name.startswith("bits"):
-        src = BinarySource.from_model(fig1, 3)
-        if name == "bits-tunstall":
-            policy = TunstallThresholdBitPolicy(src, 2, tunstall_build(src.q, 8))
-        else:
+        src = BinarySource.from_model(fig1_cfg.model, 3)
+        if name == "bits-length":
             policy = bi_policy_iteration(src, 0.2).policy()
-        bits_cfg = SimConfig(20_000, 33)
-        _assert_same_result(simulate_bit_policy(bits_cfg, src, policy), _reference_bits(bits_cfg, src, policy))
-        return
-    cases = {  # (config, erasure mode, a fresh policy)
-        "random-K5": (cfg, False, lambda: _RandomPick(THREE_GEO, 5)),
-        "random-K5-erasure": (cfg, True, lambda: _RandomPick(THREE_GEO, 5)),
-        "random-untruncated": (cfg, False, lambda: _RandomPick(THREE_GEO, None)),
-        "table-eta0.3": (fig1_cfg, False, lambda: policy_iteration(fig1, 0.3)),
-        "table-erasure": (cfg, True, lambda: policy_iteration(THREE_GEO, 0.15)),
-        "S3-K6": (fig1_cfg, False, lambda: S3Policy(fig1, 6)),
-        "S3-K6-erasure": (fig1_cfg, True, lambda: S3Policy(fig1, 6)),
-    }
-    config, erasure, make = cases[name]
-    got = (simulate_erasure if erasure else simulate_policy)(config, make())
-    policy = make()
-    if isinstance(policy, PolicySolution):
-        policy = _Called(policy)  # the reference asks the solved policy per query
-    _assert_same_result(got, _reference_packets(config, policy, erasure))
+        else:
+            policy = TunstallThresholdBitPolicy(src, 2, tunstall_build(src.q, 8))
+        bits_cfg = SimConfig(20_000, fig1_cfg.seed if run else 33)
+        got = simulate_bit_policy(bits_cfg, src, policy)
+        _assert_same_result(got, _reference_bits(bits_cfg, src, policy))
+    else:
+        cases = {  # (config, erasure mode, a fresh policy)
+            "random-K5": (cfg, False, lambda: _RandomPick(THREE_GEO, 5)),
+            "random-K5-erasure": (cfg, True, lambda: _RandomPick(THREE_GEO, 5)),
+            "random-untruncated": (cfg, False, lambda: _RandomPick(THREE_GEO, None)),
+            "table-eta0.3": (fig1_cfg, False, lambda: policy_iteration(fig1, 0.3)),
+            "table-erasure": (cfg, True, lambda: policy_iteration(THREE_GEO, 0.15)),
+            "S3-K6": (fig1_cfg, False, lambda: S3Policy(fig1, 6)),
+            "S3-K6-erasure": (fig1_cfg, True, lambda: S3Policy(fig1, 6)),
+            "table": (fig1_cfg, False, lambda: policy_iteration(fig1, 1.0)),
+            "S3": (fig1_cfg, False, lambda: S3Policy(fig1_cfg.model, 6)),
+            "random": (fig1_cfg, False, lambda: _RandomPick(fig1_cfg.model, 5)),
+        }
+        config, erasure, make = cases[route]
+        got = (simulate_erasure if erasure else simulate_policy)(config, make())
+        policy = make()
+        if isinstance(policy, PolicySolution):
+            policy = _Called(policy)  # the reference asks the solved policy per query
+        _assert_same_result(got, _reference_packets(config, policy, erasure))
+    if run:
+        assert got.batches == {"no-delivery": 0, "one-batch": 1}[run]
 
 
-class _HiddenIndex:
-    """S3 without its index route, so it is called with each buffer slice."""
+class _HiddenWalk:
+    """S3 without its walk, so it is called with each buffer slice."""
 
     def __init__(self, policy):
         self._policy = policy
@@ -416,10 +436,10 @@ class _HiddenIndex:
 
 
 @pytest.mark.parametrize("run", [simulate_policy, simulate_erasure], ids=["direct", "erasure"])
-@pytest.mark.parametrize("K", [1, 6, 12])
+@pytest.mark.parametrize("K", [1, 6, 12, 400])  # at K=400 the backlog grows past K before an older pick
 def test_s3_index_route_matches_callable_route(fig1, K, run):
     cfg = SimConfig(horizon=40_000, seed=24, model=fig1)
-    _assert_same_result(run(cfg, S3Policy(fig1, K)), run(cfg, _HiddenIndex(S3Policy(fig1, K))))
+    _assert_same_result(run(cfg, S3Policy(fig1, K)), run(cfg, _HiddenWalk(S3Policy(fig1, K))))
 
 
 @pytest.mark.parametrize("N", [2, 3, 6])
@@ -553,6 +573,16 @@ def test_top_draw_stays_in_finite_pmf_support():
     model = Model(ImportanceDist(tuple(range(1, 11)), ten), FinitePMF(ten))
     assert sim._speak_slots(model, _TopDraws(), 100).tolist() == list(range(10, 101, 10))
     assert sim._draw_arrival_digits(model, _TopDraws(), 100).tolist() == [9] * 100
+
+
+@pytest.mark.parametrize("probs", [(0.7, 0.3), (0.4, 0.0, 0.6), (0.1,) * 10, (1 / 64,) * 64])
+def test_inverse_cdf_matches_clipped_searchsorted(probs):
+    """Counting the cumulative sums <= u draws what searchsorted draws, ties and the top draw included."""
+    cum = np.cumsum(probs)
+    edges = np.concatenate((cum, np.nextafter(cum, 0.0), [0.0, np.nextafter(1.0, 0.0)]))
+    u = np.concatenate((np.random.default_rng(0).random(10_000), edges[edges < 1.0]))
+    want = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    assert np.array_equal(sim._inverse_cdf(probs, u, np.empty(len(u), np.uint8)), want)
 
 
 @pytest.mark.parametrize("length, action", [(7, 8), (5, 0), ("cap", -1)])
