@@ -4,10 +4,10 @@ When packets carry no timestamps the sender transmits contiguous N-bit
 chunks and the receiver infers their position from the (shared) speaking
 schedule, so only the buffer length matters.  This module solves the
 resulting average-cost MDP over lengths, evaluates single-threshold
-policies exactly by a recursion of positive terms, and improves them by
-replacing the fixed chunk with a variable-to-fixed Tunstall parse of the
-sendable region.  Lengths are capped at ``BI_STATE_CAP`` states,
-dictionaries at ``TUNSTALL_CAP`` words.
+policies exactly by a recursion of positive terms, and improves them, also
+in closed form, by replacing the fixed chunk with a variable-to-fixed
+Tunstall parse of the sendable region.  Lengths are capped at
+``BI_STATE_CAP`` states, dictionaries at ``TUNSTALL_CAP`` words.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Geometric, Model, check_eta
-from .sim import SimConfig, SimResult, simulate_bit_policy
 from .solver import MAX_ITERS, TIE_TOL, age_distortion_solve
 
 # Length-MDP state cap: the solve holds a few dense L_cap x L_cap float arrays
@@ -426,27 +425,28 @@ class BitCurvePoint:
     tau: int
     delta_e: float
     d: float
-    se_d: float = 0.0
 
 
 def tunstall_threshold_point(
-    source: BinarySource,
-    tau: int,
-    dictionary: TunstallDictionary,
-    *,
-    horizon: int,
-    seed: int,
-) -> tuple[BitCurvePoint, SimResult]:
-    """Monte Carlo distortion of the Tunstall-improved threshold policy.
+    source: BinarySource, tau: int, dictionary: TunstallDictionary
+) -> BitCurvePoint:
+    """Exact (delta_e, D) of the Tunstall-improved threshold policy.
 
-    The age component is unchanged from the plain threshold policy (the
-    kept backlog is identical), so delta_e is taken from the closed form;
-    only the distortion needs simulation.
+    The parse changes which bits are skipped, never the length l, so pi and
+    delta_e are ``threshold_point``'s, with pi geometric past tau + 1.  The
+    sendable bits are i.i.d. and independent of l, so summing the skips
+    (l - tau - W)^+ of the states l > tau + N over that tail gives
+    D_bit = D_bi * E[(1-p)^((W-N)^+) + p (N-W)^+], which is D_bi when W = N.
+    Each leaf is weighed under ``source.q`` by its count of ones:
+    ``dictionary.probs`` hold the law the dictionary was built for.
     """
     base = threshold_point(source, tau)
-    policy = TunstallThresholdBitPolicy(source, tau, dictionary)
-    res = simulate_bit_policy(SimConfig(horizon=horizon, seed=seed), source, policy)
-    return BitCurvePoint("bit", source.N, tau, base.delta_e, res.d, res.se_d), res
+    W = np.array([len(w) for w in dictionary.leaves])
+    ones = np.array([w.count("1") for w in dictionary.leaves])
+    prob = source.q**ones * (1.0 - source.q) ** (W - ones)
+    excess = W - source.N
+    ratio = prob @ ((1.0 - source.p) ** np.maximum(excess, 0) + source.p * np.maximum(-excess, 0))
+    return BitCurvePoint("bit", source.N, tau, base.delta_e, float(base.d * ratio))
 
 
 def write_bi_csv(fh, rows: list[BitCurvePoint]) -> None:

@@ -7,6 +7,7 @@ here.  Every command is deterministic given its arguments and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -133,11 +134,7 @@ def cmd_bufferignorant(args) -> int:
             pt = threshold_point(src, tau)
             rows.append(BitCurvePoint("bi", n, tau, pt.delta_e, pt.d))
         dic = tunstall_build(src.q, 2**n)
-        for tau in taus:
-            bit, _ = tunstall_threshold_point(
-                src, tau, dic, horizon=args.horizon, seed=args.seed + tau
-            )
-            rows.append(bit)
+        rows.extend(tunstall_threshold_point(src, tau, dic) for tau in taus)
     with open(args.out, "w", encoding="utf-8") as fh:
         write_bi_csv(fh, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -209,6 +206,7 @@ def cmd_verify(args) -> int:
     return 0 if print_report(checks) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agedist", description="age-distortion tradeoff solver and simulator"
@@ -234,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--n-bits", default="3,6")
     p.add_argument("--tau-range", default="0:12")
-    p.add_argument("--horizon", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bufferignorant)
 
     p = sub.add_parser("simulate", help="Monte Carlo one policy; JSON result")

@@ -287,9 +287,9 @@ def _evaluate_chain(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndar
     Row 0 of the system stands for all singletons and row r for B1 state
     y_r = (lev[r - 1], idx[r - 1]).  With ``sys(x)`` that row for node x,
     ``delta(y) = e_sys(y) - e_sys(parent y)`` and pi the probability of a
-    digit string, ``sys(x || w) = sys(x[1:] || w)`` unless ``x || w`` is in B1.  So the next state of a row, which sends its oldest
-    packet and so depends only on its parent ``a``, unrolls by suffix
-    corrections into
+    digit string, ``sys(x || w) = sys(x[1:] || w)`` unless ``x || w`` is in
+    B1.  So the next state of a row, which sends its oldest packet and so
+    depends only on its parent ``a``, unrolls by suffix corrections into
 
         P[r] = e_0 + sum_y Pr(Z >= |y|) pi(y) delta(y)
                    + sum_{j = 1..|a|} sum_{y : y[:j] = a[-j:]} Pr(Z = |y| - j) pi(y[j:]) delta(y)

@@ -24,6 +24,7 @@ from .bufferignorant import (
     threshold_chain_matrix,
     threshold_point,
     tunstall_build,
+    tunstall_threshold_point,
 )
 from .model import Geometric, ImportanceDist, Model
 from .sim import SimConfig, simulate_bit_policy, simulate_erasure, simulate_policy
@@ -267,9 +268,11 @@ def run_battery(
         ok = abs(dic.kraft_sum() - 1.0) < 1e-12 and dic.expected_parse_length >= src.N
         tau = 2
         plain = threshold_point(src, tau)
+        exact = tunstall_threshold_point(src, tau, dic)
         bit = simulate_bit_policy(cfg, src, TunstallThresholdBitPolicy(src, tau, dic))
         ok &= bit.d <= plain.d + 2 * bit.se_d
-        add(ok, f"bit d {bit.d:.4f} vs plain {plain.d:.4f}")
+        ok &= exact.d <= plain.d and abs(bit.d - exact.d) < 4 * bit.se_d
+        add(ok, f"bit d {bit.d:.4f} (exact {exact.d:.4f}) vs plain {plain.d:.4f}")
 
     # 11. erasure-commitment equivalence, against the direct run of check 7
     with check("erasure equivalence", None if geometric else "geometric gaps") as add:

@@ -27,6 +27,7 @@ from agedist.bufferignorant import (
     threshold_chain_matrix,
     threshold_point,
     tunstall_build,
+    tunstall_threshold_point,
 )
 from agedist.sim import SimConfig, simulate_bit_policy, simulate_erasure, simulate_policy
 from agedist.strategies import (
@@ -281,6 +282,7 @@ def test_criterion_10_tunstall(fig1):
         ok &= dic.expected_parse_length >= n - 1e-12
         for tau in (0, 2, 5):
             plain = threshold_point(src, tau)
+            exact = tunstall_threshold_point(src, tau, dic)
             res = simulate_bit_policy(
                 SimConfig(horizon=HORIZON, seed=37 + 10 * n + tau),
                 src,
@@ -289,6 +291,12 @@ def test_criterion_10_tunstall(fig1):
             if res.d > plain.d + 2 * res.se_d:
                 ok = False
                 detail = f"N={n} tau={tau}: coded {res.d:.4f} vs plain {plain.d:.4f}"
+            if exact.d > plain.d:
+                ok = False
+                detail = f"N={n} tau={tau}: exact coded {exact.d:.4f} vs plain {plain.d:.4f}"
+            if abs(res.d - exact.d) >= 4 * res.se_d:
+                ok = False
+                detail = f"N={n} tau={tau}: coded {res.d:.4f} vs exact {exact.d:.4f}"
     report(10, "tunstall optimality and coded improvement", ok, detail)
 
 

@@ -259,9 +259,78 @@ def test_tunstall_improves_plain(src):
     dic = tunstall_build(src.q, 2**src.N)
     for tau in (0, 3):
         plain = threshold_point(src, tau)
-        bit, res = tunstall_threshold_point(src, tau, dic, horizon=300_000, seed=77 + tau)
+        bit = tunstall_threshold_point(src, tau, dic)
+        policy = TunstallThresholdBitPolicy(src, tau, dic)
+        res = simulate_bit_policy(SimConfig(horizon=300_000, seed=77 + tau), src, policy)
         assert bit.delta_e == plain.delta_e
-        assert bit.d <= plain.d + 2 * res.se_d
+        assert bit.d <= plain.d
+        assert res.d <= plain.d + 2 * res.se_d
+
+
+def _coded_d_by_chain_solve(source, tau, dic):
+    """Coded distortion from a dense solve of the length chain.
+
+    A skip state l > tau + N parses a word of length W from its l - tau
+    sendable bits and skips the (l - tau - W)^+ older ones; the leaf law is
+    taken bit by bit under ``source.q``.
+    """
+    L = oracle_chain_length(source, tau)
+    pi = stationary_distribution(threshold_chain_matrix(source, tau, L))
+    W = np.array([len(w) for w in dic.leaves])
+    bit_law = {"0": 1 - source.q, "1": source.q}
+    law = np.array([math.prod(bit_law[c] for c in w) for w in dic.leaves])
+    sendable = np.arange(1, L + 1) - tau
+    skipped = np.maximum(sendable[:, None] - W, 0) @ law
+    return source.mu_v * source.p * (pi @ np.where(sendable > source.N, skipped, 0.0))
+
+
+FIG_SOURCES = {"fig1": (0.3, 20.0, 0.2), "fig2": (0.2, 20.0, 0.3)}
+
+
+@pytest.mark.parametrize(
+    "q,v,p,N,q_dic",
+    [
+        *[
+            pytest.param(*FIG_SOURCES[f], N, FIG_SOURCES[f][0], id=f"{f}-N{N}")
+            for f in FIG_SOURCES
+            for N in (1, 3, 6)
+        ],
+        pytest.param(0.05, 20.0, 0.2, 3, 0.05, id="short-words"),  # words of 1 to 7 bits
+        pytest.param(0.3, 20.0, 0.2, 3, 0.1, id="dictionary-for-other-q"),
+        pytest.param(0.1, 5.0, 0.25, 4, 0.4, id="dictionary-for-other-q-N4"),
+    ],
+)
+def test_tunstall_point_matches_length_chain_solve(q, v, p, N, q_dic):
+    src = BinarySource(q=q, v=v, p=p, N=N)
+    dic = tunstall_build(q_dic, 2**N)
+    for tau in (0, 2, 5, 40):
+        bit = tunstall_threshold_point(src, tau, dic)
+        assert (bit.variant, bit.N, bit.tau) == ("bit", N, tau)
+        assert bit.delta_e == threshold_point(src, tau).delta_e
+        assert bit.d == pytest.approx(_coded_d_by_chain_solve(src, tau, dic), rel=1e-12)
+
+
+def test_balanced_dictionary_gives_plain_point():
+    src = BinarySource(q=0.5, v=20.0, p=0.2, N=3)
+    dic = tunstall_build(src.q, 2**src.N)
+    for tau in (0, 2, 5, 40):
+        assert tunstall_threshold_point(src, tau, dic).d == pytest.approx(
+            threshold_point(src, tau).d, rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("fig", FIG_SOURCES)
+@pytest.mark.parametrize("N", [3, 6])
+def test_tunstall_point_matches_simulation(fig, N):
+    src = BinarySource(*FIG_SOURCES[fig], N=N)
+    dic = tunstall_build(src.q, 2**N)
+    for tau in (0, 2, 5):
+        bit = tunstall_threshold_point(src, tau, dic)
+        seed = 500 + 100 * list(FIG_SOURCES).index(fig) + 10 * N + tau
+        policy = TunstallThresholdBitPolicy(src, tau, dic)
+        res = simulate_bit_policy(SimConfig(horizon=1_000_000, seed=seed), src, policy)
+        assert abs(res.d - bit.d) < 4 * res.se_d
+        assert bit.d <= threshold_point(src, tau).d
 
 
 def test_uniform_dictionary_degenerates_to_plain():

@@ -4,7 +4,14 @@ import os
 
 import pytest
 
-from agedist.cli import main
+from agedist.bufferignorant import (
+    BinarySource,
+    PlainThresholdBitPolicy,
+    tunstall_build,
+    tunstall_threshold_point,
+)
+from agedist.cli import build_parser, main
+from agedist.sim import SimConfig, simulate_bit_policy
 
 
 def _lines(path):
@@ -115,32 +122,48 @@ def test_strategies_rejects_bad_model(tmp_path):
     assert main(["strategies", "--model", str(bad), "--out", out]) == 1
 
 
-def test_bufferignorant_curves(fig1_file, tmp_path):
-    out = str(tmp_path / "bi.csv")
-    rc = main(
-        [
-            "bufferignorant",
-            "--model",
-            fig1_file,
-            "--out",
-            out,
-            "--n-bits",
-            "3",
-            "--tau-range",
-            "0:2",
-            "--horizon",
-            "60000",
-            "--seed",
-            "1",
-        ]
-    )
-    assert rc == 0
-    lines = _lines(out)
+def test_bufferignorant_curves(fig1, fig1_file, tmp_path):
+    args = ["bufferignorant", "--model", fig1_file, "--n-bits", "3", "--tau-range", "0:2"]
+    outs = [tmp_path / "bi1.csv", tmp_path / "bi2.csv"]
+    for out in outs:
+        assert main([*args, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    lines = _lines(outs[0])
     assert lines[0] == "variant,N,tau,delta_e,d"
     assert sum(ln.startswith("bi,3,") for ln in lines) == 3
-    assert sum(ln.startswith("bit,3,") for ln in lines) == 3
     tau0 = [ln for ln in lines if ln.startswith("bi,3,0,")][0]
     assert float(tau0.split(",")[3]) == 0.0
+    src = BinarySource.from_model(fig1, 3)
+    dic = tunstall_build(src.q, 2**3)
+    bits = [ln for ln in lines if ln.startswith("bit,")]
+    exact = [tunstall_threshold_point(src, tau, dic) for tau in range(3)]
+    assert bits == [f"bit,3,{pt.tau},{pt.delta_e:.12g},{pt.d:.12g}" for pt in exact]
+    for gone in (["--horizon", "60000"], ["--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--out", str(outs[0]), *gone])
+        assert exc.value.code == 2
+
+
+def test_main_carries_nothing_between_calls(fig1, fig1_file, capsys):
+    """The parser is built once per process; every call still starts from the defaults."""
+    assert build_parser() is build_parser()
+    bits = ["simulate", "--model", fig1_file, "--mode", "bits", "--tau", "2", "--horizon", "20000"]
+    assert main([*bits, "--tunstall"]) == 0
+    coded = json.loads(capsys.readouterr().out)
+    assert main(bits) == 0
+    plain = json.loads(capsys.readouterr().out)
+    src = BinarySource.from_model(fig1, 3)
+    policy = PlainThresholdBitPolicy(src, 2)
+    expect = simulate_bit_policy(SimConfig(horizon=20000, seed=0), src, policy)
+    assert plain == json.loads(json.dumps(expect.to_json_dict()))
+    assert coded != plain
+    s1 = ["simulate", "--model", fig1_file, "--horizon", "20000", "--strategy"]
+    assert main([*s1, "S1", "--k", "4"]) == 0
+    capsys.readouterr()
+    assert main([*s1, "S3"]) == 2
+    assert "strategy S3 needs --k" in capsys.readouterr().err
+    args = build_parser().parse_args(["simulate", "--model", fig1_file])
+    assert (args.horizon, args.k, args.strategy, args.tunstall) == (1_000_000, None, None, False)
 
 
 def test_simulate_json_and_reproducibility(fig1_file, tmp_path, capsys):
