@@ -78,6 +78,8 @@ def bi_one_step_cost(source: BinarySource, eta: float, l: int, s: int) -> float:
 
 @dataclass
 class BIPolicySolution:
+    """A converged length policy; it is its own bit policy, on a buffer of ``L_cap`` bits."""
+
     eta: float
     N: int
     L_cap: int
@@ -86,16 +88,24 @@ class BIPolicySolution:
     d: float
     iters: int
     actions: np.ndarray  # actions[l] for l = 1..L_cap (index 0 unused)
-    h: np.ndarray
+
+    @property
+    def n_bits(self) -> int:
+        return self.N
+
+    @property
+    def max_buffer(self) -> int:
+        return self.L_cap
+
+    def action(self, l: int) -> int:
+        """The chunk end index at length l; lengths past the cap act as the cap."""
+        return int(self.actions[min(l, self.L_cap)])
 
     def matching_threshold(self) -> int | None:
-        """The tau whose single-threshold policy equals this one, if any."""
-        tau = int(max(l - int(self.actions[l]) for l in range(1, self.L_cap + 1)))
-        rule = PlainThresholdBitPolicy(self, tau).action
-        return tau if all(self.actions[l] == rule(l) for l in range(1, self.L_cap + 1)) else None
-
-    def policy(self) -> "LengthActionPolicy":
-        return LengthActionPolicy(self.actions, self.N, self.L_cap)
+        """The tau whose single-threshold policy s(l) = min(max(l - tau, N), l) equals this one, if any."""
+        l = np.arange(1, self.L_cap + 1)
+        tau = int(np.max(l - self.actions[1:]))
+        return tau if np.array_equal(self.actions[1:], np.clip(l - tau, self.N, l)) else None
 
 
 def _leftover_table(source: BinarySource, L: int):
@@ -184,7 +194,7 @@ def bi_policy_iteration(source: BinarySource, eta: float) -> BIPolicySolution:
             f"(eta={eta}, N={N}, L_cap={L})"
         )
     return BIPolicySolution(
-        eta=eta, N=N, L_cap=L, lam=lam, delta_e=delta_e, d=d, iters=iters, actions=actions, h=h
+        eta=eta, N=N, L_cap=L, lam=lam, delta_e=delta_e, d=d, iters=iters, actions=actions
     )
 
 
@@ -336,18 +346,6 @@ def tunstall_build(p_one: float, M: int) -> TunstallDictionary:
 # ---------------------------------------------------------------------------
 # simulation policies and the Tunstall-improved threshold point
 # ---------------------------------------------------------------------------
-
-
-class LengthActionPolicy:
-    """Bit policy from a solved length-MDP action table."""
-
-    def __init__(self, actions, N: int, L_cap: int):
-        self._actions = np.asarray(actions, dtype=np.int64)
-        self.n_bits = N
-        self.max_buffer = L_cap
-
-    def action(self, l: int) -> int:
-        return int(self._actions[min(l, self.max_buffer)])
 
 
 class PlainThresholdBitPolicy:

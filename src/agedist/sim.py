@@ -34,11 +34,14 @@ removed per delivery, and the routes differ in how they pick.
 - Any other policy is a plain callable: ``_run`` calls it with the buffer
   slice, at every slot in erasure mode.
 
-Before the first slot every action table entry, and every length of a bit
-policy's row, is checked against the rule the callable route applies per
-query: ``1 <= s <= l``, and no pick of a ``v_min`` packet unless it is the
-newest.  A checked table, like S3's walk, cannot fail on a lost erasure
-slot, so erasure mode walks only the delivering slots and stays
+Before the first slot every length of a bit policy's row is checked by
+the rule the callable route applies per query: ``1 <= s <= l``, and no
+pick of a ``v_min`` packet unless it is the newest.  An action table is
+checked by the solver's ``check_chain_table``; a chain table's state picks
+its newest entry or the oldest of its nearest ancestor that sends its
+oldest, so the rule adds one check: no such state of length >= 2 has
+``v_min`` oldest.  A checked table, like S3's walk, cannot fail on a lost
+erasure slot, so erasure mode walks only the delivering slots and stays
 bit-identical to direct mode.
 
 Distortion and age are accounted after the walk, by numpy.  Distortion is
@@ -63,14 +66,14 @@ from itertools import repeat
 import numpy as np
 
 from .model import Geometric, Model
-from .statetree import buffer_entries
+from .solver import check_chain_table
+from .statetree import StateTree
 
 MAX_HORIZON = 2**31 - 1  # slots and lengths are int32 in the trajectory
 BATCHES = 32  # equal slot spans behind each batch-means standard error
 KEY_CHUNK = 4096  # deliveries per list comprehension of a walk, per pass of its table, per age-area sum
 ACCOUNT_BLOCK = 1 << 13  # arrivals per accounting pass: its two buffers stay in cache, reused
 DRAW_CHUNK = 1 << 14  # uniforms per rng.random call: one stream, no horizon-long float64 array
-SHORT_RUN = 32  # below this inner run a table check tests the flat level, not a 3-d view
 
 
 @dataclass(frozen=True)
@@ -221,10 +224,14 @@ def _table_rows(model: Model, policy, digits: np.ndarray, speaks: np.ndarray):
     if tuple(policy.values) != values:
         raise ValueError(f"policy values {tuple(policy.values)} differ from the model's {values}")
     tables = [np.asarray(acts) for acts in policy.actions]
-    K = len(tables) - 1
-    for l in range(1, K + 1):
-        _check_table_level(tables[l], l, values)
-    m = len(values)
+    tree = StateTree(model, len(tables) - 1)
+    check_chain_table(tree, tables)
+    K, m = tree.K, tree.m
+    for l in range(2, K + 1):
+        stale = tables[l][: m ** (l - 1)] == 1  # oldest entry v_min, sent
+        if stale.any():
+            entries = list(tree.entries_of(l, int(stale.argmax())))
+            raise RuntimeError(f"policy table has infeasible action 1 for buffer {entries}")
 
     def rows(lo: int, hi: int) -> np.ndarray:
         # key_k: the mixed-radix number of the digits of slots t_k - K + 1 .. t_k,
@@ -371,30 +378,6 @@ def _batch_means(config: SimConfig, age, speaks, charge, slot_counts, raw_age) -
         batch_delta=bm_delta,
         batch_d=bm_d,
     )
-
-
-def _check_table_level(acts: np.ndarray, l: int, values) -> None:
-    """Raise unless every state of length l takes 1 <= s <= l and no stale v_min pick."""
-    m = len(values)
-    if acts.shape != (m**l,):
-        raise ValueError(f"action table level {l} has shape {acts.shape}, expected ({m**l},)")
-    if acts.dtype.kind not in "iu":
-        raise ValueError(f"action table level {l} has dtype {acts.dtype}, expected integers")
-    bad = acts < 1
-    bad |= acts > l
-    for s in range(1, l):
-        run = m ** (l - s)  # action s picks entry s - 1 (oldest first), whose digit holds for run entries
-        if run >= SHORT_RUN:  # the picked digit is the middle axis of this view
-            stale = bad.reshape(m ** (s - 1), m, -1)[:, 0]
-            stale |= acts.reshape(m ** (s - 1), m, -1)[:, 0] == s
-        else:  # the view would loop once per short run: test the flat level against a tiled mask
-            stale = np.tile(np.repeat((True, False), (run, (m - 1) * run)), m ** (s - 1))
-            stale &= acts == s
-            bad |= stale
-    if bad.any():
-        i = int(bad.argmax())
-        entries = list(buffer_entries(values, l, i))
-        raise RuntimeError(f"policy table has infeasible action {acts[i]} for buffer {entries}")
 
 
 def _run_packets(config: SimConfig, policy, digits, speaks, success=None) -> SimResult:

@@ -38,6 +38,7 @@ from .statetree import StateTree, buffer_digits, buffer_entries, buffer_index
 TIE_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 MAX_ITERS = 1000
+B1_CAP = 8192  # reduced-system states: the dense solve holds a few 537 MB arrays at the cap
 
 POLICY_FORMAT = "agedist-policy-v1"
 POLICY_FIELDS = ("model_hash", "eta", "K", "lambda", "delta_e", "d", "values", "actions")
@@ -183,38 +184,49 @@ def _chain_actions(tree: StateTree, takes) -> list[np.ndarray]:
     return actions
 
 
-def _b1_list(tree: StateTree, actions) -> tuple[np.ndarray, np.ndarray]:
-    """Check that ``actions`` is a chain policy on ``tree``; return its B1 states.
+def check_chain_table(tree: StateTree, actions) -> None:
+    """Raise a ValueError unless ``actions`` is a chain policy on ``tree``.
 
-    Every state of length >= 2 must send its oldest packet or take its
-    parent's action plus one, and length-1 states take action 1; anything
-    else cannot be represented by the reduced system and is rejected.  B1,
-    the states of length >= 2 that send their oldest packet, comes back as
-    int64 arrays ``(lev, idx)``, level by level with ascending indices.
+    The table holds levels 0..K, level ``l`` its ``m**l`` integer actions.
+    Length-1 states take action 1, and every longer state sends its oldest
+    packet or takes its parent's action plus one; anything else cannot be
+    represented by the reduced system.  Each level is checked one oldest
+    digit at a time, so no temporary spans a whole level.
     """
     if len(actions) != tree.K + 1:
         raise ValueError(
             f"action table has {len(actions)} levels, expected {tree.K + 1} (levels 0..{tree.K})"
         )
     for l, acts in enumerate(actions):
-        if np.shape(acts) != (tree.level_size[l],):
+        acts = np.asarray(acts)
+        if acts.shape != (tree.level_size[l],):
             raise ValueError(
-                f"action table level {l} has shape {np.shape(acts)}, "
-                f"expected ({tree.level_size[l]},)"
+                f"action table level {l} has shape {acts.shape}, expected ({tree.level_size[l]},)"
             )
+        if acts.dtype.kind not in "iu":
+            raise ValueError(f"action table level {l} has dtype {acts.dtype}, expected integers")
     if not np.all(np.asarray(actions[1]) == 1):
         raise ValueError("action table level 1: length-1 states must take action 1")
-    idx = [np.zeros(0, dtype=np.int64)]  # level 1 holds no B1 state
     for l in range(2, tree.K + 1):
-        acts = np.asarray(actions[l]).reshape(tree.m, -1)
-        is_b1 = acts == 1
-        ok = is_b1 | (acts == np.asarray(actions[l - 1]) + 1)
-        if not np.all(ok):
-            bad = int(np.flatnonzero(~ok)[0])
-            raise ValueError(
-                f"action table level {l} is not chain-structured at state {tree.entries_of(l, bad)}"
-            )
-        idx.append(np.flatnonzero(is_b1))
+        chained = np.add(actions[l - 1], 1)
+        for digit, row in enumerate(np.reshape(actions[l], (tree.m, -1))):
+            ok = row == chained
+            ok |= row == 1
+            if not ok.all():
+                bad = digit * len(row) + int(np.argmin(ok))
+                raise ValueError(
+                    f"action table level {l} is not chain-structured at state {tree.entries_of(l, bad)}"
+                )
+
+
+def _b1_list(tree: StateTree, actions) -> tuple[np.ndarray, np.ndarray]:
+    """B1 of a checked chain policy, the states of length >= 2 that send their oldest packet.
+
+    Returned as int64 arrays ``(lev, idx)``, level by level with ascending indices.
+    """
+    check_chain_table(tree, actions)
+    idx = [np.zeros(0, dtype=np.int64)]  # level 1 holds no B1 state
+    idx += [np.flatnonzero(np.asarray(actions[l]) == 1) for l in range(2, tree.K + 1)]
     lev = np.repeat(np.arange(1, tree.K + 1), [len(i) for i in idx])
     return lev, np.concatenate(idx)
 
@@ -300,8 +312,11 @@ def _evaluate_chain(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndar
     ``delta(y)``, where ``cost`` is the edge cost accumulated from a node up
     to its nearest B1 ancestor, plus sum(a)/mu for the entries the row forgets
     or keeps and E[V]/mu (E[Z] - 1) for the all-fresh ones.  No trie block is
-    read, and h is built level by level from the identity.
+    read, and h is built level by level from the identity.  A table with
+    more than ``B1_CAP`` B1 states is rejected before anything is allocated.
     """
+    if len(idx) > B1_CAP:
+        raise ValueError(f"action table has |B1|={len(idx)} states, over the cap of {B1_CAP}")
     lam, delta_e, d, u = age_distortion_solve(*_assemble(model, tree, lev, idx), eta)
     b1mu = (tree.values / model.mu)[:, None]
     h_levels = [np.zeros(1), np.zeros(tree.m)]
@@ -362,16 +377,16 @@ def evaluate_policy(model: Model, tree: StateTree, actions, eta: float):
 def evaluate_components(model: Model, tree: StateTree, actions=None):
     """(delta_e, d) of the given policy (default ``tree.last_actions``).
 
-    Runs the same reduced solve as every evaluation, whose age and distortion
-    parts do not depend on eta, so the result is bitwise the one
+    Runs the same gated evaluation as every solve, at eta = 1: its age and
+    distortion parts do not depend on eta, so the result is bitwise the one
     ``policy_iteration`` reports for the same table.
     """
     if actions is None:
         actions = tree.last_actions
         if actions is None:
             raise ValueError("no action table given and none recorded on the tree")
-    _, delta_e, d, _ = _evaluate_chain(model, tree, *_b1_list(tree, actions), 1.0)
-    return delta_e, d
+    ev = _evaluate(model, tree, actions, 1.0)
+    return ev.delta_e, ev.d
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +434,7 @@ def policy_improve(model: Model, tree: StateTree, h_levels, lam: float, eta: flo
 
 @dataclass
 class PolicySolution:
-    """A converged stationary policy with its average cost and components."""
+    """A converged policy: its action table, which ``evaluate_policy`` rebuilds h from, and costs."""
 
     eta: float
     K: int
@@ -429,7 +444,6 @@ class PolicySolution:
     iters: int
     values: tuple[float, ...]
     actions: list[np.ndarray]
-    h: list[np.ndarray]
     model_hash: str = ""
 
     @property
@@ -509,7 +523,7 @@ class PolicySolution:
                 f"action table has {len(rles)} levels, expected {tree.K + 1} (levels 0..{tree.K})"
             )
         actions = [_rle_decode(rle, l, n) for l, (rle, n) in enumerate(zip(rles, tree.level_size))]
-        _b1_list(tree, actions)
+        check_chain_table(tree, actions)
         return cls(
             eta=eta,
             K=tree.K,
@@ -519,7 +533,6 @@ class PolicySolution:
             iters=0,
             values=values,
             actions=actions,
-            h=[],
             model_hash=doc["model_hash"],
         )
 
@@ -610,7 +623,6 @@ def policy_iteration(
         iters=iters,
         values=tuple(model.v.values),
         actions=actions,
-        h=ev.h,
         model_hash=model.config_hash(),
     )
 
@@ -682,8 +694,6 @@ def generic_policy_iteration(model: Model, eta: float, K: int) -> PolicySolution
     check_eta(eta)
     tree = StateTree(model, K)
     actions = [np.full(tree.level_size[l], l, dtype=np.int32) for l in range(K + 1)]
-    lam = float("nan")
-    h_levels = None
     for it in range(1, MAX_ITERS + 1):
         lam, delta_e, d, h_levels = _evaluate_full(model, tree, actions, eta)
         changed = False
@@ -718,7 +728,6 @@ def generic_policy_iteration(model: Model, eta: float, K: int) -> PolicySolution
         iters=iters,
         values=tuple(model.v.values),
         actions=[a.copy() for a in actions],
-        h=[x.copy() for x in h_levels],
         model_hash=model.config_hash(),
     )
 

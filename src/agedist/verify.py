@@ -28,8 +28,8 @@ from .bufferignorant import (
 )
 from .model import Geometric, ImportanceDist, Model
 from .sim import SimConfig, simulate_bit_policy, simulate_erasure, simulate_policy
-from .solver import PolicySolution, generic_policy_iteration, policy_iteration, sweep_eta
-from .statetree import picked_digits
+from .solver import PolicySolution, _evaluate_full, generic_policy_iteration, policy_iteration, sweep_eta
+from .statetree import StateTree, picked_digits
 from .strategies import (
     s1_point,
     s1_transition_matrix,
@@ -55,6 +55,11 @@ def figure2_model() -> Model:
 # ---------------------------------------------------------------------------
 # structural checks on solved policies (shared with the test suite)
 # ---------------------------------------------------------------------------
+
+
+def _dense_h(model: Model, sol: PolicySolution) -> list[np.ndarray]:
+    """Relative values of the solution's table from the dense oracle, per level."""
+    return _evaluate_full(model, StateTree(model, sol.K), sol.actions, sol.eta)[3]
 
 
 def _state_value_sums(sol: PolicySolution) -> list[np.ndarray]:
@@ -96,16 +101,17 @@ def property1_violations(model: Model, sol: PolicySolution) -> list[str]:
     """Prefix-decomposition laws of optimal actions and relative values.
 
     Level l viewed as (m**j, m**(l-j)) has the oldest j entries as its row
-    and the suffix after them as its column.
+    and the suffix after them as its column; h is the dense oracle's.
     """
     mu = model.mu
     mu_sums = _state_value_sums(sol)
+    h = _dense_h(model, sol)
     out = []
     for l in range(2, sol.K + 1):
         for j in range(1, l):
             s_q = sol.actions[l].reshape(sol.m**j, -1)
-            h_q = sol.h[l].reshape(sol.m**j, -1)
-            s_suf, h_suf = sol.actions[l - j], sol.h[l - j]
+            h_q = h[l].reshape(sol.m**j, -1)
+            s_suf, h_suf = sol.actions[l - j], h[l - j]
             ok_act = (s_q == j + s_suf) | (s_q <= j)
             if not ok_act.all():
                 i = int(np.flatnonzero(~ok_act)[0])
@@ -119,12 +125,13 @@ def property1_violations(model: Model, sol: PolicySolution) -> list[str]:
 
 
 def property2_violations(model: Model, sol: PolicySolution) -> list[str]:
-    """Non-B1 states must satisfy h = b1/mu + h(parent), on the (oldest digit, parent) view."""
+    """Non-B1 states must satisfy h = b1/mu + h(parent), with h the dense oracle's."""
     values = np.asarray(sol.values)[:, None]
+    h = _dense_h(model, sol)
     out = []
     for l in range(2, sol.K + 1):
         chain = sol.actions[l] != 1
-        gap = np.abs(sol.h[l] - (values / model.mu + sol.h[l - 1]).ravel())
+        gap = np.abs(h[l] - (values / model.mu + h[l - 1]).ravel())
         bad = np.flatnonzero(chain & (gap > PROPERTY_TOL))
         out.extend(f"level {l} state {i} gap {gap[i]:.2e}" for i in bad[:5])
     return out

@@ -8,7 +8,6 @@ from agedist.bufferignorant import (
     TUNSTALL_CAP,
     BinarySource,
     BitCurvePoint,
-    LengthActionPolicy,
     PlainThresholdBitPolicy,
     TunstallThresholdBitPolicy,
     bi_one_step_cost,
@@ -173,7 +172,7 @@ def test_threshold_point_matches_simulation(src):
 
 def test_bi_lambda_matches_simulation(src):
     sol = bi_policy_iteration(src, 0.1)
-    res = simulate_bit_policy(SimConfig(horizon=400_000, seed=11), src, sol.policy())
+    res = simulate_bit_policy(SimConfig(horizon=400_000, seed=11), src, sol)
     gap = abs(res.d + 0.1 * res.delta_e - sol.lam)
     assert gap < 4 * res.combined_se(0.1)
 
@@ -374,7 +373,8 @@ def test_bi_csv(src):
 
 
 def test_length_action_policy_clamps(src):
+    # the solution is its own bit policy
     sol = bi_policy_iteration(src, 0.2)
-    pol = sol.policy()
-    assert isinstance(pol, LengthActionPolicy)
-    assert pol.action(sol.L_cap + 50) == sol.actions[sol.L_cap]
+    assert (sol.n_bits, sol.max_buffer) == (src.N, sol.L_cap)
+    assert [sol.action(l) for l in range(1, sol.L_cap + 1)] == sol.actions[1:].tolist()
+    assert sol.action(sol.L_cap + 50) == sol.actions[sol.L_cap]

@@ -14,17 +14,17 @@ import numpy as np
 import pytest
 
 from agedist import FinitePMF, Geometric, ImportanceDist, Model, PolicySolution, policy_iteration
-from agedist import cli, sim
+from agedist import cli, sim, solver
 from agedist.bufferignorant import (
     BinarySource,
-    LengthActionPolicy,
     PlainThresholdBitPolicy,
     TunstallThresholdBitPolicy,
     bi_policy_iteration,
     tunstall_build,
 )
 from agedist.sim import SimConfig, SimResult, simulate_bit_policy, simulate_erasure, simulate_policy
-from agedist.strategies import S3Policy, window_table
+from agedist.statetree import StateTree
+from agedist.strategies import S3Policy, WindowTable, window_table
 
 
 def _latest(model):
@@ -213,7 +213,7 @@ def _pinned_run(name, fig1):
             SimConfig(H, 15), src, TunstallThresholdBitPolicy(src, 3, tunstall_build(src.q, 8))
         ),
         "bits-length": lambda: simulate_bit_policy(
-            SimConfig(H, 16), src, bi_policy_iteration(src, 0.2).policy()
+            SimConfig(H, 16), src, bi_policy_iteration(src, 0.2)
         ),
     }
     return runs[name]()
@@ -395,7 +395,7 @@ def test_accounting_matches_per_slot_loop(fig1, name):
     if name.startswith("bits"):
         src = BinarySource.from_model(fig1_cfg.model, 3)
         if name == "bits-length":
-            policy = bi_policy_iteration(src, 0.2).policy()
+            policy = bi_policy_iteration(src, 0.2)
         else:
             policy = TunstallThresholdBitPolicy(src, 2, tunstall_build(src.q, 8))
         bits_cfg = SimConfig(20_000, fig1_cfg.seed if run else 33)
@@ -505,46 +505,68 @@ def _level3(edits):
     return acts
 
 
+def _run_table(model, actions):
+    """simulate_policy of a bare table; its checks run before the first slot."""
+    return simulate_policy(SimConfig(horizon=10_000, seed=0, model=model), WindowTable(model.v.values, actions))
+
+
+def _table3(level3, level2=(2, 2, 2, 2)):
+    """A K=3 table over two values: send-latest at levels 0 and 1, then ``level2`` and ``level3``."""
+    return [np.zeros(1, np.int32), np.ones(2, np.int32), np.asarray(level2), level3]
+
+
 @pytest.mark.parametrize(
-    "acts, err, msg",
+    "actions, err, msg",
     [
-        (_level3({5: 0}), RuntimeError, "policy table has infeasible action 0 for buffer [20.0, 1.0, 20.0]"),
-        (_level3({6: 4}), RuntimeError, "policy table has infeasible action 4 for buffer [20.0, 20.0, 1.0]"),
-        (np.full(7, 3, dtype=np.int32), ValueError, "action table level 3 has shape (7,), expected (8,)"),
-        (_level3({1: 1, 7: 0}), RuntimeError, "policy table has infeasible action 1 for buffer [1.0, 1.0, 20.0]"),
-        (_level3({4: 2}), RuntimeError, "policy table has infeasible action 2 for buffer [20.0, 1.0, 1.0]"),
-        (_level3({6: 9, 4: 2, 3: 0}), RuntimeError, "policy table has infeasible action 0 for buffer [1.0, 20.0, 20.0]"),
+        (_table3(_level3({5: 0})), ValueError, "action table level 3 is not chain-structured at state (20.0, 1.0, 20.0)"),
+        (_table3(_level3({6: 4})), ValueError, "action table level 3 is not chain-structured at state (20.0, 20.0, 1.0)"),
+        (_table3(np.full(7, 3, dtype=np.int32)), ValueError, "action table level 3 has shape (7,), expected (8,)"),
+        (_table3(_level3({1: 1})), RuntimeError, "policy table has infeasible action 1 for buffer [1.0, 1.0, 20.0]"),
+        # [1.0, 1.0] sends its stale oldest, so its children [x, 1.0, 1.0] chain to a stale middle pick
+        (_table3(_level3({0: 2, 4: 2}), (1, 2, 2, 2)), RuntimeError, "policy table has infeasible action 1 for buffer [1.0, 1.0]"),
+        (_table3(_level3({1: 1, 7: 0})), ValueError, "action table level 3 is not chain-structured at state (20.0, 20.0, 20.0)"),
+        (_table3(_level3({6: 9, 4: 2, 3: 0})), ValueError, "action table level 3 is not chain-structured at state (1.0, 20.0, 20.0)"),
     ],
-    ids=["s-below-1", "s-above-l", "wrong-shape", "stale-oldest", "stale-middle", "first-of-three"],
+    ids=[
+        "s-below-1", "s-above-l", "wrong-shape", "stale-oldest",
+        "stale-middle", "chain-before-stale", "first-of-three",
+    ],
 )
-def test_check_table_level_messages(fig1, acts, err, msg):
+def test_check_table_level_messages(fig1, actions, err, msg):
+    # the table route's checks: the solver's chain-table check, then no stale oldest pick
     with pytest.raises(err) as info:
-        sim._check_table_level(acts, 3, fig1.v.values)
+        _run_table(fig1, actions)
     assert str(info.value) == msg
-    sim._check_table_level(_level3({2: 2, 3: 2, 5: 1, 6: 1, 7: 1}), 3, fig1.v.values)  # fresh picks pass
+    _run_table(fig1, _table3(_level3({2: 2, 3: 2, 5: 1, 6: 1, 7: 1}), (2, 2, 1, 1)))  # fresh picks pass
 
 
-@pytest.mark.parametrize("values", [(1.0, 20.0), THREE_GEO.v.values], ids=["m2-l8", "m3-l6"])
-def test_check_table_level_stale_pick_at_every_depth(values):
-    # deep levels test long runs by a 3-d view and short runs by a flat mask; both must catch it
-    m = len(values)
+@pytest.mark.parametrize("model", [Model(ImportanceDist((1.0, 20.0), (0.7, 0.3)), Geometric(0.2)), THREE_GEO], ids=["m2-l8", "m3-l6"])
+def test_check_table_level_stale_pick_at_every_depth(model):
+    # a chain state picks entry s - 1 (oldest first) when its ancestor of length l - s + 1 sends its
+    # oldest; that ancestor, whose oldest entry is the picked one, is the state the check names
+    values, m = model.v.values, model.v.size
     l = 8 if m == 2 else 6
+    tree = StateTree(model, l)
     for s in range(1, l):
         digits = [m - 1] * l  # oldest first: every entry of the top value ...
-        acts = np.full(m**l, l, dtype=np.int32)
-        acts[np.ravel_multi_index(digits, (m,) * l)] = s
-        sim._check_table_level(acts, l, values)  # ... so picking entry s - 1 is fresh
-        digits[s - 1] = 0  # ... except the picked one, a v_min packet: stale
-        acts[np.ravel_multi_index(digits, (m,) * l)] = s
-        with pytest.raises(RuntimeError) as info:
-            sim._check_table_level(acts, l, values)
-        entries = [values[d] for d in digits]
-        assert str(info.value) == f"policy table has infeasible action {s} for buffer {entries}"
+        for stale in (False, True):
+            digits[s - 1] = 0 if stale else m - 1  # ... or a v_min packet at the pick
+            takes = [None] * (l + 1)
+            takes[l - s + 1] = np.arange(m ** (l - s + 1)) == np.ravel_multi_index(digits[s - 1 :], (m,) * (l - s + 1))
+            actions = solver._chain_actions(tree, takes)
+            assert actions[l][np.ravel_multi_index(digits, (m,) * l)] == s
+            if not stale:
+                _run_table(model, actions)
+                continue
+            with pytest.raises(RuntimeError) as info:
+                _run_table(model, actions)
+            entries = [values[d] for d in digits[s - 1 :]]
+            assert str(info.value) == f"policy table has infeasible action 1 for buffer {entries}"
 
 
 def test_check_table_level_rejects_non_integer_actions(fig1):
-    with pytest.raises(ValueError, match="level 2 has dtype float64, expected integers"):
-        sim._check_table_level(np.full(4, 2.0), 2, fig1.v.values)
+    with pytest.raises(ValueError, match=r"^action table level 2 has dtype float64, expected integers$"):
+        _run_table(fig1, _table3(_level3({}), np.full(4, 2.0)))
 
 
 def test_deep_table_is_read_in_place(fig1):
@@ -592,7 +614,7 @@ def test_length_table_checked_before_first_slot(fig1, monkeypatch, length, actio
     length = sol.L_cap if length == "cap" else length
     actions = sol.actions.copy()
     actions[length] = action
-    policy = LengthActionPolicy(actions, src.N, sol.L_cap)
+    policy = dataclasses.replace(sol, actions=actions)
 
     def walk(*args):
         raise AssertionError("the simulation walk started")

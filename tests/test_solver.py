@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -531,6 +532,27 @@ def test_residual_gate_rejects_perturbed_h(monkeypatch, which):
         policy_iteration(model, 0.6)
     with pytest.raises(RuntimeError, match="residual"):
         evaluate_policy(model, StateTree(model, sol.K), sol.actions, 0.6)
+    with pytest.raises(RuntimeError, match="residual"):
+        evaluate_components(model, StateTree(model, sol.K), sol.actions)
+
+
+def test_b1_cap_rejects_before_allocation(fig1, monkeypatch):
+    # S1 at K=14 has |B1| = 16382, 2.1 GB per dense copy: the cap is shown here lowered
+    assert 8190 <= solver.B1_CAP < 16382  # S1 at K=13 and three-level at K=14 pass
+    table = window_table(fig1, "S1", 8)
+    n = sum(int(np.count_nonzero(a == 1)) for a in table.actions[2:])
+    tree = StateTree(fig1, 8)
+    monkeypatch.setattr(solver, "B1_CAP", n)
+    evaluate_components(fig1, tree, table.actions)  # at the cap
+
+    def assemble(*args):
+        raise AssertionError("reduced system assembled over the cap")
+
+    monkeypatch.setattr(solver, "B1_CAP", n - 1)
+    monkeypatch.setattr(solver, "_assemble", assemble)
+    for evaluate in (evaluate_components, lambda *args: evaluate_policy(*args, 1.0)):
+        with pytest.raises(ValueError, match=rf"\|B1\|={n} states, over the cap of {n - 1}$"):
+            evaluate(fig1, tree, table.actions)
 
 
 def test_components_respect_floor(fig1):
@@ -610,12 +632,35 @@ def test_solution_structure(fig1):
 
 
 def test_properties_on_generic_h(fig1):
-    # the generic route fills h from the dense solve, so the parent recursion
-    # is a real cross-check there rather than true by construction
     for eta in (0.7, 1.2):
         gen = generic_policy_iteration(fig1, eta, 4)
         assert property2_violations(fig1, gen) == []
         assert property1_violations(fig1, gen) == []
+
+
+def test_property2_catches_off_chain_edit(fig1):
+    # the properties read h from the dense oracle, not from the chain identity, so a table
+    # edited off the chain rule at one state fails the parent recursion there
+    sol = policy_iteration(fig1, 0.8)
+    assert sol.K == 5 and property2_violations(fig1, sol) == []
+    acts = [a.copy() for a in sol.actions]
+    i = int(np.flatnonzero(acts[5] >= 2)[0])
+    acts[5][i] -= 1
+    bad = property2_violations(fig1, dataclasses.replace(sol, actions=acts))
+    assert len(bad) == 1 and bad[0].startswith(f"level 5 state {i} gap ")
+
+
+def test_solution_holds_only_its_table(fig1):
+    policy_iteration(fig1, 0.3)  # warm-up: the model's cached sums
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sol = policy_iteration(fig1, 0.3)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    table_bytes = sum(a.nbytes for a in sol.actions)
+    assert held < 1.5 * table_bytes, f"{held / table_bytes:.2f}x the action table"
 
 
 def test_policy_solution_round_trip(fig1, tmp_path):
@@ -636,16 +681,17 @@ def test_policy_solution_round_trip(fig1, tmp_path):
 
 
 def test_policy_file_load_builds_no_bookkeeping(fig1, tmp_path, monkeypatch):
-    # loading only checks the table; the reduced system is built only for an
-    # evaluation
+    # loading only checks the table; B1 is collected and the reduced system
+    # built only for an evaluation
     sol = policy_iteration(fig1, 0.5)
     path = tmp_path / "pol.json"
     sol.to_json(str(path))
 
     def assemble(*args):
-        raise AssertionError("reduced system assembled at load")
+        raise AssertionError("B1 collected or reduced system assembled at load")
 
     monkeypatch.setattr(solver, "_assemble", assemble)
+    monkeypatch.setattr(solver, "_b1_list", assemble)
     back = PolicySolution.from_json(str(path), fig1)
     assert back.b1_size == sol.b1_size
     for a, b in zip(back.actions, sol.actions, strict=True):
@@ -657,7 +703,7 @@ def test_deep_policy_file_load_memory(fig1, tmp_path):
     # build a Python object per B1 state, so its traced peak stays within a
     # few copies of the decoded table
     table = window_table(fig1, "S1", 16)
-    sol = PolicySolution(1.0, 16, 0.0, 0.0, 0.0, 0, table.values, table.actions, [])
+    sol = PolicySolution(1.0, 16, 0.0, 0.0, 0.0, 0, table.values, table.actions)
     sol.model_hash = fig1.config_hash()
     path = tmp_path / "s1.json"
     sol.to_json(str(path))
