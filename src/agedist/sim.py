@@ -2,12 +2,15 @@
 
 Randomness comes from numpy's Philox generator, split by
 ``SeedSequence.spawn`` into two substreams of the config seed: stream 0
-drives arrivals (one packet, or one bit, per slot), stream 1 timing.  With
-geometric gaps the timing stream is one Bernoulli success flag per slot in
-both the direct and the erasure-commitment modes, so under a shared seed
-the two modes see the same arrivals and speaking slots.  Each per-slot
-draw is taken ``DRAW_CHUNK`` uniforms at a time: the same stream as one
-``rng.random(horizon)`` call, without its horizon-long float64 array.
+drives arrivals (one packet, or one bit, per slot), stream 1 timing.  Each
+per-slot draw is taken ``DRAW_CHUNK`` uniforms at a time: the same stream
+as one ``rng.random(horizon)`` call, without its horizon-long float64
+array.  Erasure mode is direct mode: with geometric gaps the timing stream
+is one Bernoulli(p) success flag per slot, which is both the speaking
+process and the erasure process, and a commitment made at an erased slot
+is lost with it.  So ``simulate_erasure`` checks its model and runs
+``simulate_policy``, and every route asks its policy at delivering slots
+only.
 
 Deliveries and window drops both take entries from the oldest end, so the
 buffer at slot t is the newest l arrivals, ``arrivals[t - l:t]``, and the
@@ -32,7 +35,7 @@ removed per delivery, and the routes differ in how they pick.
 - S3 (``S3Policy.starts``) counts the important arrivals it has consumed,
   one list comprehension per ``KEY_CHUNK`` deliveries.
 - Any other policy is a plain callable: ``_run`` calls it with the buffer
-  slice, at every slot in erasure mode.
+  slice at each delivering slot.
 
 Before the first slot every length of a bit policy's row is checked by
 the rule the callable route applies per query: ``1 <= s <= l``, and no
@@ -40,9 +43,7 @@ pick of a ``v_min`` packet unless it is the newest.  An action table is
 checked by the solver's ``check_chain_table``; a chain table's state picks
 its newest entry or the oldest of its nearest ancestor that sends its
 oldest, so the rule adds one check: no such state of length >= 2 has
-``v_min`` oldest.  A checked table, like S3's walk, cannot fail on a lost
-erasure slot, so erasure mode walks only the delivering slots and stays
-bit-identical to direct mode.
+``v_min`` oldest.
 
 Distortion and age are accounted after the walk, by numpy.  Distortion is
 charged when an entry becomes unsendable: a delivery passes over it, or it
@@ -61,7 +62,6 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -253,22 +253,17 @@ def _table_rows(model: Model, policy, digits: np.ndarray, speaks: np.ndarray):
     return rows, K
 
 
-def _run(config: SimConfig, speaks, pick, max_buffer, success=None):
-    """The per-query loop of a plain callable: l and removed per delivery, after an empty delivery at slot 0.
+def _run(speaks, pick, max_buffer):
+    """The per-delivery loop of a plain callable: l and removed per delivery, after an empty delivery at slot 0.
 
-    The query slots are the delivering slots ``speaks``, or with ``success``
-    every slot, delivering where its flag is set.  At each query
-    ``pick(t, l)`` selects the s-th oldest of the newest l arrivals: on
-    delivery the oldest s entries leave.  ``max_buffer`` is the window K.
+    At each delivering slot t of ``speaks``, ``pick(t, l)`` selects the s-th
+    oldest of the newest l arrivals, and the oldest s entries leave.
+    ``max_buffer`` is the window K.
     """
-    if success is None:
-        queries = zip(memoryview(speaks), repeat(True))
-    else:
-        queries = zip(range(1, config.horizon + 1), memoryview(success))
     lengths, removals = array("i", [0]), array("i", [0])
     put_l, put_removed = lengths.append, removals.append
     l = prev = 0
-    for t, deliver in queries:
+    for t in memoryview(speaks):
         l += t - prev
         prev = t
         if l > max_buffer:
@@ -276,10 +271,9 @@ def _run(config: SimConfig, speaks, pick, max_buffer, success=None):
         s = pick(t, l)
         if not 1 <= s <= l:
             raise RuntimeError(f"policy returned infeasible action {s} for length {l}")
-        if deliver:
-            put_l(l)
-            put_removed(s)
-            l -= s
+        put_l(l)
+        put_removed(s)
+        l -= s
     return np.frombuffer(lengths, np.intc), np.frombuffer(removals, np.intc)
 
 
@@ -380,17 +374,23 @@ def _batch_means(config: SimConfig, age, speaks, charge, slot_counts, raw_age) -
     )
 
 
-def _run_packets(config: SimConfig, policy, digits, speaks, success=None) -> SimResult:
-    """Direct and erasure modes: a delivery skips every packet older than the pick.
+def simulate_policy(config: SimConfig, policy) -> SimResult:
+    """Run the direct-mode simulation of a buffer policy; a delivery skips every packet older than the pick.
 
-    ``digits`` are the arrivals' value indices and ``speaks`` the delivering
-    slots; in erasure mode ``success`` holds every slot's flag.  A policy
-    carrying ``actions`` and ``values`` walks its rest table, and S3 (a
-    policy with ``starts``) its count of important arrivals, both over the
-    delivering slots alone.  Any other policy is called with the buffer
-    slice at each query slot, which in erasure mode is every slot.
+    ``policy`` maps a buffer (importance values, oldest first) to a 1-based
+    selection index and exposes ``max_buffer`` (its window K, or None for an
+    untruncated buffer).  A policy carrying its action table (``actions``
+    per level, over ``values``) walks its rest table, and S3 (a policy with
+    ``starts``) its count of important arrivals; any other policy is called
+    with the buffer slice at each delivering slot.  Infeasible actions abort
+    with the offending state; a table is checked whole before the first slot.
     """
     model = config.model
+    if model is None:
+        raise ValueError("simulate_policy needs a model in the config")
+    arr_rng, tim_rng = _streams(config.seed)
+    digits = _draw_arrival_digits(model, arr_rng, config.horizon)
+    speaks = _speak_slots(model, tim_rng, config.horizon)
     values = model.v.values
     K = config.horizon  # an untruncated buffer never holds more than the horizon
     if hasattr(policy, "actions") and hasattr(policy, "values"):
@@ -416,47 +416,28 @@ def _run_packets(config: SimConfig, policy, digits, speaks, success=None) -> Sim
 
         if getattr(policy, "max_buffer", None) is not None:
             K = policy.max_buffer
-        dl, dr = _run(config, speaks, pick, K, success)
+        dl, dr = _run(speaks, pick, K)
     ds = dr - 1
     ds[0] = 0
     return _account(config, values, digits, K, speaks, dl, ds, dr)
-
-
-def simulate_policy(config: SimConfig, policy) -> SimResult:
-    """Run the direct-mode simulation of a buffer policy.
-
-    ``policy`` maps a buffer (importance values, oldest first) to a 1-based
-    selection index and exposes ``max_buffer`` (its window K, or None for an
-    untruncated buffer).  A policy carrying its action table (``actions``
-    per level, over ``values``) is read by table.  Infeasible actions abort
-    with the offending state; a table is checked whole before the first slot.
-    """
-    model = config.model
-    if model is None:
-        raise ValueError("simulate_policy needs a model in the config")
-    arr_rng, tim_rng = _streams(config.seed)
-    digits = _draw_arrival_digits(model, arr_rng, config.horizon)
-    return _run_packets(config, policy, digits, _speak_slots(model, tim_rng, config.horizon))
 
 
 def simulate_erasure(config: SimConfig, policy) -> SimResult:
     """Erasure-commitment mode: commit before each slot, deliver on success.
 
     Requires geometric interspeaking times (success probability p, erasure
-    probability 1 - p).  The sender commits to the packet its stationary
-    policy would select from the current buffer before knowing whether the
-    slot's transmission will survive; on success the commitment becomes the
-    selection and everything older is charged.
+    probability 1 - p).  The sender commits to the packet its policy would
+    select from the current buffer before knowing whether the slot's
+    transmission will survive; on success the commitment becomes the
+    selection and everything older is charged.  The successful slots are
+    direct mode's speaking slots and an erased commitment is lost, so this
+    is ``simulate_policy`` on the same streams.
     """
-    model = config.model
-    if model is None:
+    if config.model is None:
         raise ValueError("simulate_erasure needs a model in the config")
-    if not isinstance(model.z, Geometric):
+    if not isinstance(config.model.z, Geometric):
         raise ValueError("erasure mode requires geometric interspeaking times")
-    arr_rng, tim_rng = _streams(config.seed)
-    digits = _draw_arrival_digits(model, arr_rng, config.horizon)
-    success = _flags(tim_rng, model.z.p, config.horizon)
-    return _run_packets(config, policy, digits, _slots_where(success), success)
+    return simulate_policy(config, policy)
 
 
 def _parse_skips(policy, bits, speaks, dl, dr, ds) -> None:

@@ -39,6 +39,7 @@ TIE_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 MAX_ITERS = 1000
 B1_CAP = 8192  # reduced-system states: the dense solve holds a few 537 MB arrays at the cap
+CORRECTION_CAP = 1 << 25  # suffix corrections of one assembly: about 104 bytes each, 3.5 GB, at its peak
 
 POLICY_FORMAT = "agedist-policy-v1"
 POLICY_FIELDS = ("model_hash", "eta", "K", "lambda", "delta_e", "d", "values", "actions")
@@ -278,6 +279,11 @@ def _assemble(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray):
     suffix = j * m**K + par[y] % m**j
     lo = np.searchsorted(prefix, suffix, "left")
     hits = np.searchsorted(prefix, suffix, "right") - lo
+    count = int(hits.sum())
+    if count > CORRECTION_CAP:
+        raise ValueError(
+            f"action table with |B1|={n - 1} states has {count} suffix corrections, over the cap of {CORRECTION_CAP}"
+        )
     match = order[np.repeat(lo, hits) + _ranges(hits)]
     aug = np.tile(gamma, (n, 1))
     w = pmf[lev[y] - j] * pi[y, lev[y] - j - 1]
@@ -313,7 +319,9 @@ def _evaluate_chain(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndar
     to its nearest B1 ancestor, plus sum(a)/mu for the entries the row forgets
     or keeps and E[V]/mu (E[Z] - 1) for the all-fresh ones.  No trie block is
     read, and h is built level by level from the identity.  A table with
-    more than ``B1_CAP`` B1 states is rejected before anything is allocated.
+    more than ``B1_CAP`` B1 states is rejected before anything is allocated,
+    and one with more than ``CORRECTION_CAP`` suffix corrections before the
+    corrections are.
     """
     if len(idx) > B1_CAP:
         raise ValueError(f"action table has |B1|={len(idx)} states, over the cap of {B1_CAP}")

@@ -45,6 +45,8 @@ def _binary_geometric_params(model: Model) -> tuple[float, float, float, float]:
     if not isinstance(model.z, Geometric):
         raise ValueError("closed-form strategies require geometric interspeaking times")
     p = model.z.p
+    if p >= 1.0:
+        raise ValueError(f"closed-form strategies need p < 1, got p={p}")
     q = model.v.probs[1]
     return p, q, model.v.values[0], model.v.values[1]
 

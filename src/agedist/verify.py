@@ -175,25 +175,27 @@ def run_battery(
         d1, d2 = figure1_model().d_min(), fig2.d_min()
         add(abs(d1 - 2.7) < 1e-12 and abs(d2 - 0.7) < 1e-12, f"{d1:.12f}, {d2:.12f}")
 
-    # 2. send-latest optimality above eta_max
-    with check("send-latest above eta_max") as add:
-        lam_ref = fig1.mean_importance * (fig1.mu - 1.0) / fig1.mu
-        ok = True
-        for eta in (fig1.eta_max(), 2 * fig1.eta_max()):
-            sol = policy_iteration(fig1, eta)
-            ok &= abs(sol.lam - lam_ref) < 1e-9 and abs(sol.delta_e) < 1e-12
-        add(ok, f"lambda ref {lam_ref:.6f}")
+    # 2. send-latest optimality above eta_max; 3. extreme-state thresholds.  One value has eta_max = 0.
+    several = None if fig1.v.size >= 2 else "two importance values"
+    with check("send-latest above eta_max", several) as add:
+        if add:
+            lam_ref = fig1.mean_importance * (fig1.mu - 1.0) / fig1.mu
+            ok = True
+            for eta in (fig1.eta_max(), 2 * fig1.eta_max()):
+                sol = policy_iteration(fig1, eta)
+                ok &= abs(sol.lam - lam_ref) < 1e-9 and abs(sol.delta_e) < 1e-12
+            add(ok, f"lambda ref {lam_ref:.6f}")
 
-    # 3. extreme-state thresholds
-    with check("extreme-state threshold flip") as add:
-        ok = True
-        vspan = fig1.v.v_max - fig1.v.v_min
-        for L in (2, 3):
-            thr = vspan / (fig1.mu * (L - 1))
-            st = (fig1.v.v_max,) + (fig1.v.v_min,) * (L - 1)
-            ok &= policy_iteration(fig1, thr - 1e-6, L).action_for(st) == 1
-            ok &= policy_iteration(fig1, thr + 1e-6, L).action_for(st) == L
-        add(ok)
+    with check("extreme-state threshold flip", several) as add:
+        if add:
+            ok = True
+            vspan = fig1.v.v_max - fig1.v.v_min
+            for L in (2, 3):
+                thr = vspan / (fig1.mu * (L - 1))
+                st = (fig1.v.v_max,) + (fig1.v.v_min,) * (L - 1)
+                ok &= policy_iteration(fig1, thr - 1e-6, L).action_for(st) == 1
+                ok &= policy_iteration(fig1, thr + 1e-6, L).action_for(st) == L
+            add(ok)
 
     # 4. efficient vs generic agreement
     with check("efficient vs generic policy iteration") as add:
@@ -234,10 +236,10 @@ def run_battery(
         direct = simulate_policy(cfg, sol)
         gap = abs(direct.d + 1.0 * direct.delta_e - sol.lam)
         se = direct.combined_se(1.0)
-        add(gap < 4 * se, f"gap {gap:.5f} vs 4se {4 * se:.5f}")
+        add(gap <= 4 * se, f"gap {gap:.5f} vs 4se {4 * se:.5f}")  # <=: a deterministic run, SE 0, must match exactly
 
     # 8. strategies: stationary solves and converse dominance
-    binary = None if fig1.v.size == 2 and geometric else "two importance values and geometric gaps"
+    binary = None if fig1.v.size == 2 and geometric and fig1.z.p < 1.0 else "two importance values and geometric p < 1"
     with check("strategy stationary + converse dominance", binary) as add:
         if add:
             ok = True
@@ -289,8 +291,8 @@ def run_battery(
             same = simulate_erasure(cfg, sol)
             other = simulate_erasure(replace(cfg, seed=seed + 1), sol)
             ok = same.d == direct.d and same.delta_e == direct.delta_e
-            ok &= abs(other.d - direct.d) < 4 * (other.se_d + direct.se_d)
-            ok &= abs(other.delta_e - direct.delta_e) < 4 * (other.se_delta + direct.se_delta)
+            ok &= abs(other.d - direct.d) <= 4 * (other.se_d + direct.se_d)
+            ok &= abs(other.delta_e - direct.delta_e) <= 4 * (other.se_delta + direct.se_delta)
             add(ok)
 
     return checks

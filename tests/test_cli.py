@@ -122,6 +122,14 @@ def test_strategies_rejects_bad_model(tmp_path):
     assert main(["strategies", "--model", str(bad), "--out", out]) == 1
 
 
+def test_strategies_reject_p_one_by_name(tmp_path, capsys):
+    # every slot speaks: the closed forms divide by 1 - p
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps({"values": [1, 20], "probs": [0.7, 0.3], "z": {"geometric": 1.0}}))
+    assert main(["strategies", "--model", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "error: closed-form strategies need p < 1, got p=1.0\n"
+
+
 def test_bufferignorant_curves(fig1, fig1_file, tmp_path):
     args = ["bufferignorant", "--model", fig1_file, "--n-bits", "3", "--tau-range", "0:2"]
     outs = [tmp_path / "bi1.csv", tmp_path / "bi2.csv"]
@@ -342,8 +350,13 @@ def test_verify_pass_and_negative_control(fig1_file, capsys):
     [
         ({"values": [1, 5, 20], "probs": [0.5, 0.3, 0.2], "z": {"geometric": 0.2}}, ["dominance"]),
         ({"values": [1, 20], "probs": [0.7, 0.3], "z": {"pmf": [0.1, 0.3, 0.6]}}, ["dominance", "erasure"]),
+        # eta_max = 0, and every run has delta_e = 0 with a standard error of 0
+        ({"values": [3.0], "probs": [1.0], "z": {"geometric": 0.2}}, ["eta_max", "threshold flip", "dominance"]),
+        # every slot speaks: the closed forms need p < 1, and both simulation gates see SE 0.
+        # fig1's values at p=1 behave alike, but their solve walks to K=19 through 2.4 GB
+        ({"values": [1, 3], "probs": [0.7, 0.3], "z": {"geometric": 1.0}}, ["dominance"]),
     ],
-    ids=["three-values", "finite-pmf"],
+    ids=["three-values", "finite-pmf", "one-value", "p-one"],
 )
 def test_verify_skips_closed_form_checks_on_other_models(tmp_path, capsys, cfg, skipped):
     path = tmp_path / "m.json"

@@ -325,11 +325,21 @@ class _RandomPick:
         return self.rng.choice([s for s in range(1, l) if entries[s - 1] > self.v_min] + [l])
 
 
+class _StationaryRandomPick(_RandomPick):
+    """A random feasible pick seeded by the buffer's contents: the same buffer always gets the same pick."""
+
+    def __call__(self, entries):
+        self.rng.seed(hash(tuple(entries)))
+        return super().__call__(entries)
+
+
 def _reference_packets(cfg, policy, erasure=False):
     """``_loop_run`` on a packet run's draws, calling ``policy`` with each buffer slice.
 
-    The calls are those of the callable route: at every delivering slot, or
-    at every slot in erasure mode.
+    In direct mode the calls are at the delivering slots, as the simulator
+    makes them.  In erasure mode the policy commits at every slot, the
+    literal erasure process: for a policy that depends on the buffer alone,
+    it agrees with the simulator, which asks at the delivering slots only.
     """
     arr_rng, tim_rng = sim._streams(cfg.seed)
     digits = sim._draw_arrival_digits(cfg.model, arr_rng, cfg.horizon)
@@ -404,7 +414,7 @@ def test_accounting_matches_per_slot_loop(fig1, name):
     else:
         cases = {  # (config, erasure mode, a fresh policy)
             "random-K5": (cfg, False, lambda: _RandomPick(THREE_GEO, 5)),
-            "random-K5-erasure": (cfg, True, lambda: _RandomPick(THREE_GEO, 5)),
+            "random-K5-erasure": (cfg, True, lambda: _StationaryRandomPick(THREE_GEO, 5)),
             "random-untruncated": (cfg, False, lambda: _RandomPick(THREE_GEO, None)),
             "table-eta0.3": (fig1_cfg, False, lambda: policy_iteration(fig1, 0.3)),
             "table-erasure": (cfg, True, lambda: policy_iteration(THREE_GEO, 0.15)),
@@ -422,6 +432,22 @@ def test_accounting_matches_per_slot_loop(fig1, name):
         _assert_same_result(got, _reference_packets(config, policy, erasure))
     if run:
         assert got.batches == {"no-delivery": 0, "one-batch": 1}[run]
+
+
+def test_erasure_asks_a_callable_once_per_delivery(fig1):
+    cfg = SimConfig(horizon=20_000, seed=34, model=fig1)
+    sol = policy_iteration(fig1, 1.0)
+    calls = []
+
+    def counted(entries):
+        calls.append(len(entries))
+        return sol.action_for(entries)
+
+    counted.max_buffer = sol.max_buffer
+    res = simulate_erasure(cfg, counted)
+    deliveries = len(sim._speak_slots(fig1, sim._streams(cfg.seed)[1], cfg.horizon))
+    assert len(calls) == deliveries < cfg.horizon
+    _assert_same_result(res, simulate_policy(cfg, sol))
 
 
 class _HiddenWalk:

@@ -538,7 +538,7 @@ def test_residual_gate_rejects_perturbed_h(monkeypatch, which):
 
 def test_b1_cap_rejects_before_allocation(fig1, monkeypatch):
     # S1 at K=14 has |B1| = 16382, 2.1 GB per dense copy: the cap is shown here lowered
-    assert 8190 <= solver.B1_CAP < 16382  # S1 at K=13 and three-level at K=14 pass
+    assert 8190 <= solver.B1_CAP < 16382  # S1 at K=13 (stopped by the correction cap) and three-level at K=14 pass
     table = window_table(fig1, "S1", 8)
     n = sum(int(np.count_nonzero(a == 1)) for a in table.actions[2:])
     tree = StateTree(fig1, 8)
@@ -553,6 +553,30 @@ def test_b1_cap_rejects_before_allocation(fig1, monkeypatch):
     for evaluate in (evaluate_components, lambda *args: evaluate_policy(*args, 1.0)):
         with pytest.raises(ValueError, match=rf"\|B1\|={n} states, over the cap of {n - 1}$"):
             evaluate(fig1, tree, table.actions)
+
+
+def test_correction_cap_rejects_before_the_corrections(fig1, monkeypatch):
+    # S1 has 16,683,006 suffix corrections at K=12 (1.7 GB traced) and 66,904,062 at K=13, about
+    # 104 bytes each at the assembly's peak; fig1 values at p=1 solve through 22,864,708 at K=19.
+    # K=12 and p=1 pass, K=13 is rejected: the cap is shown here lowered
+    assert 22_864_708 <= solver.CORRECTION_CAP < 66_904_062
+    table = window_table(fig1, "S1", 8)
+    tree = StateTree(fig1, 8)
+    n, sizes, real = 61_694, [], solver._ranges
+
+    def ranges(counts):
+        sizes.append(int(counts.sum()))
+        return real(counts)
+
+    monkeypatch.setattr(solver, "_ranges", ranges)
+    monkeypatch.setattr(solver, "CORRECTION_CAP", n)
+    evaluate_components(fig1, tree, table.actions)  # at the cap
+    assert n in sizes  # the corrections were matched
+    sizes.clear()
+    monkeypatch.setattr(solver, "CORRECTION_CAP", n - 1)
+    with pytest.raises(ValueError, match=rf"\|B1\|=\d+ states has {n} suffix corrections, over the cap of {n - 1}$"):
+        evaluate_components(fig1, tree, table.actions)
+    assert n not in sizes  # rejected before the match arrays
 
 
 def test_components_respect_floor(fig1):
