@@ -229,8 +229,10 @@ class Model:
         return (self.v.v_max - self.v.v_min) / self.mu
 
     def buffer_bound(self, eta: float) -> int:
-        """K(eta) = ceil((v_max - v_min) / (eta * mu)), at least 1."""
-        return max(1, self.buffer_bound_i(eta, self.v.size - 1))
+        """K(eta) = ceil((v_max - v_min) / (eta * mu)), at least 1; 1 when every slot speaks
+        (Pr(Z >= 2) = 0), since no buffer then outlives its slot."""
+        bound = self.buffer_bound_i(eta, self.v.size - 1)
+        return 1 if self.z.tail(2) == 0.0 else max(1, bound)
 
     def buffer_bound_i(self, eta: float, i: int) -> int:
         """K_i(eta) = ceil((v_i - v_min) / (eta * mu)) for the i-th value (0-based)."""

@@ -5,8 +5,8 @@ the buffer when the interspeaking time is geometric and there are exactly
 two importance levels.  S1 sends the oldest important packet in the most
 recent K, S2 the newest important in the most recent K, and S3 the newest
 important packet older than K slots (falling back to the oldest important
-one).  The stationary distributions are reversible-chain closed forms in
-powers of r = (1-q)/(1-p) or, when r > 1, of 1/r; the explicit transition
+one).  The stationary laws are reversible-chain closed forms: positive terms
+in powers of r = (1-q)/(1-p), normalized numerically.  The explicit transition
 matrices are built here so tests can cross-check them against
 ``stationary_distribution``, the one dense solver's law.  For simulation,
 S1, S2 and send-latest are chain action tables (``window_table``), which
@@ -24,9 +24,6 @@ import numpy as np
 from .model import Geometric, Model
 from .solver import _chain_actions, average_cost_solve
 from .statetree import StateTree
-
-# q = p makes the S1/S3 stationary ratio degenerate; switch to the limit form.
-RATIO_SINGULARITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,10 +53,22 @@ def _check_window(K: int) -> None:
         raise ValueError(f"window size K must be >= 1, got {K}")
 
 
-def _send_rate_distortion(model: Model, pi0: float) -> float:
-    """D from the send-rate identity: unsent mass splits by importance level."""
-    p, q, v1, v2 = _binary_geometric_params(model)
-    return (1.0 - q - p * pi0) * v1 + (q - p * (1.0 - pi0)) * v2
+def _reversible_law(model: Model, coef: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Law on 0..n from weights coef * r**exponents on 1..n and pi_0 = (1-q)/q * pi_1; powers are
+    taken relative to the largest term's, so none overflows and nothing is singular at r = 1."""
+    p, q, _, _ = _binary_geometric_params(model)
+    r = (1.0 - q) / (1.0 - p)
+    w = coef * r ** (exponents - exponents[np.argmax(exponents * (r - 1.0))])
+    pi = np.concatenate(([(1.0 - q) / q * w[0]], w))
+    return pi / pi.sum()
+
+
+def _curve_point(model: Model, name: str, K: int, pi: np.ndarray, lost: float, top_age=0.0) -> StrategyCurvePoint:
+    """Delta_e = sum_{k=1..K} (k-1) pi_k + ``top_age``.  D from the send rate: 1 - p packets a slot
+    go unsent, ``lost`` = q - p(1 - pi_0) of them important, each law giving it without cancellation."""
+    p, _, v1, v2 = _binary_geometric_params(model)
+    delta_e = float(np.arange(K) @ pi[1 : K + 1]) + top_age
+    return StrategyCurvePoint(name, K, delta_e, (1.0 - p) * v1 + float(lost) * (v2 - v1), pi)
 
 
 # ---------------------------------------------------------------------------
@@ -68,29 +77,14 @@ def _send_rate_distortion(model: Model, pi0: float) -> float:
 
 
 def s1_stationary(model: Model, K: int) -> np.ndarray:
-    p, q, _, _ = _binary_geometric_params(model)
-    pb, qb = 1.0 - p, 1.0 - q
-    r = qb / pb
-    pi = np.zeros(K + 1)
-    if abs(r - 1.0) < RATIO_SINGULARITY_TOL:
-        pi_K = p / (K * p + pb)
-        pi[1:] = pi_K
-    elif r < 1.0:
-        pi_K = (1.0 - r) / (1.0 - (p / q) * r**K)
-        pi[1:] = pi_K * r ** (K - np.arange(1, K + 1))
-    else:  # numerator and denominator divided by r**K, so no power of r overflows
-        rho = pb / qb
-        pi[1:] = (1.0 - r) * rho ** np.arange(1, K + 1) / (rho**K - p / q)
-    pi[0] = (qb / q) * pi[1]
-    return pi
+    """pi_k proportional to r**(K-k) on 1..K."""
+    return _reversible_law(model, np.ones(K), np.arange(K - 1, -1, -1))
 
 
 def s1_point(model: Model, K: int) -> StrategyCurvePoint:
     _check_window(K)
     pi = s1_stationary(model, K)
-    delta_e = float(np.arange(-1, K) @ pi + pi[0])  # sum (k-1) pi_k over k >= 1
-    d = _send_rate_distortion(model, float(pi[0]))
-    return StrategyCurvePoint("S1", K, delta_e, d, pi)
+    return _curve_point(model, "S1", K, pi, (1.0 - model.z.p) * pi[K])
 
 
 def s1_transition_matrix(model: Model, K: int) -> np.ndarray:
@@ -123,26 +117,26 @@ def s1_transition_matrix(model: Model, K: int) -> np.ndarray:
 
 
 def s2_stationary(model: Model, K: int) -> np.ndarray:
+    """pi_a = q x**(a-1) with x = (1-p)(1-q); pi_0 = (p(1-q) + q x**K) / (1 - x)."""
     p, q, _, _ = _binary_geometric_params(model)
-    pb, qb = 1.0 - p, 1.0 - q
-    pi = np.zeros(K + 1)
-    a = np.arange(1, K + 1)
-    pi[1:] = q * (pb * qb) ** (a - 1)
-    pi[0] = 1.0 - pi[1:].sum()
-    return pi
+    x = (1.0 - p) * (1.0 - q)
+    pi0 = (p * (1.0 - q) + q * x**K) / (1.0 - x)
+    return np.concatenate(([pi0], q * x ** np.arange(K)))
 
 
 def s2_point(model: Model, K: int) -> StrategyCurvePoint:
     _check_window(K)
-    pi = s2_stationary(model, K)
-    delta_e = float(np.arange(-1, K) @ pi + pi[0])
-    d = _send_rate_distortion(model, float(pi[0]))
-    return StrategyCurvePoint("S2", K, delta_e, d, pi)
+    p, q, _, _ = _binary_geometric_params(model)
+    x = (1.0 - p) * (1.0 - q)
+    lost = q * (q * (1.0 - p) + p * x**K) / (1.0 - x)
+    return _curve_point(model, "S2", K, s2_stationary(model, K), lost)
 
 
 def s2_transition_matrix(model: Model, K: int) -> np.ndarray:
-    pi = s2_stationary(model, K)
-    return np.tile(pi, (K + 1, 1))
+    """Each row is the gap law, since an S2 delivery leaves only v_min packets behind."""
+    q = _binary_geometric_params(model)[1]
+    row = np.array([q * (1.0 - q) ** (a - 1) * model.z_tail(a) for a in range(1, K + 1)])
+    return np.tile(np.concatenate(([1.0 - row.sum()], row)), (K + 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -151,35 +145,18 @@ def s2_transition_matrix(model: Model, K: int) -> np.ndarray:
 
 
 def s3_stationary(model: Model, K: int) -> np.ndarray:
-    p, q, _, _ = _binary_geometric_params(model)
-    pb, qb = 1.0 - p, 1.0 - q
-    r = qb / pb
-    pi = np.zeros(K + 2)
-    if r > 1.0 + RATIO_SINGULARITY_TOL:  # every term divided by r**K: no power of r overflows
-        rho = pb / qb
-        denom = rho**K + p * (1.0 - rho**K) / (1.0 - rho) + p * qb / q
-        pi[K + 1] = rho**K / denom
-        pi[1 : K + 1] = p * rho ** np.arange(K) / denom
-    else:
-        # sum_{a=1..K} r^{K+1-a}
-        interior = float(K) if abs(r - 1.0) < RATIO_SINGULARITY_TOL else r * (1 - r**K) / (1 - r)
-        pi_top = 1.0 / (1.0 + p * interior + (p * qb / q) * r**K)
-        pi[K + 1] = pi_top
-        pi[1 : K + 1] = p * pi_top * r ** (K + 1 - np.arange(1, K + 1))
-    pi[0] = (qb / q) * pi[1]
-    return pi
+    """pi_a proportional to p r**(K+1-a) on 1..K and to 1 on state K+1."""
+    p = _binary_geometric_params(model)[0]
+    return _reversible_law(model, np.append(np.full(K, p), 1.0), np.arange(K, -1, -1))
 
 
 def s3_point(model: Model, K: int) -> StrategyCurvePoint:
     _check_window(K)
     p, q, _, _ = _binary_geometric_params(model)
-    pbqb = (1.0 - p) * (1.0 - q)
     pi = s3_stationary(model, K)
-    delta_e = float(np.arange(-1, K) @ pi[: K + 1] + pi[0])
     # state K+1 sends at age K-1+Z' with Z' geometric of rate 1 - pb*qb
-    delta_e += float(pi[K + 1]) * (1.0 / (1.0 - pbqb) + K - 1)
-    d = _send_rate_distortion(model, float(pi[0]))
-    return StrategyCurvePoint("S3", K, delta_e, d, pi)
+    top_age = float(pi[K + 1]) * (1.0 / (1.0 - (1.0 - p) * (1.0 - q)) + K - 1)
+    return _curve_point(model, "S3", K, pi, (1.0 - p) * q * pi[K + 1], top_age)
 
 
 def s3_transition_matrix(model: Model, K: int) -> np.ndarray:

@@ -249,12 +249,11 @@ def run_battery(
                     pi = stationary_distribution(matrix(fig1, K))
                     ok &= np.abs(point(fig1, K).pi - pi).max() < 1e-10
             curve = sweep_eta(fig1, list(np.geomspace(fig1.eta_max(), 0.6, 8)))
-            converse = [(eta, j + lambda_perturbation) for eta, j in curve.converse]
             margin = min(
-                min(pt.d + eta * pt.delta_e - j for eta, j in converse)
+                curve.min_margin(pt.delta_e, pt.d)
                 for name in ("S1", "S2", "S3")
                 for pt in (strategy_point(fig1, name, K) for K in range(1, 13))
-            )
+            ) - lambda_perturbation
             ok &= margin >= -1e-6
             add(ok, f"margin {margin:.3e}")
 

@@ -352,9 +352,9 @@ def test_verify_pass_and_negative_control(fig1_file, capsys):
         ({"values": [1, 20], "probs": [0.7, 0.3], "z": {"pmf": [0.1, 0.3, 0.6]}}, ["dominance", "erasure"]),
         # eta_max = 0, and every run has delta_e = 0 with a standard error of 0
         ({"values": [3.0], "probs": [1.0], "z": {"geometric": 0.2}}, ["eta_max", "threshold flip", "dominance"]),
-        # every slot speaks: the closed forms need p < 1, and both simulation gates see SE 0.
-        # fig1's values at p=1 behave alike, but their solve walks to K=19 through 2.4 GB
-        ({"values": [1, 3], "probs": [0.7, 0.3], "z": {"geometric": 1.0}}, ["dominance"]),
+        # every slot speaks: the closed forms need p < 1, both simulation gates see SE 0,
+        # and the solve stops at depth 1
+        ({"values": [1, 20], "probs": [0.7, 0.3], "z": {"geometric": 1.0}}, ["dominance"]),
     ],
     ids=["three-values", "finite-pmf", "one-value", "p-one"],
 )

@@ -84,6 +84,10 @@ def test_eta_max_and_buffer_bounds(fig1):
     assert fig1.buffer_bound_i(1.0, 1) == 4
     bounds = [fig1.buffer_bound(eta) for eta in np.linspace(0.1, 5.0, 60)]
     assert all(b <= a for a, b in zip(bounds, bounds[1:]))  # nonincreasing in eta
+    # every slot speaks, so no buffer outlives its slot: depth 1 at any eta
+    for z in (Geometric(1.0), FinitePMF((1.0, 0.0))):
+        assert Model(fig1.v, z).buffer_bound(1.0) == 1
+        assert Model(fig1.v, z).buffer_bound(1e-3) == 1
     with pytest.raises(ValueError):
         fig1.buffer_bound(0.0)
     with pytest.raises(ValueError):

@@ -82,12 +82,14 @@ def test_s2_examples(fig1):
 
 # r = qbar / pbar = 1.8: r**K overflows a float from K = 1208 on
 STEEP = Model(ImportanceDist((1.0, 20.0), (0.9, 0.1)), Geometric(0.5))
+# r = 1 + 5e-10: ratios such as (1 - r) / (1 - (p/q) r**K) cancel to a few digits here
+NEAR_ONE = Model(ImportanceDist((1.0, 20.0), (0.8 * (1 + 5e-10), 1 - 0.8 * (1 + 5e-10))), Geometric(0.2))
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 5, 8, 11, 15])
 def test_rows_sum_and_stationary_match(fig1, fig2, K):
-    # fig1 has r = qbar / pbar < 1; fig2 (r = 8/7) and STEEP take the r > 1 forms
-    for model in (fig1, fig2, STEEP):
+    # r = qbar / pbar is 7/8 for fig1, 8/7 for fig2, 1.8 for STEEP and 1 + 5e-10 for NEAR_ONE
+    for model in (fig1, fig2, STEEP, NEAR_ONE):
         for build, closed in (
             (s1_transition_matrix, s1_point),
             (s2_transition_matrix, s2_point),
@@ -119,7 +121,7 @@ def test_stationary_distribution_rejects_two_recurrent_classes():
 @pytest.mark.parametrize("K", range(1, 9))
 def test_s1_s2_closed_forms_match_trie_chain_policies(fig1, fig2, K):
     """The S1 and S2 window tables, evaluated exactly on the window-K trie."""
-    for model in (fig1, fig2):
+    for model in (fig1, fig2, NEAR_ONE):
         tree = StateTree(model, K)
         for name, point in (("S1", s1_point), ("S2", s2_point)):
             delta_e, d = evaluate_components(model, tree, window_table(model, name, K).actions)
