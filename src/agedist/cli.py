@@ -44,7 +44,7 @@ class UsageError(Exception):
 
 
 def _load_model(path: str) -> Model:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise UsageError(f"model file not found: {path}")
     try:
         return Model.from_json(path)
@@ -63,6 +63,8 @@ def _parse_range(text: str, what: str) -> range:
 
 
 def _parse_etas(args, model: Model) -> list[float]:
+    if args.eta_list is not None and args.eta_grid is not None:
+        raise UsageError("--eta-list and --eta-grid both choose the eta values; give one")
     if args.eta_list:
         try:
             etas = sorted({float(x) for x in args.eta_list.split(",") if x.strip()}, reverse=True)
@@ -157,7 +159,7 @@ def _check_simulate_flags(args) -> None:
 
 def _resolve_packet_policy(args, model: Model):
     if args.policy is not None:
-        if not os.path.exists(args.policy):
+        if not os.path.isfile(args.policy):
             raise UsageError(f"policy file not found: {args.policy}")
         return PolicySolution.from_json(args.policy, model)
     if args.strategy is not None:
@@ -262,7 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError, RuntimeError) as exc:
+    except (UsageError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR if isinstance(exc, UsageError) else 1
 

@@ -45,15 +45,15 @@ its newest entry or the oldest of its nearest ancestor that sends its
 oldest, so the rule adds one check: no such state of length >= 2 has
 ``v_min`` oldest.
 
-Distortion and age are accounted after the walk, by numpy.  Distortion is
-charged when an entry becomes unsendable: a delivery passes over it, or it
-falls off the window K (slot j's arrival at slot j + K); the fall-offs
-follow from the trajectory.  Entries leave from the oldest end, so these
-charges come in arrival order, and each arrival's is read from its value
-index.  Excess age is recorded per delivery.  After a burn-in of 1% of the
-horizon, standard errors come from the means of ``BATCHES`` equal slot
-spans, each summed by a sequential ``cumsum``, so the result has the bits
-of a loop that charged each slot as it went.
+Distortion and age are accounted after the walk, by numpy.  Every arrival
+is charged its importance unless a delivery sends it: a delivery passes
+over it, or it falls off the window K (slot j's arrival at slot j + K).
+Entries leave from the oldest end, so these charges come in arrival order,
+and each arrival's is read from its value index.  Excess age is recorded
+per delivery.  After a burn-in of 1% of the horizon, standard errors come
+from the means of ``BATCHES`` equal slot spans, each summed by a
+sequential ``cumsum``, so the result has the bits of a loop that charged
+each slot as it went.
 """
 
 from __future__ import annotations
@@ -283,15 +283,15 @@ def _account(config: SimConfig, weights, codes, K, speaks, dl, ds, dr) -> SimRes
     ``dl``, ``ds`` and ``dr`` hold l, skipped and removed per delivery,
     after an empty delivery at slot 0.  Delivery k at slot t_k removes the
     arrival indices first_k = t_k - l_k .. left_k - 1, left_k = first_k +
-    removed_k, the oldest skipped_k unsent; those from left_(k-1) up to
-    first_k fell off the window K.  Entries leave from the oldest end, so
-    the charges in slot order are, in arrival order, each fall-off's
-    importance and each skip's sum at its oldest entry, with +0.0 (which
-    changes no float) at every other arrival: a sequential ``cumsum`` over
-    each span's arrivals, ``ACCOUNT_BLOCK`` at a time with the total
-    carried, has the bits of a per-slot loop.  A span's arrivals end at the
-    buffer's start after its last slot E, max(left_k, E - K) for the last
-    delivery k at or before E; the horizon closes the run.
+    removed_k, and sends the newest removed_k - skipped_k of them.  A span's
+    arrivals end at the buffer's start after its last slot E, max(left_k, E -
+    K) for the last delivery k at or before E; the horizon closes the run.
+    Each of a span's arrivals has left the buffer within the span, so it is
+    charged its importance unless a delivery sent it: it was passed over or
+    fell off the window.  Entries leave from the oldest end, so arrival order
+    is slot order: a sequential ``cumsum`` over each span's arrivals, with
+    +0.0 (which changes no float) at each sent one, ``ACCOUNT_BLOCK`` at a
+    time with the total carried, has the bits of a per-slot loop.
     """
     horizon, burn, nb = config.horizon, config.burn, BATCHES
     weights = np.asarray(weights, dtype=float)
@@ -313,38 +313,25 @@ def _account(config: SimConfig, weights, codes, K, speaks, dl, ds, dr) -> SimRes
         areas[0] += raw_age
         raw_age = np.cumsum(areas, out=areas)[-1]
     del t, a, b  # views of t
-    # each skip's sum, its entries added oldest first: pass j adds the j-th entry of every skip
-    # at least j long, and sorted by length those are a suffix
-    on = np.flatnonzero(ds)
-    on = on[np.argsort(ds[on])]
-    entry, sums = first[on], np.zeros(len(on))
-    for j in np.searchsorted(ds[on], np.arange(1, ds.max() + 1)).tolist():
-        sums[j:] += weights.take(codes.take(entry[j:]))
-        entry[j:] += 1
-    skips = np.zeros(len(dl))
-    skips[on] = sums
-    del on, entry, sums  # only the skip sums outlive the passes
-    first, dr, skips = first[1:], dr[1:], skips[1:]  # delivery k at index k - 1
-    charge, cut = np.zeros(nb + 1), horizon - K  # no arrival from the cut on falls off
-    buf, marks = np.empty(ACCOUNT_BLOCK), np.empty(ACCOUNT_BLOCK + 1, np.int8)  # reused by every block
+    sent, count = first[1:], dr[1:] - ds[1:]  # delivery k at index k - 1 sends sent_k .. sent_k + count_k - 1
+    sent += ds[1:]
+    charge = np.zeros(nb + 1)
+    buf = np.empty(ACCOUNT_BLOCK)  # reused by every block
     for i in range(nb + 1):
-        for lo in range(bounds[i], min(bounds[i + 1], cut), ACCOUNT_BLOCK):
-            hi = min(lo + ACCOUNT_BLOCK, bounds[i + 1], cut)
-            c, mark = buf[: hi - lo], marks[: hi - lo + 1]
+        for lo in range(bounds[i], bounds[i + 1], ACCOUNT_BLOCK):
+            hi = min(lo + ACCOUNT_BLOCK, bounds[i + 1])
+            c = buf[: hi - lo]
             weights.take(codes[lo:hi], out=c)
-            # zero the removals from delivery k on, which overlap the block, and place the skip sums
-            k0, k1 = np.searchsorted(first, (lo, hi)).tolist()
-            k = k0 - 1 if k0 and first[k0 - 1] + dr[k0 - 1] > lo else k0
-            starts = first[k:k1] - lo
-            mark[:] = 0
-            mark[np.minimum(starts + dr[k:k1], hi - lo)] = -1
-            mark[np.maximum(starts, 0)] += 1  # a removal that ends where the next begins marks 0
-            np.copyto(c, 0.0, where=np.cumsum(mark, dtype=np.int8, out=mark)[:-1].view(bool))
-            c[starts[k0 - k :]] = skips[k0:k1]
+            # zero the sends from delivery k on, which overlap the block; a send that straddles
+            # an end of the block is clipped to it
+            k0, k1 = np.searchsorted(sent, (lo, hi)).tolist()
+            k = k0 - 1 if k0 and sent[k0 - 1] + count[k0 - 1] > lo else k0
+            n = count[k:k1]
+            idx = np.repeat(sent[k:k1] - lo - (np.cumsum(n) - n), n)  # each start, less the sends before it
+            idx += np.arange(len(idx), dtype=idx.dtype)
+            c[np.clip(idx, 0, hi - lo - 1, out=idx)] = 0.0
             c[0] += charge[i]
             charge[i] = np.cumsum(c, out=c)[-1]
-        k0, k1 = np.searchsorted(first, (max(bounds[i], cut), max(bounds[i + 1], cut))).tolist()
-        charge[i] = np.cumsum(np.append(charge[i], skips[k0:k1]))[-1]  # past the cut, skips alone
     return _batch_means(config, age[1:], np.diff(at)[1:], charge[1:], np.diff(ends)[1:], raw_age)
 
 
@@ -460,16 +447,17 @@ def simulate_bit_policy(config: SimConfig, source, policy) -> SimResult:
     ``n_bits``, ``max_buffer`` and ``action(l)``, the chunk end index: a
     plain length policy, or a threshold policy with ``tau`` on an
     untruncated buffer, which keeps tau bits beyond length tau + N.  Its
-    leftover ``l - action(l)`` is read once per length up to that cap and
-    checked before the first slot.  A Tunstall threshold policy
-    (``word_lengths``) sends, in the skip states l > tau + N, the word
-    parsed newest-first from the sendable region's newest bit.
+    leftover ``l - action(l)`` is read once per length up to that cap, or
+    up to the horizon if that is smaller, and checked before the first
+    slot.  A Tunstall threshold policy (``word_lengths``) sends, in the skip
+    states l > tau + N, the word parsed newest-first from the sendable
+    region's newest bit.
     """
     arr_rng, tim_rng = _streams(config.seed)
     bits = _flags(arr_rng, source.q, config.horizon).view(np.int8)
     speaks = _slots_where(_flags(tim_rng, source.p, config.horizon))
     N, K = policy.n_bits, policy.max_buffer
-    cap = policy.tau + N if K is None else K
+    cap = min(policy.tau + N, config.horizon) if K is None else K  # no buffer outgrows the horizon
     after = np.zeros(2 * cap, np.min_scalar_type(cap))
     for l in range(1, cap + 1):
         s = int(policy.action(l))

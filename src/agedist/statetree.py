@@ -15,6 +15,7 @@ oracle routes read, are built on first read.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from functools import cached_property
 
 import numpy as np
@@ -33,6 +34,11 @@ def max_depth(alphabet_size: int) -> int:
     while alphabet_size ** (k + 2) <= NODE_CAP:
         k += 1
     return k
+
+
+def _short(n: int) -> str:
+    """A positive integer as written below 10^12, else rounded exactly to short scientific form."""
+    return str(n) if n < 10**12 else f"{Decimal(n):.2e}"
 
 
 def buffer_digits(level: int, index, m: int) -> tuple:
@@ -83,11 +89,10 @@ class StateTree:
         m = model.v.size
         cap = max_depth(m)
         if K > cap:
-            digits = (K + 1) * np.log10(m)
-            est = f"{sum(m**l for l in range(K + 1))}" if digits < 18 else f"~10^{digits:.0f}"
+            nodes = _short(K + 1) if m == 1 else f"{m}^{_short(K + 1)}"
             raise ValueError(
-                f"K={K} exceeds the dense-storage cap {cap} for |V|={m} "
-                f"(would need {est} nodes)"
+                f"K={_short(K)} exceeds the dense-storage cap {cap} for |V|={m} "
+                f"(would need {nodes} nodes)"
             )
         self.K = K
         self.m = m

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -99,6 +100,22 @@ def test_tradeoff_fails_when_no_eta_is_solved(fig1_file, tmp_path, capsys):
     assert err.count("skipped: K=") == 2  # both need K > 23
     assert err.splitlines()[-1] == "error: none of the 2 eta values could be solved"
     assert not out.exists()
+
+
+def test_tradeoff_rejects_both_eta_flags(fig1_file, tmp_path, capsys):
+    out = tmp_path / "both"
+    args = ["tradeoff", "--model", fig1_file, "--out", str(out), "--eta-list", "1", "--eta-grid", "1:0.5:3"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: --eta-list and --eta-grid both choose the eta values; give one\n"
+    assert not out.exists()
+
+
+def test_tradeoff_depth_cap_warning_is_short(fig1_file, tmp_path, capsys):
+    out = str(tmp_path / "tiny")
+    assert main(["tradeoff", "--model", fig1_file, "--out", out, "--eta-list", "3.8,1e-300"]) == 0
+    (warning,) = capsys.readouterr().err.splitlines()
+    assert warning.startswith("warning: eta=1e-300 skipped: K=3.80e+300 exceeds the dense-storage cap 23")
+    assert len(warning) < 200
 
 
 def test_strategies_csv_with_floor_row(fig1_file, tmp_path):
@@ -378,3 +395,59 @@ def test_verify_reports_a_check_that_raises(tmp_path, capsys):
     failed = [r for r in out if "  FAIL  " in r]
     assert [r.split("  FAIL")[0].strip() for r in failed] == ["solver vs simulator", "erasure equivalence"]
     assert "error: K=200 exceeds the dense-storage cap" in failed[0]
+
+
+def _not_a_directory(tmp_path):
+    """A path under a regular file: no user, root included, can create it."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return str(blocker / "out")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["strategies", "--k-range", "1:2"],
+        ["bufferignorant", "--n-bits", "2", "--tau-range", "0:1"],
+        ["simulate", "--eta", "1", "--horizon", "10000"],
+        ["tradeoff", "--eta-list", "1"],
+    ],
+)
+def test_unwritable_output_is_an_error_line(fig1_file, tmp_path, capsys, args):
+    command, *rest = args
+    rc = main([command, "--model", fig1_file, "--out", _not_a_directory(tmp_path), *rest])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["strategies", "--out", "s.csv"],
+        ["bufferignorant", "--out", "b.csv"],
+        ["simulate", "--eta", "1"],
+        ["tradeoff", "--eta-list", "1", "--out", "t"],
+        ["verify"],
+    ],
+)
+def test_model_directory_is_a_usage_error(tmp_path, capsys, args):
+    command, *rest = args
+    assert main([command, "--model", str(tmp_path), *rest]) == 2
+    assert capsys.readouterr().err == f"error: model file not found: {tmp_path}\n"
+
+
+def test_policy_directory_is_a_usage_error(fig1_file, tmp_path, capsys):
+    assert main(["simulate", "--model", fig1_file, "--policy", str(tmp_path), "--horizon", "10000"]) == 2
+    assert capsys.readouterr().err == f"error: policy file not found: {tmp_path}\n"
+
+
+@pytest.mark.parametrize("coded", [[], ["--tunstall"]])
+def test_bits_threshold_past_the_horizon(fig1_file, capsys, coded):
+    base = ["simulate", "--model", fig1_file, "--mode", "bits", "--horizon", "10000", *coded]
+    assert main([*base, "--tau", "10000"]) == 0
+    at_horizon = capsys.readouterr().out
+    start = time.perf_counter()
+    assert main([*base, "--tau", "99999999999"]) == 0  # its rest row stops at the horizon
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == at_horizon

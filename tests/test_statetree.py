@@ -85,6 +85,14 @@ def test_depth_cap_rejected(fig1):
     assert "nodes" in str(err.value)
 
 
+@pytest.mark.parametrize("exp", [25, 300, 400])
+def test_depth_cap_message_stays_short(fig1, exp):
+    with pytest.raises(ValueError) as err:
+        StateTree(fig1, 10**exp - 1)  # rounds up to 1.00e+{exp}
+    msg = str(err.value)
+    assert msg.startswith(f"K=1.00e+{exp} exceeds the dense-storage cap 23 for |V|=2") and len(msg) < 200
+
+
 def test_enumeration_is_exhaustive(fig1):
     tree = StateTree(fig1, 3)
     seen = {tree.entries_of(l, i) for l in range(4) for i in range(tree.level_size[l])}
