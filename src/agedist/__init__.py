@@ -8,7 +8,6 @@ from .solver import (
     evaluate_components,
     evaluate_policy,
     generic_policy_iteration,
-    kappa_update,
     one_step_cost,
     policy_improve,
     policy_iteration,
@@ -29,7 +28,6 @@ __all__ = [
     "evaluate_components",
     "evaluate_policy",
     "generic_policy_iteration",
-    "kappa_update",
     "one_step_cost",
     "policy_improve",
     "policy_iteration",

@@ -97,9 +97,9 @@ class BIPolicySolution:
     def max_buffer(self) -> int:
         return self.L_cap
 
-    def action(self, l: int) -> int:
-        """The chunk end index at length l; lengths past the cap act as the cap."""
-        return int(self.actions[min(l, self.L_cap)])
+    def action(self, l):
+        """The chunk end index at length l, or at each of an array of lengths; lengths past the cap act as the cap."""
+        return self.actions[np.minimum(l, self.L_cap)]
 
     def matching_threshold(self) -> int | None:
         """The tau whose single-threshold policy s(l) = min(max(l - tau, N), l) equals this one, if any."""
@@ -277,9 +277,8 @@ def threshold_chain_matrix(source: BinarySource, tau: int, L: int) -> np.ndarray
     beyond L lump into state L; choose L so the lumped mass is negligible
     when using this as a stationary-solve oracle.
     """
-    T, _ = _leftover_table(source, L)
-    rule = PlainThresholdBitPolicy(source, tau).action
-    return T[[l - rule(l) for l in range(1, L + 1)]]
+    l = np.arange(1, L + 1)
+    return _leftover_table(source, L)[0][l - PlainThresholdBitPolicy(source, tau).action(l)]
 
 
 def oracle_chain_length(source: BinarySource, tau: int) -> int:
@@ -362,8 +361,9 @@ class PlainThresholdBitPolicy:
         self.tau = tau
         self.n_bits = source.N
 
-    def action(self, l: int) -> int:
-        return min(max(l - self.tau, self.n_bits), l)
+    def action(self, l):
+        """The chunk end index at length l, or at each of an array of lengths."""
+        return np.minimum(np.maximum(l - self.tau, self.n_bits), l)
 
 
 class TunstallThresholdBitPolicy(PlainThresholdBitPolicy):

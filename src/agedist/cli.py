@@ -89,12 +89,15 @@ def _parse_etas(args, model: Model) -> list[float]:
 def cmd_tradeoff(args) -> int:
     model = _load_model(args.model)
     etas = _parse_etas(args, model)
+    fresh = not os.path.isdir(args.out)
+    os.makedirs(args.out, exist_ok=True)  # an unwritable --out fails before the sweep
     curve = sweep_eta(model, etas)
     for eta, msg in curve.failures:
         print(f"warning: eta={eta:.6g} skipped: {msg}", file=sys.stderr)
     if not curve.points:
+        if fresh:
+            os.rmdir(args.out)
         raise RuntimeError(f"none of the {len(etas)} eta values could be solved")
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "points.csv"), "w", encoding="utf-8") as fh:
         curve.write_points_csv(fh)
     with open(os.path.join(args.out, "converse.csv"), "w", encoding="utf-8") as fh:
@@ -144,7 +147,7 @@ def cmd_bufferignorant(args) -> int:
 
 
 def _check_simulate_flags(args) -> None:
-    """Reject a flag the mode or strategy would ignore, and more than one packet policy."""
+    """Reject a flag the mode or strategy would ignore, a missing --tau, and more than one packet policy."""
     packet = [f"--{f}" for f in ("policy", "strategy", "k", "eta") if getattr(args, f) is not None]
     bits = [f for f, on in (("--tau", args.tau is not None), ("--tunstall", args.tunstall)) if on]
     ignored = packet if args.mode == "bits" else bits
@@ -155,6 +158,8 @@ def _check_simulate_flags(args) -> None:
         raise UsageError(f"{chosen[0]} and {chosen[1]} both choose the policy; give one")
     if args.k is not None and (args.strategy is None or args.strategy.lower() == "send-latest"):
         raise UsageError("--k applies only to --strategy S1, S2 or S3")
+    if args.mode == "bits" and args.tau is None:
+        raise UsageError("bits mode needs --tau")
 
 
 def _resolve_packet_policy(args, model: Model):
@@ -179,9 +184,9 @@ def _resolve_packet_policy(args, model: Model):
 def cmd_simulate(args) -> int:
     _check_simulate_flags(args)
     model = _load_model(args.model)
+    if args.out:
+        open(args.out, "a").close()  # an unwritable --out fails before the run
     if args.mode == "bits":
-        if args.tau is None:
-            raise UsageError("bits mode needs --tau")
         src = BinarySource.from_model(model, args.n_bits_int)
         cfg = SimConfig(horizon=args.horizon, seed=args.seed)
         if args.tunstall:

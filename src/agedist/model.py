@@ -178,11 +178,6 @@ class Model:
         return self.z.mean
 
     @property
-    def nu(self) -> float:
-        """E[Z(Z+1)]/2, the unavoidable age offset is nu/mu."""
-        return self.z.second_factorial_moment
-
-    @property
     def mean_importance(self) -> float:
         return self.v.mean
 

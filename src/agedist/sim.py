@@ -444,26 +444,27 @@ def simulate_bit_policy(config: SimConfig, source, policy) -> SimResult:
 
     The sender holds raw bits (1 important with importance v, 0 with
     importance 1) and transmits N-bit chunks.  ``policy`` exposes
-    ``n_bits``, ``max_buffer`` and ``action(l)``, the chunk end index: a
-    plain length policy, or a threshold policy with ``tau`` on an
-    untruncated buffer, which keeps tau bits beyond length tau + N.  Its
-    leftover ``l - action(l)`` is read once per length up to that cap, or
-    up to the horizon if that is smaller, and checked before the first
-    slot.  A Tunstall threshold policy (``word_lengths``) sends, in the skip
-    states l > tau + N, the word parsed newest-first from the sendable
-    region's newest bit.
+    ``n_bits``, ``max_buffer`` and ``action(l)``, the chunk end index at
+    each of an array of lengths: a plain length policy, or a threshold
+    policy with ``tau`` on an untruncated buffer, which keeps tau bits
+    beyond length tau + N.  Its leftover ``l - action(l)`` is read in one
+    call for the lengths up to that cap, or up to the horizon if smaller,
+    and checked before the first slot.  A Tunstall threshold policy
+    (``word_lengths``) sends, in the skip states l > tau + N, the word
+    parsed newest-first from the sendable region's newest bit.
     """
     arr_rng, tim_rng = _streams(config.seed)
     bits = _flags(arr_rng, source.q, config.horizon).view(np.int8)
     speaks = _slots_where(_flags(tim_rng, source.p, config.horizon))
     N, K = policy.n_bits, policy.max_buffer
     cap = min(policy.tau + N, config.horizon) if K is None else K  # no buffer outgrows the horizon
+    l = np.arange(1, cap + 1)
+    s = np.asarray(policy.action(l))
+    bad = np.flatnonzero((s < 1) | (s > l))
+    if len(bad):
+        raise RuntimeError(f"policy returned infeasible action {s[bad[0]]} for length {bad[0] + 1}")
     after = np.zeros(2 * cap, np.min_scalar_type(cap))
-    for l in range(1, cap + 1):
-        s = int(policy.action(l))
-        if not 1 <= s <= l:
-            raise RuntimeError(f"policy returned infeasible action {s} for length {l}")
-        after[l] = l - s
+    after[1 : cap + 1] = l - s
     after[cap + 1 :] = after[cap]
     dl, dr = _walk(speaks, cap, K, lambda lo, hi: after)
     ds = dr - N

@@ -19,8 +19,15 @@ Cost convention: the average cost per speaking instant is
 system is linear in the one-step cost, so every evaluation factors it once
 and solves for the age and the distortion parts of the cost as two
 right-hand sides: their average costs are ``delta_e`` and ``d``, and lambda
-and h are the eta-weighted sums.  The residual gate and the improvement both
-read C_h(b, 1) from one pass per evaluation that reduces each trie level once.
+and h are the eta-weighted sums.
+
+A solve carries its policy as B1, (level, index) arrays, and builds the
+action table once, at the end.  It allocates one buffer set, sized by K,
+and every iteration writes into it.  C_h(b, 1) comes from two passes up the
+trie that rebuild h from the solved B1 values, two levels at a time: pass 1
+reduces the deepest level into the kappa recursion, pass 2 adds the
+expectations of the shallower levels; the residual gate reads both at B1,
+and the improvement sweeps them one oldest digit at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,49 +118,64 @@ def c_value(model: Model, tree: StateTree, h_levels, state, s: int, eta: float) 
 
 
 # ---------------------------------------------------------------------------
-# kappa recursion: C_h(b, 1) for every node in O(K |V|^K)
+# C_h(b, 1) for every node in O(K |V|^K): two passes up the trie
 # ---------------------------------------------------------------------------
 
 
-def _level_reductions(tree: StateTree, h_levels, L: int) -> list[np.ndarray]:
-    """``red[z]`` is E[h(x || V^z)] over the level-(L - z) nodes x, for z = 0..L.
+class _Workspace:
+    """One solve's per-node buffers, sized by K and reused by every iteration.
 
-    Each step sums out the newest digit, so all of a level costs
-    O(m^L m / (m - 1)) however many z are read.
+    ``h[(K - l) % 2]`` holds h_l (then the best C-values), ``red`` the level reductions (then
+    the chain values), and ``parts[l]``, l = 1..K, views the level-(l-1) slot of ``flat``."""
+
+    def __init__(self, tree: StateTree):
+        top, off = tree.level_size[tree.K - 1], tree.level_offset
+        self.h = (np.empty(tree.level_size[tree.K]), np.empty(top))
+        self.red = (np.empty(top), np.empty(top))
+        self.flat = np.empty(off[tree.K])
+        self.parts = [np.empty(0)] + np.split(self.flat, off[1 : tree.K])
+        self.take = np.empty(top, dtype=bool)
+
+
+def _chain_h(model: Model, tree: StateTree, lev, idx, u, ws: _Workspace):
+    """Yield h_1..h_K of the chain policy with B1 values ``u``, each built from the last into ``ws.h``."""
+    K, m = tree.K, tree.m
+    b1mu = (tree.values / model.mu)[:, None]
+    ends = np.searchsorted(lev, np.arange(K + 1), "right")  # level l's B1 entries: ends[l-1]..ends[l]
+    h = ws.h[(K - 1) % 2][:m]
+    h.fill(0.0)
+    yield h
+    for l in range(2, K + 1):
+        h = np.add(h, b1mu, out=ws.h[(K - l) % 2][: m**l].reshape(m, -1)).ravel()
+        h[idx[ends[l - 1] : ends[l]]] = u[1 + ends[l - 1] : 1 + ends[l]]
+        yield h
+
+
+def _c1_parts(model: Model, tree: StateTree, levels, ws: _Workspace) -> list[np.ndarray]:
+    """Per-parent parts of C_h(b, 1) into ``ws.parts``: ``C_h(b, 1) = eta * (l - 1) + parts[l][parent(b)]``.
+
+    ``parts[l]``, over the level-(l-1) nodes, is kappa(parent) + sum_z p_z
+    E[h(parent || V^z)], and ``levels()`` iterates over h_1..h_K afresh.
+    Pass 1 reduces h_K down to the root, E[h_K(x || V^(K-l))] into
+    ``parts[l + 1]``, and turns those into kappa upward in place.  Pass 2
+    reduces each h_L, L < K, adding p_z E[h_L(x || V^z)] to ``parts[L - z +
+    1]``.  Each step sums out the newest digit, so a level costs O(m^L m / (m - 1)).
     """
-    red = [h_levels[L]]
-    for _ in range(L):
-        red.append(red[-1].reshape(-1, tree.m) @ tree.probs)
-    return red
-
-
-def kappa_update(model: Model, tree: StateTree, h_levels):
-    """kappa arrays for levels 0..K-1 (only parents are ever queried)."""
-    K = tree.K
-    mu = model.mu
-    eh = _level_reductions(tree, h_levels, K)
-    kappa: list[np.ndarray] = [np.empty(0)] * K
-    base = model.z_tail(K) * float(eh[K][0])
-    base += model.mean_importance / mu * model.z_excess_mean(K)
-    kappa[0] = np.array([base])
+    K, m, mu, parts = tree.K, tree.m, model.mu, ws.parts
+    *_, red = levels()
+    for l in range(K - 1, -1, -1):
+        red = np.matmul(red.reshape(-1, m), tree.probs, out=parts[l + 1])
+    parts[1][0] = model.z_tail(K) * float(parts[1][0]) + model.mean_importance / mu * model.z_excess_mean(K)
     for l in range(1, K):
-        kap = model.z_pmf(K - l) * eh[K - l].reshape(tree.m, -1) + kappa[l - 1]
+        kap = parts[l + 1].reshape(m, -1)
+        kap *= model.z_pmf(K - l)
+        kap += parts[l]
         kap += model.z_tail(K - l + 1) * tree.values[:, None] / mu
-        kappa[l] = kap.ravel()
-    return kappa
-
-
-def _c1_parts(model: Model, tree: StateTree, h_levels) -> list[np.ndarray]:
-    """Per-parent parts of C_h(b, 1): ``C_h(b, 1) = eta * (l - 1) + parts[l][parent(b)]``.
-
-    ``parts[l]``, over the level-(l-1) nodes, is sum_z p_z E[h(parent || V^z)]
-    + kappa(parent) for l = 1..K (``parts[0]`` is unused).  Each trie level
-    is reduced once: level K by ``kappa_update``, level L < K here.
-    """
-    parts = [np.empty(0)] + [k.copy() for k in kappa_update(model, tree, h_levels)]
-    for L in range(1, tree.K):
-        for z, red in enumerate(_level_reductions(tree, h_levels, L)[1:], start=1):
-            parts[L - z + 1] += model.z_pmf(z) * red
+    for L, red in zip(range(1, K), levels()):
+        for z in range(1, L + 1):
+            n = tree.level_size[L - z]
+            red = np.matmul(red.reshape(-1, m), tree.probs, out=ws.red[z % 2][:n])
+            parts[L - z + 1] += np.multiply(red, model.z_pmf(z), out=ws.red[(z + 1) % 2][:n])
     return parts
 
 
@@ -164,23 +185,21 @@ def _c1_parts(model: Model, tree: StateTree, h_levels) -> list[np.ndarray]:
 
 
 def _chain_actions(tree: StateTree, takes) -> list[np.ndarray]:
-    """Chain-form action table from per-level "send oldest" masks.
+    """Chain-form action table from the states of each level that send their oldest packet.
 
     A state of level ``l`` sends its oldest packet (action 1) where
-    ``takes[l]`` is set and otherwise takes its parent's action plus one;
-    levels past the end of ``takes``, or whose mask is None, chain
-    throughout, so no masks gives send-latest.  A mask is flat over the
-    level or broadcasts against its (oldest digit, parent) view.  Level 0
-    holds the root's placeholder action 0, which makes every level-1
-    action 1.
+    ``takes[l]``, a flat mask, index array or slice, selects it, and
+    otherwise takes its parent's action plus one; levels past the end of
+    ``takes``, or whose entry is None, chain throughout, so no masks gives
+    send-latest.  Level 0 holds the root's placeholder action 0, which makes
+    every level-1 action 1.
     """
     actions = [np.zeros(1, dtype=np.int32)]
     for l in range(1, tree.K + 1):
         acts = np.empty(tree.level_size[l], dtype=np.int32)
-        view = acts.reshape(tree.m, -1)
-        np.add(actions[l - 1], 1, out=view)
+        np.add(actions[l - 1], 1, out=acts.reshape(tree.m, -1))
         if l < len(takes) and takes[l] is not None:
-            np.copyto(view, 1, where=np.reshape(takes[l], (tree.m, -1)))
+            acts[takes[l]] = 1
         actions.append(acts)
     return actions
 
@@ -230,6 +249,11 @@ def _b1_list(tree: StateTree, actions) -> tuple[np.ndarray, np.ndarray]:
     idx += [np.flatnonzero(np.asarray(actions[l]) == 1) for l in range(2, tree.K + 1)]
     lev = np.repeat(np.arange(1, tree.K + 1), [len(i) for i in idx])
     return lev, np.concatenate(idx)
+
+
+def _b1_actions(tree: StateTree, lev: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
+    """The chain action table whose B1 is ``(lev, idx)``, level-major with ascending indices."""
+    return _chain_actions(tree, np.split(idx, np.searchsorted(lev, np.arange(tree.K), "right")))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +321,9 @@ def _assemble(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray):
 
 
 def _evaluate_chain(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray, eta: float):
-    """Solve the reduced system over the singletons and B1; returns (lambda, delta_e, d, h).
+    """Solve the reduced system over the singletons and B1; returns (lambda, delta_e, d, u).
+
+    ``u[r]`` is h at row r's state: 0 for the singletons, then h(y_r).
 
     Relies on the chain identity: every node outside B1 has the value
     ``b1/mu + h(parent)``, so its value is its accumulated edge cost plus the
@@ -318,55 +344,31 @@ def _evaluate_chain(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndar
     ``delta(y)``, where ``cost`` is the edge cost accumulated from a node up
     to its nearest B1 ancestor, plus sum(a)/mu for the entries the row forgets
     or keeps and E[V]/mu (E[Z] - 1) for the all-fresh ones.  No trie block is
-    read, and h is built level by level from the identity.  A table with
+    read, and h is built level by level from the identity (``_chain_h``).  A table with
     more than ``B1_CAP`` B1 states is rejected before anything is allocated,
     and one with more than ``CORRECTION_CAP`` suffix corrections before the
     corrections are.
     """
     if len(idx) > B1_CAP:
         raise ValueError(f"action table has |B1|={len(idx)} states, over the cap of {B1_CAP}")
-    lam, delta_e, d, u = age_distortion_solve(*_assemble(model, tree, lev, idx), eta)
-    b1mu = (tree.values / model.mu)[:, None]
-    h_levels = [np.zeros(1), np.zeros(tree.m)]
-    for l in range(2, tree.K + 1):
-        h = (h_levels[l - 1] + b1mu).ravel()
-        at = lev == l
-        h[idx[at]] = u[1:][at]
-        h_levels.append(h)
-    return lam, delta_e, d, h_levels
+    return age_distortion_solve(*_assemble(model, tree, lev, idx), eta)
 
 
-def _check_residuals(tree: StateTree, lev, idx, h_levels, lam: float, eta: float, parts) -> float:
-    """Worst residual of the root and B1 equations, with C_h(b, 1) from the kappa route."""
-    worst = abs(lam - float(parts[1][0]))
-    for l in range(2, tree.K + 1):
-        i = idx[lev == l]
-        c1 = eta * (l - 1) + parts[l][i % tree.level_size[l - 1]]
-        worst = float(np.max(np.abs(h_levels[l][i] + lam - c1), initial=worst))
-    return worst
+def _evaluate(model: Model, tree: StateTree, lev, idx, eta: float, ws: _Workspace):
+    """Evaluate the chain policy with B1 ``(lev, idx)``, gated on the kappa-route residuals.
 
-
-class _Evaluation(NamedTuple):
-    """A chain policy's average cost, its two components, h and the parts of C_h(b, 1)."""
-
-    lam: float
-    delta_e: float
-    d: float
-    h: list[np.ndarray]
-    parts: list[np.ndarray]
-
-
-def _evaluate(model: Model, tree: StateTree, actions, eta: float) -> _Evaluation:
-    """Evaluate a chain policy, gated on the kappa-route residuals."""
-    lev, idx = _b1_list(tree, actions)
-    lam, delta_e, d, h_levels = _evaluate_chain(model, tree, lev, idx, eta)
-    parts = _c1_parts(model, tree, h_levels)
-    worst = _check_residuals(tree, lev, idx, h_levels, lam, eta, parts)
+    Returns (lambda, delta_e, d, u) and leaves the parts of C_h(b, 1) in ``ws.parts``.
+    """
+    lam, delta_e, d, u = _evaluate_chain(model, tree, lev, idx, eta)
+    _c1_parts(model, tree, lambda: _chain_h(model, tree, lev, idx, u, ws), ws)
+    # worst residual of the root and B1 equations, where h is u
+    c1 = eta * (lev - 1) + ws.flat[np.asarray(tree.level_offset)[lev - 1] + idx % tree.m ** (lev - 1)]
+    worst = float(np.max(np.abs(u[1:] + lam - c1), initial=abs(lam - float(ws.flat[0]))))
     if not worst <= RESIDUAL_TOL:
         raise RuntimeError(
             f"policy evaluation residual {worst:.3e} exceeds {RESIDUAL_TOL} (eta={eta}, K={tree.K})"
         )
-    return _Evaluation(lam, delta_e, d, h_levels, parts)
+    return lam, delta_e, d, u
 
 
 def evaluate_policy(model: Model, tree: StateTree, actions, eta: float):
@@ -377,9 +379,11 @@ def evaluate_policy(model: Model, tree: StateTree, actions, eta: float):
     anything else is rejected with a ValueError naming the level.  The table
     is recorded as ``tree.last_actions`` for ``evaluate_components``.
     """
-    ev = _evaluate(model, tree, actions, eta)
+    lev, idx = _b1_list(tree, actions)
+    ws = _Workspace(tree)
+    lam, _, _, u = _evaluate(model, tree, lev, idx, eta, ws)
     tree.last_actions = [np.array(a, dtype=np.int32) for a in actions]
-    return ev.lam, ev.h
+    return lam, [np.zeros(1)] + [h.copy() for h in _chain_h(model, tree, lev, idx, u, ws)]
 
 
 def evaluate_components(model: Model, tree: StateTree, actions=None):
@@ -393,8 +397,8 @@ def evaluate_components(model: Model, tree: StateTree, actions=None):
         actions = tree.last_actions
         if actions is None:
             raise ValueError("no action table given and none recorded on the tree")
-    ev = _evaluate(model, tree, actions, 1.0)
-    return ev.delta_e, ev.d
+    _, delta_e, d, _ = _evaluate(model, tree, *_b1_list(tree, actions), 1.0, _Workspace(tree))
+    return delta_e, d
 
 
 # ---------------------------------------------------------------------------
@@ -402,25 +406,38 @@ def evaluate_components(model: Model, tree: StateTree, actions=None):
 # ---------------------------------------------------------------------------
 
 
-def _improve(model: Model, tree: StateTree, parts, lam: float, eta: float) -> list[np.ndarray]:
-    """One improvement sweep from the parts of C_h(b, 1); returns the "send oldest" masks.
+def _improve(model: Model, tree: StateTree, lam: float, eta: float, ws: _Workspace):
+    """One improvement sweep from the parts of C_h(b, 1) in ``ws``; returns the new B1 as ``(lev, idx)``.
 
     A node switches to sending its oldest packet only when that is strictly
     better than inheriting the parent's best by more than the tie guard, and
     when the reach bound for the oldest packet's importance permits it; ties
-    therefore stay with the freshest feasible packet.
+    therefore stay with the freshest feasible packet.  A level is swept one
+    oldest digit at a time: a row past its reach bound only chains (the v_min
+    row never sends), and level K keeps no best C-values.
     """
-    reach = model.reach_bounds(eta)[:, None]
-    b1mu = (tree.values / model.mu)[:, None]
-    takes = [np.zeros(1, dtype=bool), np.ones(tree.level_size[1], dtype=bool)]
-    best = np.full(tree.level_size[1], lam)  # C_h(b, s(b)) of the previous level
-    for l in range(2, tree.K + 1):
-        c1 = eta * (l - 1) + parts[l]
-        chain_val = best + b1mu
-        take = (l <= reach) & (c1 < chain_val - TIE_TOL)
-        takes.append(take.ravel())
-        best = np.where(take, c1, chain_val).ravel()
-    return takes
+    K, m = tree.K, tree.m
+    reach, b1mu = model.reach_bounds(eta), tree.values / model.mu
+    best = np.full(m, lam)  # C_h(b, s(b)) of the previous level
+    found = [(1, np.zeros(0, dtype=np.int64))]
+    for l in range(2, K + 1):
+        n = tree.level_size[l - 1]
+        c1, chain = ws.parts[l], ws.red[0][:n]
+        c1 += eta * (l - 1)
+        new = ws.h[l % 2][: m * n].reshape(m, n) if l < K else None
+        for d in range(m):
+            if l > reach[d]:
+                if l < K:
+                    np.add(best, b1mu[d], out=new[d])
+                continue
+            row = np.add(best, b1mu[d], out=chain if l == K else new[d])
+            take = np.less(c1, np.subtract(row, TIE_TOL, out=chain), out=ws.take[:n])
+            found.append((l, np.flatnonzero(take) + d * n))
+            if l < K:
+                np.copyto(row, c1, where=take)
+        best = None if l == K else new.ravel()
+    lev = np.repeat([l for l, _ in found], [len(i) for _, i in found])
+    return lev, np.concatenate([i for _, i in found])
 
 
 def policy_improve(model: Model, tree: StateTree, h_levels, lam: float, eta: float):
@@ -429,10 +446,12 @@ def policy_improve(model: Model, tree: StateTree, h_levels, lam: float, eta: flo
     The new table is recorded as ``tree.last_actions`` for
     ``evaluate_components``.
     """
-    takes = _improve(model, tree, _c1_parts(model, tree, h_levels), lam, eta)
-    actions = _chain_actions(tree, takes)
+    ws = _Workspace(tree)
+    _c1_parts(model, tree, lambda: iter(h_levels[1:]), ws)
+    lev, idx = _improve(model, tree, lam, eta, ws)
+    actions = _b1_actions(tree, lev, idx)
     tree.last_actions = [a.copy() for a in actions]
-    return actions, _b1_list(tree, actions)
+    return actions, (lev, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -606,33 +625,24 @@ def policy_iteration(
         if start.values != tuple(model.v.values):
             raise ValueError(f"start policy values {start.values} differ from the model's")
     tree = StateTree(model, K)
-    actions = _chain_actions(tree, () if start is None else [a == 1 for a in start.actions])
-
-    ev = None
+    first = StateTree(model, 1 if start is None else start.K)  # deeper levels chain: no B1 state
+    lev, idx = _b1_list(first, _chain_actions(first, () if start is None else [a == 1 for a in start.actions]))
+    ws = _Workspace(tree)
     for it in range(1, MAX_ITERS + 1):
-        ev = _evaluate(model, tree, actions, eta)
-        new = _chain_actions(tree, _improve(model, tree, ev.parts, ev.lam, eta))
-        if all(np.array_equal(a, b) for a, b in zip(new, actions)):
+        lam, delta_e, d, _ = _evaluate(model, tree, lev, idx, eta, ws)
+        new_lev, new_idx = _improve(model, tree, lam, eta, ws)
+        if np.array_equal(new_lev, lev) and np.array_equal(new_idx, idx):
             iters = it
             break
-        actions = new
+        lev, idx = new_lev, new_idx
     else:
         raise RuntimeError(
             f"policy iteration did not converge within {MAX_ITERS} iterations "
-            f"(eta={eta}, K={K}, lambda={ev.lam if ev else float('nan')})"
+            f"(eta={eta}, K={K}, lambda={lam})"
         )
-
-    return PolicySolution(
-        eta=eta,
-        K=K,
-        lam=ev.lam,
-        delta_e=ev.delta_e,
-        d=ev.d,
-        iters=iters,
-        values=tuple(model.v.values),
-        actions=actions,
-        model_hash=model.config_hash(),
-    )
+    del ws  # the buffers go before the table is built
+    actions = _b1_actions(tree, lev, idx)
+    return PolicySolution(eta, K, lam, delta_e, d, iters, tuple(model.v.values), actions, model.config_hash())
 
 
 # ---------------------------------------------------------------------------
@@ -727,17 +737,8 @@ def generic_policy_iteration(model: Model, eta: float, K: int) -> PolicySolution
             f"generic policy iteration did not converge within {MAX_ITERS} iterations "
             f"(eta={eta}, K={K})"
         )
-    return PolicySolution(
-        eta=eta,
-        K=K,
-        lam=lam,
-        delta_e=delta_e,
-        d=d,
-        iters=iters,
-        values=tuple(model.v.values),
-        actions=[a.copy() for a in actions],
-        model_hash=model.config_hash(),
-    )
+    copies = [a.copy() for a in actions]
+    return PolicySolution(eta, K, lam, delta_e, d, iters, tuple(model.v.values), copies, model.config_hash())
 
 
 # ---------------------------------------------------------------------------

@@ -237,10 +237,8 @@ def window_table(model: Model, strategy: str, K: int = 1) -> WindowTable:
     _check_window(K)
     _binary_geometric_params(model)
     tree = StateTree(model, K)
-    important = np.arange(tree.m)[:, None] > 0
-    takes = [None]
-    for n in tree.level_size[:-1]:  # level l has one column per level-(l-1) parent
-        takes.append(important & (np.arange(n) == 0) if name == "S2" else important)
+    # level l is n = m**(l-1) parents per oldest digit: S1 takes rows 1.., S2 their column 0
+    takes = [None] + [slice(n, None, n if name == "S2" else 1) for n in tree.level_size[:-1]]
     return WindowTable(model.v.values, _chain_actions(tree, takes))
 
 

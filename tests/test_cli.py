@@ -413,8 +413,12 @@ def _not_a_directory(tmp_path):
         ["tradeoff", "--eta-list", "1"],
     ],
 )
-def test_unwritable_output_is_an_error_line(fig1_file, tmp_path, capsys, args):
+def test_unwritable_output_is_an_error_line(fig1_file, tmp_path, capsys, monkeypatch, args):
+    # the path is checked before the work: no sweep, solve or run starts
     command, *rest = args
+    if command in ("simulate", "tradeoff"):
+        for name in ("sweep_eta", "policy_iteration", "simulate_policy"):
+            monkeypatch.setattr(f"agedist.cli.{name}", lambda *a, name=name: pytest.fail(f"{name} called"))
     rc = main([command, "--model", fig1_file, "--out", _not_a_directory(tmp_path), *rest])
     err = capsys.readouterr().err
     assert rc == 1

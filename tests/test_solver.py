@@ -18,7 +18,6 @@ from agedist import (
     evaluate_components,
     evaluate_policy,
     generic_policy_iteration,
-    kappa_update,
     one_step_cost,
     policy_improve,
     policy_iteration,
@@ -27,11 +26,8 @@ from agedist import (
 from agedist import solver
 from agedist.solver import (
     PolicySolution,
-    _c1_parts,
     _chain_actions,
-    _evaluate,
     _evaluate_full,
-    _level_reductions,
     average_cost_solve,
 )
 from agedist.statetree import buffer_digits
@@ -151,6 +147,44 @@ def test_c_value_dominates_one_step(fig1):
                 ) - 1e-12
 
 
+def _level_reductions(tree, h_levels, L):
+    """``red[z]`` is E[h(x || V^z)] over the level-(L - z) nodes x, for z = 0..L, summed out one newest digit at a time."""
+    red = [h_levels[L]]
+    for _ in range(L):
+        red.append(red[-1].reshape(-1, tree.m) @ tree.probs)
+    return red
+
+
+def kappa_update(model, tree, h_levels):
+    """Whole-level reference for the kappa arrays of levels 0..K-1."""
+    K = tree.K
+    mu = model.mu
+    eh = _level_reductions(tree, h_levels, K)
+    kappa = [np.empty(0)] * K
+    base = model.z_tail(K) * float(eh[K][0])
+    base += model.mean_importance / mu * model.z_excess_mean(K)
+    kappa[0] = np.array([base])
+    for l in range(1, K):
+        kap = model.z_pmf(K - l) * eh[K - l].reshape(tree.m, -1) + kappa[l - 1]
+        kap += model.z_tail(K - l + 1) * tree.values[:, None] / mu
+        kappa[l] = kap.ravel()
+    return kappa
+
+
+def reference_parts(model, tree, h_levels):
+    """Whole-level reference for the parts of C_h(b, 1): kappa, then every level L < K reduced at once."""
+    parts = [np.empty(0)] + [k.copy() for k in kappa_update(model, tree, h_levels)]
+    for L in range(1, tree.K):
+        for z, red in enumerate(_level_reductions(tree, h_levels, L)[1:], start=1):
+            parts[L - z + 1] += model.z_pmf(z) * red
+    return parts
+
+
+def solver_parts(model, tree, h_levels):
+    """The solver's parts of C_h(b, 1) from whole h levels, as the step-wise improvement reads them."""
+    return solver._c1_parts(model, tree, lambda: iter(h_levels[1:]), solver._Workspace(tree))
+
+
 def test_kappa_matches_direct_c1(fig1):
     # the level reductions run up to six digit steps against c_value's block reads
     three = Model(ImportanceDist((1.0, 5.0, 20.0), (0.5, 0.3, 0.2)), Geometric(0.2))
@@ -159,12 +193,61 @@ def test_kappa_matches_direct_c1(fig1):
     for model, K in cases:
         tree = StateTree(model, K)
         h = random_h(tree, 100 + K)
-        parts = _c1_parts(model, tree, h)
+        parts = solver_parts(model, tree, h)
         for l in range(1, K + 1):
             for i in range(tree.level_size[l]):
                 c1 = 1.0 * (l - 1) + parts[l][i % tree.level_size[l - 1]]
                 direct = c_value(model, tree, h, tree.entries_of(l, i), 1, 1.0)
                 assert c1 == pytest.approx(direct, abs=1e-10)
+
+
+def _streamed_and_reference_parts(model, sol):
+    """The parts of a solved table's h, streamed from its B1 values and from whole h levels."""
+    tree = StateTree(model, sol.K)
+    lev, idx = solver._b1_list(tree, sol.actions)
+    u = solver._evaluate_chain(model, tree, lev, idx, sol.eta)[3]
+    ws = solver._Workspace(tree)
+    streamed = solver._c1_parts(model, tree, lambda: solver._chain_h(model, tree, lev, idx, u, ws), ws)
+    b1mu = (tree.values / model.mu)[:, None]
+    h = [np.zeros(1), np.zeros(tree.m)]
+    for l in range(2, tree.K + 1):  # the chain identity, a whole level at a time
+        h.append((h[l - 1] + b1mu).ravel())
+        h[l][idx[lev == l]] = u[1:][lev == l]
+    return streamed, reference_parts(model, tree, h)
+
+
+@pytest.mark.parametrize("case", ["fig1-K1", "fig1-K2", "fig1-K8", "fig1-K19", "three-K11", "gapped", "one-value"])
+def test_streamed_parts_bitwise_equal_whole_level_reference(case, fig1, three_level):
+    # the two passes keep the reference's reductions and its order of additions
+    if case == "three-K11":
+        model, sol = three_level
+    elif case == "gapped":
+        model = Model(ImportanceDist((1.0, 4.0, 9.0), (0.3, 0.4, 0.3)), FinitePMF((0.4, 0.0, 0.6)))
+        sol = policy_iteration(model, 0.4, 7)
+    elif case == "one-value":
+        model = Model(ImportanceDist((3.0,), (1.0,)), Geometric(0.25))
+        sol = policy_iteration(model, 1.0, 5)
+    else:
+        K = int(case.split("K")[1])
+        model, sol = fig1, policy_iteration(fig1, 0.2 if K == 19 else 0.5, K)
+    if case == "gapped":
+        assert sol.b1_size > 0 and model.z_pmf(2) == 0.0
+    streamed, want = _streamed_and_reference_parts(model, sol)
+    assert len(streamed) == len(want) == sol.K + 1
+    for got, ref in zip(streamed[1:], want[1:]):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_deep_solve_traced_peak(fig1):
+    # one buffer set per solve: h, the reductions and the parts are never held for every level
+    tracemalloc.start()
+    try:
+        sol = policy_iteration(fig1, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.K == 19
+    assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_level_reductions(fig1):
@@ -207,6 +290,7 @@ def test_kappa_root_value(fig1):
     h0 = [np.zeros(n) for n in tree.level_size]
     kappa = kappa_update(fig1, tree, h0)
     assert kappa[0][0] == pytest.approx(5.36, abs=1e-12)
+    assert solver_parts(fig1, tree, h0)[1][0] == kappa[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +416,14 @@ def test_reduced_system_matches_dense_on_random_chain_policies(model):
             takes = [None, None] + [rng.random(n) < density for n in tree.level_size[2:]]
             actions = _chain_actions(tree, takes)
             eta = float(rng.uniform(0.2, 3.0))
-            ev = _evaluate(model, tree, actions, eta)
+            got_lam, got_h = evaluate_policy(model, tree, actions, eta)
+            got_delta_e, got_d = evaluate_components(model, tree, actions)
             lam, delta_e, d, h = _evaluate_full(model, tree, actions, eta)
-            assert ev.lam == pytest.approx(lam, abs=1e-10)
-            assert ev.delta_e == pytest.approx(delta_e, abs=1e-10)
-            assert ev.d == pytest.approx(d, abs=1e-10)
+            assert got_lam == pytest.approx(lam, abs=1e-10)
+            assert got_delta_e == pytest.approx(delta_e, abs=1e-10)
+            assert got_d == pytest.approx(d, abs=1e-10)
             for l in range(1, K + 1):
-                np.testing.assert_allclose(ev.h[l], h[l], atol=1e-9)
+                np.testing.assert_allclose(got_h[l], h[l], atol=1e-9)
 
 
 def _chain_bookkeeping(model, tree, actions):
@@ -514,18 +599,17 @@ def test_efficient_route_reads_no_block_weights(fig1):
 
 @pytest.mark.parametrize("which", ["first", "last-of-deepest"])
 def test_residual_gate_rejects_perturbed_h(monkeypatch, which):
-    # shift one B1 entry of the solved h, the first one or the last of the 16
-    # on the deepest level: the kappa-route residual, a maximum per level, must fire
+    # shift h at one B1 state, the first one or the last of the 16 on the deepest
+    # level, in the solved u that h is rebuilt from: the kappa-route residual must fire
     model = Model(ImportanceDist((1.0, 5.0, 20.0), (0.5, 0.3, 0.2)), Geometric(0.2))
     sol = policy_iteration(model, 0.6)
     real = solver._evaluate_chain
 
     def shifted(model, tree, lev, idx, eta):
-        lam, delta_e, d, h = real(model, tree, lev, idx, eta)
+        lam, delta_e, d, u = real(model, tree, lev, idx, eta)
         if len(idx):
-            y = 0 if which == "first" else -1
-            h[lev[y]][idx[y]] += 1e-6
-        return lam, delta_e, d, h
+            u[1 if which == "first" else len(idx)] += 1e-6
+        return lam, delta_e, d, u
 
     monkeypatch.setattr(solver, "_evaluate_chain", shifted)
     with pytest.raises(RuntimeError, match="residual"):
