@@ -147,7 +147,7 @@ def cmd_bufferignorant(args) -> int:
 
 
 def _check_simulate_flags(args) -> None:
-    """Reject a flag the mode or strategy would ignore, a missing --tau, and more than one packet policy."""
+    """Reject, before any work, ignored flags, a missing --tau, --k or policy file, and other usage errors."""
     packet = [f"--{f}" for f in ("policy", "strategy", "k", "eta") if getattr(args, f) is not None]
     bits = [f for f, on in (("--tau", args.tau is not None), ("--tunstall", args.tunstall)) if on]
     ignored = packet if args.mode == "bits" else bits
@@ -156,47 +156,46 @@ def _check_simulate_flags(args) -> None:
     chosen = [f for f in packet if f != "--k"]
     if len(chosen) > 1:
         raise UsageError(f"{chosen[0]} and {chosen[1]} both choose the policy; give one")
-    if args.k is not None and (args.strategy is None or args.strategy.lower() == "send-latest"):
+    if args.mode != "bits" and not chosen:
+        raise UsageError("simulate needs --policy, --strategy, or --eta (or --tau for bits mode)")
+    name = (args.strategy or "send-latest").lower()
+    if name not in ("send-latest", "s1", "s2", "s3"):
+        raise UsageError(f"unknown strategy {args.strategy!r}")
+    if args.k is not None and name == "send-latest":
         raise UsageError("--k applies only to --strategy S1, S2 or S3")
+    if args.k is None and name != "send-latest":
+        raise UsageError(f"strategy {args.strategy} needs --k")
     if args.mode == "bits" and args.tau is None:
         raise UsageError("bits mode needs --tau")
-
-
-def _resolve_packet_policy(args, model: Model):
-    if args.policy is not None:
-        if not os.path.isfile(args.policy):
-            raise UsageError(f"policy file not found: {args.policy}")
-        return PolicySolution.from_json(args.policy, model)
-    if args.strategy is not None:
-        name = args.strategy.lower()
-        if name not in ("send-latest", "s1", "s2", "s3"):
-            raise UsageError(f"unknown strategy {args.strategy!r}")
-        if name == "send-latest":
-            return window_table(model, name)
-        if args.k is None:
-            raise UsageError(f"strategy {args.strategy} needs --k")
-        return S3Policy(model, args.k) if name == "s3" else window_table(model, name, args.k)
-    if args.eta is not None:
-        return policy_iteration(model, args.eta)
-    raise UsageError("simulate needs --policy, --strategy, or --eta (or --tau for bits mode)")
+    if args.policy is not None and not os.path.isfile(args.policy):
+        raise UsageError(f"policy file not found: {args.policy}")
 
 
 def cmd_simulate(args) -> int:
     _check_simulate_flags(args)
     model = _load_model(args.model)
     if args.out:
+        fresh = not os.path.exists(args.out)
         open(args.out, "a").close()  # an unwritable --out fails before the run
+        if fresh:
+            os.remove(args.out)  # and a run that fails leaves no empty file behind
     if args.mode == "bits":
         src = BinarySource.from_model(model, args.n_bits_int)
         cfg = SimConfig(horizon=args.horizon, seed=args.seed)
         if args.tunstall:
-            dic = tunstall_build(src.q, 2**src.N)
-            policy = TunstallThresholdBitPolicy(src, args.tau, dic)
+            policy = TunstallThresholdBitPolicy(src, args.tau, tunstall_build(src.q, 2**src.N))
         else:
             policy = PlainThresholdBitPolicy(src, args.tau)
         result = simulate_bit_policy(cfg, src, policy)
     else:
-        policy = _resolve_packet_policy(args, model)
+        if args.policy is not None:
+            policy = PolicySolution.from_json(args.policy, model)
+        elif args.strategy is None:
+            policy = policy_iteration(model, args.eta)
+        elif args.strategy.lower() == "s3":
+            policy = S3Policy(model, args.k)
+        else:
+            policy = window_table(model, args.strategy, args.k)  # send-latest reads no --k
         run = simulate_erasure if args.mode == "erasure" else simulate_policy
         result = run(SimConfig(horizon=args.horizon, seed=args.seed, model=model), policy)
     doc = json.dumps(result.to_json_dict())

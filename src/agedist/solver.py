@@ -23,15 +23,15 @@ and h are the eta-weighted sums.
 
 A solve carries its policy as B1, (level, index) arrays, and builds the
 action table once, at the end.  It allocates one buffer set, sized by K,
-and every iteration writes into it.  C_h(b, 1) comes from two passes up the
-trie that rebuild h from the solved B1 values, two levels at a time: pass 1
-reduces the deepest level into the kappa recursion, pass 2 adds the
-expectations of the shallower levels; the residual gate reads both at B1,
-and the improvement sweeps them one oldest digit at a time.
+and every iteration writes into it: the parts of C_h(b, 1) and the
+improvement's values, 2.5 * 2^K doubles for two values.  No h level is built:
+the parts follow the chain identity a trie level at a time (``_c1_parts``),
+the residual gate reads them at B1, and the improvement sweeps them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -118,64 +118,59 @@ def c_value(model: Model, tree: StateTree, h_levels, state, s: int, eta: float) 
 
 
 # ---------------------------------------------------------------------------
-# C_h(b, 1) for every node in O(K |V|^K): two passes up the trie
+# C_h(b, 1) for every node: the chain identity, one trie level at a time
 # ---------------------------------------------------------------------------
 
 
 class _Workspace:
     """One solve's per-node buffers, sized by K and reused by every iteration.
 
-    ``h[(K - l) % 2]`` holds h_l (then the best C-values), ``red`` the level reductions (then
-    the chain values), and ``parts[l]``, l = 1..K, views the level-(l-1) slot of ``flat``."""
+    ``parts[l]``, l = 1..K, views the level-(l-1) slot of ``flat``; the improvement keeps one
+    level's best C-values in ``best[l % 2]`` while it builds the next, and its chain values in ``chain``.
+    No h level is held: for two values the set is about 2.5 * 2^K doubles."""
 
     def __init__(self, tree: StateTree):
         top, off = tree.level_size[tree.K - 1], tree.level_offset
-        self.h = (np.empty(tree.level_size[tree.K]), np.empty(top))
-        self.red = (np.empty(top), np.empty(top))
         self.flat = np.empty(off[tree.K])
         self.parts = [np.empty(0)] + np.split(self.flat, off[1 : tree.K])
+        self.best, self.chain = (np.empty(top), np.empty(top)), np.empty(top)
         self.take = np.empty(top, dtype=bool)
 
 
-def _chain_h(model: Model, tree: StateTree, lev, idx, u, ws: _Workspace):
-    """Yield h_1..h_K of the chain policy with B1 values ``u``, each built from the last into ``ws.h``."""
-    K, m = tree.K, tree.m
-    b1mu = (tree.values / model.mu)[:, None]
-    ends = np.searchsorted(lev, np.arange(K + 1), "right")  # level l's B1 entries: ends[l-1]..ends[l]
-    h = ws.h[(K - 1) % 2][:m]
-    h.fill(0.0)
-    yield h
-    for l in range(2, K + 1):
-        h = np.add(h, b1mu, out=ws.h[(K - l) % 2][: m**l].reshape(m, -1)).ravel()
-        h[idx[ends[l - 1] : ends[l]]] = u[1 + ends[l - 1] : 1 + ends[l]]
-        yield h
+def _gap_law(model: Model, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Pr(Z = k), Pr(Z >= k)) for k = 0..K, both 0 at k = 0."""
+    return tuple(np.array([0.0] + [f(k) for k in range(1, K + 1)]) for f in (model.z_pmf, model.z_tail))
 
 
-def _c1_parts(model: Model, tree: StateTree, levels, ws: _Workspace) -> list[np.ndarray]:
+def _newest(tree: StateTree, idx: np.ndarray):
+    """The digits of level indices ``idx``, newest first, and ``pi[y, t - 1]``, the probability of y's newest t."""
+    digits = idx[:, None] // tree.m ** np.arange(tree.K) % tree.m
+    return digits, np.cumprod(tree.probs[digits], axis=1)
+
+
+def _c1_parts(model: Model, tree: StateTree, lev, idx, pi, D, s1: float, law, ws: _Workspace):
     """Per-parent parts of C_h(b, 1) into ``ws.parts``: ``C_h(b, 1) = eta * (l - 1) + parts[l][parent(b)]``.
 
-    ``parts[l]``, over the level-(l-1) nodes, is kappa(parent) + sum_z p_z
-    E[h(parent || V^z)], and ``levels()`` iterates over h_1..h_K afresh.
-    Pass 1 reduces h_K down to the root, E[h_K(x || V^(K-l))] into
-    ``parts[l + 1]``, and turns those into kappa upward in place.  Pass 2
-    reduces each h_L, L < K, adding p_z E[h_L(x || V^z)] to ``parts[L - z +
-    1]``.  Each step sums out the newest digit, so a level costs O(m^L m / (m - 1)).
+    ``parts[l]``, over the level-(l-1) nodes x, is kappa(x) + sum_z p_z E[h(x || V^z)], kappa the
+    forgetting charge.  h is given by ``s1`` = E[h_1] and ``D(y) = h(y) - y_1/mu - h(parent y)`` at
+    the states ``(lev, idx)`` (level-major, ascending; pi from ``_newest``) where it is not zero, B1
+    for a chain h.  Sending x's oldest packet costs x_1/mu with probability 1, through h when the
+    arrivals fit and as the forgetting charge when they push it off; the rest is as from x[2:]:
+    ``parts[j + 1](x) = x_1/mu + parts[j](x[2:]) + sum_{y[:j] = x} p_{|y| - j} pi(y[j+1:]) D(y)``,
+    one broadcast and one scatter, done before the next level reads it.  The root is Pr(Z >= K) S_K
+    + E[V]/mu E[(Z - K)^+] + sum_{z < K} p_z S_z, S_z = E[h_z] = S_{z-1} + E[V]/mu + sum_{|y| = z} pi(y) D(y).
     """
-    K, m, mu, parts = tree.K, tree.m, model.mu, ws.parts
-    *_, red = levels()
-    for l in range(K - 1, -1, -1):
-        red = np.matmul(red.reshape(-1, m), tree.probs, out=parts[l + 1])
-    parts[1][0] = model.z_tail(K) * float(parts[1][0]) + model.mean_importance / mu * model.z_excess_mean(K)
-    for l in range(1, K):
-        kap = parts[l + 1].reshape(m, -1)
-        kap *= model.z_pmf(K - l)
-        kap += parts[l]
-        kap += model.z_tail(K - l + 1) * tree.values[:, None] / mu
-    for L, red in zip(range(1, K), levels()):
-        for z in range(1, L + 1):
-            n = tree.level_size[L - z]
-            red = np.matmul(red.reshape(-1, m), tree.probs, out=ws.red[z % 2][:n])
-            parts[L - z + 1] += np.multiply(red, model.z_pmf(z), out=ws.red[(z + 1) % 2][:n])
+    K, m, parts, (pmf, tail) = tree.K, tree.m, ws.parts, law
+    ev, b1mu = model.mean_importance / model.mu, (tree.values / model.mu)[:, None]
+    inc = np.bincount(lev, weights=pi[np.arange(len(idx)), lev - 1] * D, minlength=K + 1)
+    S = list(itertools.accumulate(inc[2:], lambda s, i: s + ev + i, initial=s1))  # S_1..S_K
+    parts[1][0] = tail[K] * S[-1] + ev * model.z_excess_mean(K) + np.dot(pmf[1:K], S[:-1])
+    deeper = np.searchsorted(lev, np.arange(K), "right")  # deeper[j]: the first state below level j
+    for j in range(1, K):
+        np.add(parts[j], b1mu, out=parts[j + 1].reshape(m, -1))
+        r = np.arange(deeper[j], len(idx))
+        z = lev[r] - j
+        np.add.at(parts[j + 1], idx[r] // m**z, pmf[z] * pi[r, z - 1] * D[r])
     return parts
 
 
@@ -266,12 +261,35 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _assemble(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray):
-    """The reduced system (P, [age, distortion] cost) from the B1 states; see ``_evaluate_chain``."""
-    K, m, n, mu = tree.K, tree.m, len(idx) + 1, model.mu
+def _assemble(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray, law):
+    """The reduced system over the singletons and B1: (P, [age, distortion] cost, (sys_par, edges, pi)).
+
+    Relies on the chain identity: every node outside B1 has the value
+    ``b1/mu + h(parent)``, so its value is its accumulated edge cost plus the
+    value of its nearest B1 ancestor (zero if that ancestor is a singleton).
+    Row 0 of the system stands for all singletons and row r for B1 state
+    y_r = (lev[r - 1], idx[r - 1]).  With ``sys(x)`` that row for node x,
+    ``delta(y) = e_sys(y) - e_sys(parent y)`` and pi the probability of a
+    digit string, ``sys(x || w) = sys(x[1:] || w)`` unless ``x || w`` is in
+    B1.  So the next state of a row, which sends its oldest packet and so
+    depends only on its parent ``a``, unrolls by suffix corrections into
+
+        P[r] = e_0 + sum_y Pr(Z >= |y|) pi(y) delta(y)
+                   + sum_{j = 1..|a|} sum_{y : y[:j] = a[-j:]} Pr(Z = |y| - j) pi(y[j:]) delta(y)
+
+    over the B1 states y: the interior and level-K blocks of
+    ``_transition_blocks`` fold into one weight per prefix length.  The edge
+    cost takes the same sums with ``-(y_1/mu + cost[parent y])`` for
+    ``delta(y)``, where ``cost`` is the edge cost accumulated from a node up
+    to its nearest B1 ancestor, plus sum(a)/mu for the entries the row forgets
+    or keeps and E[V]/mu (E[Z] - 1) for the all-fresh ones.  No trie block is
+    read.  ``sys_par[y]`` is the row of y's nearest B1 ancestor, ``edges[y, t]``
+    the edge cost of y's newest digit t out to y.  A table with more than
+    ``CORRECTION_CAP`` suffix corrections is rejected before they are matched.
+    """
+    K, m, n, mu, (pmf, tail) = tree.K, tree.m, len(idx) + 1, model.mu, law
     par, ys = idx % m ** (lev - 1), np.arange(n - 1)
-    digits = idx[:, None] // m ** np.arange(K) % m  # newest first
-    pi = np.cumprod(tree.probs[digits], axis=1)  # pi[y, t - 1]: the newest t digits of y
+    digits, pi = _newest(tree, idx)  # pi[y, t - 1]: the newest t digits of y
     # the row of y's parent is that of its longest suffix in B1, of length anchor (1: row 0)
     keys = lev * m**K + idx
     sys_par, anchor = np.zeros(n - 1, dtype=np.int64), np.ones(n - 1, dtype=np.int64)
@@ -284,7 +302,6 @@ def _assemble(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray):
     t = np.arange(K)
     edges = np.where((anchor[:, None] <= t) & (t < lev[:, None]), tree.values[digits] / mu, 0.0)
     c_hat = np.cumsum(edges, axis=1)[:, -1]
-    pmf = np.array([0.0] + [model.z_pmf(k) for k in range(1, K + 1)])
 
     def scatter(out, rows, y, w):
         """Add ``w * delta(y)`` to ``rows`` of ``out``; column n is the edge cost."""
@@ -292,7 +309,6 @@ def _assemble(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray):
         np.add.at(out, at, np.concatenate([w, -w, -w * c_hat[y]]))
 
     gamma = np.eye(1, n + 1).ravel()
-    tail = np.array([0.0] + [model.z_tail(k) for k in range(1, K + 1)])
     scatter(gamma, np.zeros(n - 1, dtype=np.int64), ys, tail[lev] * pi[ys, lev - 1])
     # every (B1 state y, 1 <= j < |y|): prefix y[:j] and the length-j suffix of row y's parent
     y = np.repeat(ys, lev - 1)
@@ -317,57 +333,28 @@ def _assemble(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray):
     cost[1:, 0] = lev - 1
     cost[:, 1] = aug[:, n] + model.mean_importance / mu * (mu - 1.0)
     cost[1:, 1] += asum / mu
-    return aug[:, :n], cost
-
-
-def _evaluate_chain(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray, eta: float):
-    """Solve the reduced system over the singletons and B1; returns (lambda, delta_e, d, u).
-
-    ``u[r]`` is h at row r's state: 0 for the singletons, then h(y_r).
-
-    Relies on the chain identity: every node outside B1 has the value
-    ``b1/mu + h(parent)``, so its value is its accumulated edge cost plus the
-    value of its nearest B1 ancestor (zero if that ancestor is a singleton).
-    Row 0 of the system stands for all singletons and row r for B1 state
-    y_r = (lev[r - 1], idx[r - 1]).  With ``sys(x)`` that row for node x,
-    ``delta(y) = e_sys(y) - e_sys(parent y)`` and pi the probability of a
-    digit string, ``sys(x || w) = sys(x[1:] || w)`` unless ``x || w`` is in
-    B1.  So the next state of a row, which sends its oldest packet and so
-    depends only on its parent ``a``, unrolls by suffix corrections into
-
-        P[r] = e_0 + sum_y Pr(Z >= |y|) pi(y) delta(y)
-                   + sum_{j = 1..|a|} sum_{y : y[:j] = a[-j:]} Pr(Z = |y| - j) pi(y[j:]) delta(y)
-
-    over the B1 states y: the interior and level-K blocks of
-    ``_transition_blocks`` fold into one weight per prefix length.  The edge
-    cost takes the same sums with ``-(y_1/mu + cost[parent y])`` for
-    ``delta(y)``, where ``cost`` is the edge cost accumulated from a node up
-    to its nearest B1 ancestor, plus sum(a)/mu for the entries the row forgets
-    or keeps and E[V]/mu (E[Z] - 1) for the all-fresh ones.  No trie block is
-    read, and h is built level by level from the identity (``_chain_h``).  A table with
-    more than ``B1_CAP`` B1 states is rejected before anything is allocated,
-    and one with more than ``CORRECTION_CAP`` suffix corrections before the
-    corrections are.
-    """
-    if len(idx) > B1_CAP:
-        raise ValueError(f"action table has |B1|={len(idx)} states, over the cap of {B1_CAP}")
-    return age_distortion_solve(*_assemble(model, tree, lev, idx), eta)
+    return aug[:, :n], cost, (sys_par, edges, pi)
 
 
 def _evaluate(model: Model, tree: StateTree, lev, idx, eta: float, ws: _Workspace):
-    """Evaluate the chain policy with B1 ``(lev, idx)``, gated on the kappa-route residuals.
+    """Evaluate the chain policy with B1 ``(lev, idx)``, gated on the residuals of its parts of C_h(b, 1).
 
-    Returns (lambda, delta_e, d, u) and leaves the parts of C_h(b, 1) in ``ws.parts``.
+    Returns (lambda, delta_e, d, u), u as ``_assemble`` orders the states, and leaves the parts in
+    ``ws.parts``.  A table with more than ``B1_CAP`` B1 states is rejected before anything is allocated.
     """
-    lam, delta_e, d, u = _evaluate_chain(model, tree, lev, idx, eta)
-    _c1_parts(model, tree, lambda: _chain_h(model, tree, lev, idx, u, ws), ws)
+    if len(idx) > B1_CAP:
+        raise ValueError(f"action table has |B1|={len(idx)} states, over the cap of {B1_CAP}")
+    law = _gap_law(model, tree.K)
+    P, cost, (sys_par, edges, pi) = _assemble(model, tree, lev, idx, law)
+    lam, delta_e, d, u = age_distortion_solve(P, cost, eta)
+    # h(y) - y_1/mu - h(parent y), the chain value added up from the anchor as evaluate_policy builds h
+    chained = np.cumsum(np.column_stack([u[sys_par], edges]), axis=1)[:, -1]
+    _c1_parts(model, tree, lev, idx, pi, u[1:] - chained, 0.0, law, ws)
     # worst residual of the root and B1 equations, where h is u
     c1 = eta * (lev - 1) + ws.flat[np.asarray(tree.level_offset)[lev - 1] + idx % tree.m ** (lev - 1)]
     worst = float(np.max(np.abs(u[1:] + lam - c1), initial=abs(lam - float(ws.flat[0]))))
     if not worst <= RESIDUAL_TOL:
-        raise RuntimeError(
-            f"policy evaluation residual {worst:.3e} exceeds {RESIDUAL_TOL} (eta={eta}, K={tree.K})"
-        )
+        raise RuntimeError(f"policy evaluation residual {worst:.3e} exceeds {RESIDUAL_TOL} (eta={eta}, K={tree.K})")
     return lam, delta_e, d, u
 
 
@@ -380,10 +367,13 @@ def evaluate_policy(model: Model, tree: StateTree, actions, eta: float):
     is recorded as ``tree.last_actions`` for ``evaluate_components``.
     """
     lev, idx = _b1_list(tree, actions)
-    ws = _Workspace(tree)
-    lam, _, _, u = _evaluate(model, tree, lev, idx, eta, ws)
+    lam, _, _, u = _evaluate(model, tree, lev, idx, eta, _Workspace(tree))
     tree.last_actions = [np.array(a, dtype=np.int32) for a in actions]
-    return lam, [np.zeros(1)] + [h.copy() for h in _chain_h(model, tree, lev, idx, u, ws)]
+    b1mu, h = (tree.values / model.mu)[:, None], [np.zeros(1), np.zeros(tree.m)]
+    for l in range(2, tree.K + 1):  # the chain identity outside B1
+        h.append(np.add(h[-1], b1mu).ravel())
+        h[l][idx[lev == l]] = u[1:][lev == l]
+    return lam, h
 
 
 def evaluate_components(model: Model, tree: StateTree, actions=None):
@@ -422,9 +412,9 @@ def _improve(model: Model, tree: StateTree, lam: float, eta: float, ws: _Workspa
     found = [(1, np.zeros(0, dtype=np.int64))]
     for l in range(2, K + 1):
         n = tree.level_size[l - 1]
-        c1, chain = ws.parts[l], ws.red[0][:n]
+        c1, chain = ws.parts[l], ws.chain[:n]
         c1 += eta * (l - 1)
-        new = ws.h[l % 2][: m * n].reshape(m, n) if l < K else None
+        new = ws.best[l % 2][: m * n].reshape(m, n) if l < K else None
         for d in range(m):
             if l > reach[d]:
                 if l < K:
@@ -440,14 +430,24 @@ def _improve(model: Model, tree: StateTree, lam: float, eta: float, ws: _Workspa
     return lev, np.concatenate([i for _, i in found])
 
 
-def policy_improve(model: Model, tree: StateTree, h_levels, lam: float, eta: float):
-    """Public improvement step: returns (per-level action arrays, B1 as ``(lev, idx)`` arrays).
+def _h_parts(model: Model, tree: StateTree, h_levels, ws: _Workspace):
+    """``_c1_parts`` of h levels from ``h_l - (h_{l-1} + b1/mu)``, one oldest digit at a time in ``ws``."""
+    b1mu, found = tree.values / model.mu, [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+    for l in range(2, tree.K + 1):
+        n = tree.level_size[l - 1]
+        for d, row in enumerate(h_levels[l].reshape(tree.m, n)):
+            D = np.subtract(row, np.add(h_levels[l - 1], b1mu[d], out=ws.chain[:n]), out=ws.chain[:n])
+            at = np.flatnonzero(np.not_equal(D, 0.0, out=ws.take[:n]))
+            found.append((np.full(len(at), l), at + d * n, D[at]))
+    lev, idx, D = (np.concatenate(a) for a in zip(*found))
+    pi, s1 = _newest(tree, idx)[1], float(h_levels[1] @ tree.probs)
+    return _c1_parts(model, tree, lev, idx, pi, D, s1, _gap_law(model, tree.K), ws)
 
-    The new table is recorded as ``tree.last_actions`` for
-    ``evaluate_components``.
-    """
+
+def policy_improve(model: Model, tree: StateTree, h_levels, lam: float, eta: float):
+    """Public improvement step: (per-level actions, B1 as ``(lev, idx)``); the table is also ``tree.last_actions``."""
     ws = _Workspace(tree)
-    _c1_parts(model, tree, lambda: iter(h_levels[1:]), ws)
+    _h_parts(model, tree, h_levels, ws)
     lev, idx = _improve(model, tree, lam, eta, ws)
     actions = _b1_actions(tree, lev, idx)
     tree.last_actions = [a.copy() for a in actions]
@@ -614,19 +614,20 @@ def policy_iteration(
     Starts from send-latest, or from ``start`` (a converged policy of depth
     at most K, as in a warm-started eta sweep) with its deeper levels chaining
     to their parents, and alternates the reduced evaluation with the chain
-    improvement until the action table is a fixed point.
+    improvement until the action table is a fixed point.  B1 is read off the
+    start's table as it is, so a table off the chain rule raises a ValueError.
     """
     check_eta(eta)
     if K is None:
         K = model.buffer_bound(eta)
+    lev = idx = np.zeros(0, dtype=np.int64)  # send-latest: no B1 state
     if start is not None:
         if start.K > K:
             raise ValueError(f"start policy depth {start.K} exceeds K={K}")
         if start.values != tuple(model.v.values):
             raise ValueError(f"start policy values {start.values} differ from the model's")
+        lev, idx = _b1_list(StateTree(model, start.K), start.actions)  # its deeper levels chain
     tree = StateTree(model, K)
-    first = StateTree(model, 1 if start is None else start.K)  # deeper levels chain: no B1 state
-    lev, idx = _b1_list(first, _chain_actions(first, () if start is None else [a == 1 for a in start.actions]))
     ws = _Workspace(tree)
     for it in range(1, MAX_ITERS + 1):
         lam, delta_e, d, _ = _evaluate(model, tree, lev, idx, eta, ws)

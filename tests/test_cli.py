@@ -288,6 +288,31 @@ def test_simulate_usage_errors(fig1_file, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args, rc",
+    [
+        (["--strategy", "S9"], 2),
+        (["--strategy", "S1"], 2),
+        (["--policy", "missing.json"], 2),
+        ([], 2),
+        (["--policy", "corrupt.json"], 1),
+    ],
+    ids=["unknown-strategy", "no-k", "missing-policy", "no-policy", "corrupt-policy"],
+)
+def test_failed_simulate_leaves_no_output_file(fig1_file, tmp_path, capsys, args, rc):
+    # a failed run leaves no new --out behind, and an existing one as it was
+    (tmp_path / "corrupt.json").write_text("{not json")
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    base = ["simulate", "--model", fig1_file, "--horizon", "10000", *args]
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    assert main([*base, "--out", str(new)]) == rc
+    assert not new.exists()
+    old.write_text("kept\n")
+    assert main([*base, "--out", str(old)]) == rc
+    assert old.read_text() == "kept\n"
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["--mode", "bits", "--tau", "-1", "--tunstall"],
