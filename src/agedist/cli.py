@@ -174,6 +174,7 @@ def _check_simulate_flags(args) -> None:
 def cmd_simulate(args) -> int:
     _check_simulate_flags(args)
     model = _load_model(args.model)
+    cfg = SimConfig(horizon=args.horizon, seed=args.seed, model=None if args.mode == "bits" else model)
     if args.out:
         fresh = not os.path.exists(args.out)
         open(args.out, "a").close()  # an unwritable --out fails before the run
@@ -181,7 +182,6 @@ def cmd_simulate(args) -> int:
             os.remove(args.out)  # and a run that fails leaves no empty file behind
     if args.mode == "bits":
         src = BinarySource.from_model(model, args.n_bits_int)
-        cfg = SimConfig(horizon=args.horizon, seed=args.seed)
         if args.tunstall:
             policy = TunstallThresholdBitPolicy(src, args.tau, tunstall_build(src.q, 2**src.N))
         else:
@@ -197,7 +197,7 @@ def cmd_simulate(args) -> int:
         else:
             policy = window_table(model, args.strategy, args.k)  # send-latest reads no --k
         run = simulate_erasure if args.mode == "erasure" else simulate_policy
-        result = run(SimConfig(horizon=args.horizon, seed=args.seed, model=model), policy)
+        result = run(cfg, policy)
     doc = json.dumps(result.to_json_dict())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

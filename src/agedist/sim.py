@@ -89,6 +89,8 @@ class SimConfig:
             raise ValueError(f"horizon must be at least 10^4, got {self.horizon}")
         if self.horizon > MAX_HORIZON:
             raise ValueError(f"horizon must be at most 2^31 - 1 (int32 trajectories), got {self.horizon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     @property
     def burn(self) -> int:

@@ -22,11 +22,12 @@ right-hand sides: their average costs are ``delta_e`` and ``d``, and lambda
 and h are the eta-weighted sums.
 
 A solve carries its policy as B1, (level, index) arrays, and builds the
-action table once, at the end.  It allocates one buffer set, sized by K,
-and every iteration writes into it: the parts of C_h(b, 1) and the
-improvement's values, 2.5 * 2^K doubles for two values.  No h level is built:
-the parts follow the chain identity a trie level at a time (``_c1_parts``),
-the residual gate reads them at B1, and the improvement sweeps them.
+action table once, at the end, in ``np.min_scalar_type(K)`` (uint8 up to
+K = 255).  It holds no per-node buffer and builds no h level: the parts of
+C_h(b, 1) follow the chain identity a trie level at a time, and one sweep
+(``_sweep``) computes them, and the improvement's values, only at the nodes
+that can send their oldest packet, the prefixes of B1 and the B1 parents
+the residual gate reads; every other node provably chains.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .model import Model, check_eta, is_number, numbers
 from .statetree import StateTree, buffer_digits, buffer_entries, buffer_index
 
 TIE_TOL = 1e-12
+PRUNE_TOL = 1e-9  # relative margin of the improvement's pruning: rounding along K levels is about 1e-14 of it
 RESIDUAL_TOL = 1e-9
 MAX_ITERS = 1000
 B1_CAP = 8192  # reduced-system states: the dense solve holds a few 537 MB arrays at the cap
@@ -118,23 +120,8 @@ def c_value(model: Model, tree: StateTree, h_levels, state, s: int, eta: float) 
 
 
 # ---------------------------------------------------------------------------
-# C_h(b, 1) for every node: the chain identity, one trie level at a time
+# C_h(b, 1) and the improvement: the chain identity at the candidate nodes
 # ---------------------------------------------------------------------------
-
-
-class _Workspace:
-    """One solve's per-node buffers, sized by K and reused by every iteration.
-
-    ``parts[l]``, l = 1..K, views the level-(l-1) slot of ``flat``; the improvement keeps one
-    level's best C-values in ``best[l % 2]`` while it builds the next, and its chain values in ``chain``.
-    No h level is held: for two values the set is about 2.5 * 2^K doubles."""
-
-    def __init__(self, tree: StateTree):
-        top, off = tree.level_size[tree.K - 1], tree.level_offset
-        self.flat = np.empty(off[tree.K])
-        self.parts = [np.empty(0)] + np.split(self.flat, off[1 : tree.K])
-        self.best, self.chain = (np.empty(top), np.empty(top)), np.empty(top)
-        self.take = np.empty(top, dtype=bool)
 
 
 def _gap_law(model: Model, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,30 +135,64 @@ def _newest(tree: StateTree, idx: np.ndarray):
     return digits, np.cumprod(tree.probs[digits], axis=1)
 
 
-def _c1_parts(model: Model, tree: StateTree, lev, idx, pi, D, s1: float, law, ws: _Workspace):
-    """Per-parent parts of C_h(b, 1) into ``ws.parts``: ``C_h(b, 1) = eta * (l - 1) + parts[l][parent(b)]``.
+def _sweep(model: Model, tree: StateTree, lev, idx, pi, D, s1: float, law, lam: float, eta: float):
+    """The parts of C_h(b, 1) and one improvement sweep, at the candidate nodes only.
 
-    ``parts[l]``, over the level-(l-1) nodes x, is kappa(x) + sum_z p_z E[h(x || V^z)], kappa the
-    forgetting charge.  h is given by ``s1`` = E[h_1] and ``D(y) = h(y) - y_1/mu - h(parent y)`` at
-    the states ``(lev, idx)`` (level-major, ascending; pi from ``_newest``) where it is not zero, B1
-    for a chain h.  Sending x's oldest packet costs x_1/mu with probability 1, through h when the
-    arrivals fit and as the forgetting charge when they push it off; the rest is as from x[2:]:
-    ``parts[j + 1](x) = x_1/mu + parts[j](x[2:]) + sum_{y[:j] = x} p_{|y| - j} pi(y[j+1:]) D(y)``,
-    one broadcast and one scatter, done before the next level reads it.  The root is Pr(Z >= K) S_K
-    + E[V]/mu E[(Z - K)^+] + sum_{z < K} p_z S_z, S_z = E[h_z] = S_{z-1} + E[V]/mu + sum_{|y| = z} pi(y) D(y).
+    Returns ``(keys, parts, (lev, idx))``: ``parts[k]`` is the part of the level-j node x at
+    ``keys[k] = level_offset[j] + x`` (ascending), so ``C_h(b, 1) = eta * (l - 1) + part(parent b)``,
+    and the new B1 is level-major with ascending indices.  The part of x is kappa(x) + sum_z p_z
+    E[h(x || V^z)], kappa the forgetting charge.  h is given by ``s1`` = E[h_1] and ``D(y) = h(y) -
+    y_1/mu - h(parent y)`` at the states ``(lev, idx)`` (level-major, ascending; pi from ``_newest``)
+    where it may not be zero, B1 for a chain h.  Sending x's oldest packet costs x_1/mu with
+    probability 1, through h when the arrivals fit and as the forgetting charge when they push it
+    off; the rest is as from x[2:]: ``part(x) = x_1/mu + part(x[2:]) + sigma(x)``, ``sigma(x) =
+    sum_{y[:j] = x} p_{|y| - j} pi(y[j+1:]) D(y)`` in state order.  The root is Pr(Z >= K) S_K +
+    E[V]/mu E[(Z - K)^+] + sum_{z < K} p_z S_z, S_z = S_{z-1} + E[V]/mu + sum_{|y| = z} pi(y) D(y).
+
+    A state (d, x) sends its oldest packet when the reach bound of d permits it and
+    ``c1(x) < (best(x) + v_d/mu) - TIE_TOL``, best the C-value of x's own action: ties stay with the
+    freshest feasible packet.  With ``delta(x) = c1(x) - best(x)`` the identity gives ``delta(d, x)
+    >= delta(x) + eta + sigma(d, x)`` (a take at x only raises it), and sigma is zero off the proper
+    prefixes of the states.  So a node off them cannot take once its parent's delta + eta clears the
+    level's largest sendable v/mu - TIE_TOL by ``PRUNE_TOL`` of the magnitudes involved, and nor can
+    any node below it.  A level's candidates are the children of the last level's candidates within
+    that margin and the level's substrings of the states, which hold their prefixes, their parents
+    ``y[2:]`` (the residual gate reads those) and the parents of both; every take and every value is
+    bitwise the whole-level sweep's.
     """
-    K, m, parts, (pmf, tail) = tree.K, tree.m, ws.parts, law
-    ev, b1mu = model.mean_importance / model.mu, (tree.values / model.mu)[:, None]
+    K, m, (pmf, tail) = tree.K, tree.m, law
+    ev, b1mu = model.mean_importance / model.mu, tree.values / model.mu
     inc = np.bincount(lev, weights=pi[np.arange(len(idx)), lev - 1] * D, minlength=K + 1)
     S = list(itertools.accumulate(inc[2:], lambda s, i: s + ev + i, initial=s1))  # S_1..S_K
-    parts[1][0] = tail[K] * S[-1] + ev * model.z_excess_mean(K) + np.dot(pmf[1:K], S[:-1])
+    root = tail[K] * S[-1] + ev * model.z_excess_mean(K) + np.dot(pmf[1:K], S[:-1])
     deeper = np.searchsorted(lev, np.arange(K), "right")  # deeper[j]: the first state below level j
+    reach = model.reach_bounds(eta)
+    top = [max((b1mu[d] for d in range(m) if l <= reach[d]), default=-math.inf) - TIE_TOL for l in range(K + 2)]
+    span = K * (b1mu.max() + eta)  # the most K levels add to a value along nodes off the candidates
+    keys, parts, found = [np.zeros(1, dtype=np.int64)], [np.array([root])], [(1, np.zeros(0, dtype=np.int64))]
+    x, kids, best = keys[0], np.arange(m), np.full((m, 1), lam)  # best: C_h(b, s(b)) of x's children
     for j in range(1, K):
-        np.add(parts[j], b1mu, out=parts[j + 1].reshape(m, -1))
         r = np.arange(deeper[j], len(idx))
         z = lev[r] - j
-        np.add.at(parts[j + 1], idx[r] // m**z, pmf[z] * pi[r, z - 1] * D[r])
-    return parts
+        y, t = np.repeat(r, z + 1), _ranges(z + 1)  # each state below level j, each of its length-j substrings
+        at = np.sort(np.concatenate([idx[y] // m**t % m**j, kids]))
+        at = at[np.diff(at, prepend=-1) > 0]  # np.unique would import numpy.ma, 1.7 MB, on its first call
+        par, digit = np.searchsorted(x, at % m ** (j - 1)), at // m ** (j - 1)
+        part = parts[-1][par] + b1mu[digit]
+        np.add.at(part, np.searchsorted(at, idx[r] // m**z), pmf[z] * pi[r, z - 1] * D[r])
+        x, best = at, best[digit, par]
+        keys.append(tree.level_offset[j] + x)
+        parts.append(part)
+        c1 = part + eta * j
+        rows = np.add(best, b1mu[:, None])
+        for d in np.flatnonzero(reach > j):
+            take = c1 < rows[d] - TIE_TOL
+            found.append((j + 1, x[take] + d * m**j))
+            np.copyto(rows[d], c1, where=take)
+        near = c1 - best + eta < top[j + 2] + PRUNE_TOL * (1.0 + np.abs(c1) + np.abs(best) + span)
+        kids, best = (np.arange(m)[:, None] * m**j + x[near]).ravel(), rows
+    lev = np.repeat([l for l, _ in found], [len(i) for _, i in found])
+    return np.concatenate(keys), np.concatenate(parts), (lev, np.concatenate([i for _, i in found]))
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +208,13 @@ def _chain_actions(tree: StateTree, takes) -> list[np.ndarray]:
     otherwise takes its parent's action plus one; levels past the end of
     ``takes``, or whose entry is None, chain throughout, so no masks gives
     send-latest.  Level 0 holds the root's placeholder action 0, which makes
-    every level-1 action 1.
+    every level-1 action 1.  Actions are stored in ``np.min_scalar_type(K)``,
+    uint8 up to K = 255.
     """
-    actions = [np.zeros(1, dtype=np.int32)]
+    dtype = np.min_scalar_type(tree.K)
+    actions = [np.zeros(1, dtype=dtype)]
     for l in range(1, tree.K + 1):
-        acts = np.empty(tree.level_size[l], dtype=np.int32)
+        acts = np.empty(tree.level_size[l], dtype=dtype)
         np.add(actions[l - 1], 1, out=acts.reshape(tree.m, -1))
         if l < len(takes) and takes[l] is not None:
             acts[takes[l]] = 1
@@ -203,10 +226,12 @@ def check_chain_table(tree: StateTree, actions) -> None:
     """Raise a ValueError unless ``actions`` is a chain policy on ``tree``.
 
     The table holds levels 0..K, level ``l`` its ``m**l`` integer actions.
-    Length-1 states take action 1, and every longer state sends its oldest
-    packet or takes its parent's action plus one; anything else cannot be
-    represented by the reduced system.  Each level is checked one oldest
-    digit at a time, so no temporary spans a whole level.
+    The root holds the placeholder 0, length-1 states take action 1, and
+    every longer state sends its oldest packet or takes its parent's action
+    plus one; anything else cannot be represented by the reduced system, and
+    a checked table narrows to ``np.min_scalar_type(K)`` without wrapping.
+    Each level is checked one oldest digit at a time, so no temporary spans
+    a whole level.
     """
     if len(actions) != tree.K + 1:
         raise ValueError(
@@ -220,6 +245,8 @@ def check_chain_table(tree: StateTree, actions) -> None:
             )
         if acts.dtype.kind not in "iu":
             raise ValueError(f"action table level {l} has dtype {acts.dtype}, expected integers")
+    if np.asarray(actions[0])[0] != 0:
+        raise ValueError("action table level 0: the root must hold the placeholder action 0")
     if not np.all(np.asarray(actions[1]) == 1):
         raise ValueError("action table level 1: length-1 states must take action 1")
     for l in range(2, tree.K + 1):
@@ -232,6 +259,11 @@ def check_chain_table(tree: StateTree, actions) -> None:
                 raise ValueError(
                     f"action table level {l} is not chain-structured at state {tree.entries_of(l, bad)}"
                 )
+
+
+def _narrow(tree: StateTree, actions) -> list[np.ndarray]:
+    """Copies of a checked chain table's levels in ``np.min_scalar_type(K)``, as every stored table is kept."""
+    return [np.asarray(acts).astype(np.min_scalar_type(tree.K)) for acts in actions]
 
 
 def _b1_list(tree: StateTree, actions) -> tuple[np.ndarray, np.ndarray]:
@@ -336,11 +368,12 @@ def _assemble(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray, l
     return aug[:, :n], cost, (sys_par, edges, pi)
 
 
-def _evaluate(model: Model, tree: StateTree, lev, idx, eta: float, ws: _Workspace):
+def _evaluate(model: Model, tree: StateTree, lev, idx, eta: float):
     """Evaluate the chain policy with B1 ``(lev, idx)``, gated on the residuals of its parts of C_h(b, 1).
 
-    Returns (lambda, delta_e, d, u), u as ``_assemble`` orders the states, and leaves the parts in
-    ``ws.parts``.  A table with more than ``B1_CAP`` B1 states is rejected before anything is allocated.
+    Returns (lambda, delta_e, d, u, sweep), u as ``_assemble`` orders the states and sweep the
+    ``_sweep`` of u: the parts at its candidates and the improved B1.  A table with more than
+    ``B1_CAP`` B1 states is rejected before anything is allocated.
     """
     if len(idx) > B1_CAP:
         raise ValueError(f"action table has |B1|={len(idx)} states, over the cap of {B1_CAP}")
@@ -349,13 +382,14 @@ def _evaluate(model: Model, tree: StateTree, lev, idx, eta: float, ws: _Workspac
     lam, delta_e, d, u = age_distortion_solve(P, cost, eta)
     # h(y) - y_1/mu - h(parent y), the chain value added up from the anchor as evaluate_policy builds h
     chained = np.cumsum(np.column_stack([u[sys_par], edges]), axis=1)[:, -1]
-    _c1_parts(model, tree, lev, idx, pi, u[1:] - chained, 0.0, law, ws)
+    sweep = keys, parts, _ = _sweep(model, tree, lev, idx, pi, u[1:] - chained, 0.0, law, lam, eta)
     # worst residual of the root and B1 equations, where h is u
-    c1 = eta * (lev - 1) + ws.flat[np.asarray(tree.level_offset)[lev - 1] + idx % tree.m ** (lev - 1)]
-    worst = float(np.max(np.abs(u[1:] + lam - c1), initial=abs(lam - float(ws.flat[0]))))
+    at = np.searchsorted(keys, np.asarray(tree.level_offset)[lev - 1] + idx % tree.m ** (lev - 1))
+    c1 = eta * (lev - 1) + parts[at]
+    worst = float(np.max(np.abs(u[1:] + lam - c1), initial=abs(lam - float(parts[0]))))
     if not worst <= RESIDUAL_TOL:
         raise RuntimeError(f"policy evaluation residual {worst:.3e} exceeds {RESIDUAL_TOL} (eta={eta}, K={tree.K})")
-    return lam, delta_e, d, u
+    return lam, delta_e, d, u, sweep
 
 
 def evaluate_policy(model: Model, tree: StateTree, actions, eta: float):
@@ -367,8 +401,8 @@ def evaluate_policy(model: Model, tree: StateTree, actions, eta: float):
     is recorded as ``tree.last_actions`` for ``evaluate_components``.
     """
     lev, idx = _b1_list(tree, actions)
-    lam, _, _, u = _evaluate(model, tree, lev, idx, eta, _Workspace(tree))
-    tree.last_actions = [np.array(a, dtype=np.int32) for a in actions]
+    lam, _, _, u, _ = _evaluate(model, tree, lev, idx, eta)
+    tree.last_actions = _narrow(tree, actions)
     b1mu, h = (tree.values / model.mu)[:, None], [np.zeros(1), np.zeros(tree.m)]
     for l in range(2, tree.K + 1):  # the chain identity outside B1
         h.append(np.add(h[-1], b1mu).ravel())
@@ -387,7 +421,7 @@ def evaluate_components(model: Model, tree: StateTree, actions=None):
         actions = tree.last_actions
         if actions is None:
             raise ValueError("no action table given and none recorded on the tree")
-    _, delta_e, d, _ = _evaluate(model, tree, *_b1_list(tree, actions), 1.0, _Workspace(tree))
+    _, delta_e, d, _, _ = _evaluate(model, tree, *_b1_list(tree, actions), 1.0)
     return delta_e, d
 
 
@@ -396,59 +430,23 @@ def evaluate_components(model: Model, tree: StateTree, actions=None):
 # ---------------------------------------------------------------------------
 
 
-def _improve(model: Model, tree: StateTree, lam: float, eta: float, ws: _Workspace):
-    """One improvement sweep from the parts of C_h(b, 1) in ``ws``; returns the new B1 as ``(lev, idx)``.
-
-    A node switches to sending its oldest packet only when that is strictly
-    better than inheriting the parent's best by more than the tie guard, and
-    when the reach bound for the oldest packet's importance permits it; ties
-    therefore stay with the freshest feasible packet.  A level is swept one
-    oldest digit at a time: a row past its reach bound only chains (the v_min
-    row never sends), and level K keeps no best C-values.
-    """
-    K, m = tree.K, tree.m
-    reach, b1mu = model.reach_bounds(eta), tree.values / model.mu
-    best = np.full(m, lam)  # C_h(b, s(b)) of the previous level
-    found = [(1, np.zeros(0, dtype=np.int64))]
-    for l in range(2, K + 1):
-        n = tree.level_size[l - 1]
-        c1, chain = ws.parts[l], ws.chain[:n]
-        c1 += eta * (l - 1)
-        new = ws.best[l % 2][: m * n].reshape(m, n) if l < K else None
-        for d in range(m):
-            if l > reach[d]:
-                if l < K:
-                    np.add(best, b1mu[d], out=new[d])
-                continue
-            row = np.add(best, b1mu[d], out=chain if l == K else new[d])
-            take = np.less(c1, np.subtract(row, TIE_TOL, out=chain), out=ws.take[:n])
-            found.append((l, np.flatnonzero(take) + d * n))
-            if l < K:
-                np.copyto(row, c1, where=take)
-        best = None if l == K else new.ravel()
-    lev = np.repeat([l for l, _ in found], [len(i) for _, i in found])
-    return lev, np.concatenate([i for _, i in found])
-
-
-def _h_parts(model: Model, tree: StateTree, h_levels, ws: _Workspace):
-    """``_c1_parts`` of h levels from ``h_l - (h_{l-1} + b1/mu)``, one oldest digit at a time in ``ws``."""
+def _h_parts(model: Model, tree: StateTree, h_levels, lam: float, eta: float):
+    """``_sweep`` of h levels, from their departures ``h_l - (h_{l-1} + b1/mu)`` one oldest digit at a time."""
     b1mu, found = tree.values / model.mu, [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
     for l in range(2, tree.K + 1):
         n = tree.level_size[l - 1]
         for d, row in enumerate(h_levels[l].reshape(tree.m, n)):
-            D = np.subtract(row, np.add(h_levels[l - 1], b1mu[d], out=ws.chain[:n]), out=ws.chain[:n])
-            at = np.flatnonzero(np.not_equal(D, 0.0, out=ws.take[:n]))
+            D = row - (h_levels[l - 1] + b1mu[d])
+            at = np.flatnonzero(D)
             found.append((np.full(len(at), l), at + d * n, D[at]))
     lev, idx, D = (np.concatenate(a) for a in zip(*found))
     pi, s1 = _newest(tree, idx)[1], float(h_levels[1] @ tree.probs)
-    return _c1_parts(model, tree, lev, idx, pi, D, s1, _gap_law(model, tree.K), ws)
+    return _sweep(model, tree, lev, idx, pi, D, s1, _gap_law(model, tree.K), lam, eta)
 
 
 def policy_improve(model: Model, tree: StateTree, h_levels, lam: float, eta: float):
     """Public improvement step: (per-level actions, B1 as ``(lev, idx)``); the table is also ``tree.last_actions``."""
-    ws = _Workspace(tree)
-    _h_parts(model, tree, h_levels, ws)
-    lev, idx = _improve(model, tree, lam, eta, ws)
+    lev, idx = _h_parts(model, tree, h_levels, lam, eta)[2]
     actions = _b1_actions(tree, lev, idx)
     tree.last_actions = [a.copy() for a in actions]
     return actions, (lev, idx)
@@ -551,6 +549,7 @@ class PolicySolution:
             )
         actions = [_rle_decode(rle, l, n) for l, (rle, n) in enumerate(zip(rles, tree.level_size))]
         check_chain_table(tree, actions)
+        actions = _narrow(tree, actions)
         return cls(
             eta=eta,
             K=tree.K,
@@ -628,10 +627,8 @@ def policy_iteration(
             raise ValueError(f"start policy values {start.values} differ from the model's")
         lev, idx = _b1_list(StateTree(model, start.K), start.actions)  # its deeper levels chain
     tree = StateTree(model, K)
-    ws = _Workspace(tree)
     for it in range(1, MAX_ITERS + 1):
-        lam, delta_e, d, _ = _evaluate(model, tree, lev, idx, eta, ws)
-        new_lev, new_idx = _improve(model, tree, lam, eta, ws)
+        lam, delta_e, d, _, (_, _, (new_lev, new_idx)) = _evaluate(model, tree, lev, idx, eta)
         if np.array_equal(new_lev, lev) and np.array_equal(new_idx, idx):
             iters = it
             break
@@ -641,7 +638,6 @@ def policy_iteration(
             f"policy iteration did not converge within {MAX_ITERS} iterations "
             f"(eta={eta}, K={K}, lambda={lam})"
         )
-    del ws  # the buffers go before the table is built
     actions = _b1_actions(tree, lev, idx)
     return PolicySolution(eta, K, lam, delta_e, d, iters, tuple(model.v.values), actions, model.config_hash())
 
@@ -712,7 +708,7 @@ def generic_policy_iteration(model: Model, eta: float, K: int) -> PolicySolution
     """Textbook policy iteration with exhaustive argmin; the oracle route."""
     check_eta(eta)
     tree = StateTree(model, K)
-    actions = [np.full(tree.level_size[l], l, dtype=np.int32) for l in range(K + 1)]
+    actions = _chain_actions(tree, ())  # send-latest
     for it in range(1, MAX_ITERS + 1):
         lam, delta_e, d, h_levels = _evaluate_full(model, tree, actions, eta)
         changed = False

@@ -155,6 +155,7 @@ def run_battery(
     """Every check that applies to the model; one that raises is a failed row, not an abort."""
     checks: list[CheckResult] = []
     fig1 = model if model is not None else figure1_model()
+    cfg = SimConfig(horizon=BATTERY_HORIZON, seed=seed, model=fig1)  # a bad seed fails before any check runs
     fig2 = figure2_model()
     geometric = isinstance(fig1.z, Geometric)
 
@@ -229,7 +230,6 @@ def run_battery(
         add(ok, detail)
 
     # 7. solver vs simulator
-    cfg = SimConfig(horizon=BATTERY_HORIZON, seed=seed, model=fig1)
     direct = None
     with check("solver vs simulator") as add:
         sol = policy_iteration(fig1, 1.0)

@@ -411,6 +411,31 @@ def test_verify_skips_closed_form_checks_on_other_models(tmp_path, capsys, cfg, 
     assert sum("  PASS" in r for r in rows) == 10 - len(skipped)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--eta", "1", "--seed", "-5"],
+        ["simulate", "--mode", "bits", "--tau", "3", "--seed", "-5"],
+        ["verify", "--seed", "-1"],
+    ],
+    ids=["simulate", "simulate-bits", "verify"],
+)
+def test_negative_seed_is_one_error_line(fig1_file, tmp_path, capsys, monkeypatch, argv):
+    # rejected before any solve or check runs, with one line naming the seed
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the seed was checked")
+
+    monkeypatch.setattr("agedist.cli.policy_iteration", no_solve)
+    monkeypatch.setattr("agedist.verify.policy_iteration", no_solve)
+    out = tmp_path / "new.json"
+    extra = ["--model", fig1_file] + (["--out", str(out)] if argv[0] == "simulate" else [])
+    assert main([*argv, *extra]) == 1
+    captured = capsys.readouterr()
+    seed = argv[-1]
+    assert captured.err == f"error: seed must be a non-negative integer, got {seed}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_verify_reports_a_check_that_raises(tmp_path, capsys):
     path = tmp_path / "wide.json"  # K(eta=1) = 200 is past the depth cap
     path.write_text(json.dumps({"values": [1, 1000], "probs": [0.7, 0.3], "z": {"geometric": 0.2}}))

@@ -44,6 +44,8 @@ def test_config_validation(fig1):
         SimConfig(horizon=5000, seed=1, model=fig1)
     with pytest.raises(ValueError, match="int32"):
         SimConfig(horizon=2**31, seed=1, model=fig1)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        SimConfig(horizon=100_000, seed=-1, model=fig1)
     cfg = SimConfig(horizon=100_000, seed=1, model=fig1)
     assert cfg.burn == 1000
 

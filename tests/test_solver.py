@@ -181,8 +181,12 @@ def reference_parts(model, tree, h_levels):
 
 
 def solver_parts(model, tree, h_levels):
-    """The solver's parts of C_h(b, 1) from whole h levels, as the step-wise improvement reads them."""
-    return solver._h_parts(model, tree, h_levels, solver._Workspace(tree))
+    """The solver's parts of C_h(b, 1) from whole h levels, as the step-wise improvement reads them, level by level.
+
+    Only for an h departing from the chain rule at every node below level 1: its sweep visits every node."""
+    keys, parts, _ = solver._h_parts(model, tree, h_levels, 0.0, 1.0)
+    assert np.array_equal(keys, np.arange(tree.level_offset[tree.K]))
+    return [np.empty(0)] + np.split(parts, tree.level_offset[1 : tree.K])
 
 
 def test_kappa_matches_direct_c1(fig1):
@@ -202,53 +206,170 @@ def test_kappa_matches_direct_c1(fig1):
                 assert c1 == pytest.approx(direct, abs=1e-10)
 
 
+def whole_level_parts(model, tree, lev, idx, pi, D, s1, law):
+    """Reference for the sweep's parts: the chain identity over every node, ``parts[l]`` over level l - 1.
+
+    One broadcast of the parent level over the oldest digit and one scatter of the level's
+    corrections in state order, so every part is the float the sweep computes at its candidates.
+    """
+    K, m, (pmf, tail) = tree.K, tree.m, law
+    ev, b1mu = model.mean_importance / model.mu, (tree.values / model.mu)[:, None]
+    inc = np.bincount(lev, weights=pi[np.arange(len(idx)), lev - 1] * D, minlength=K + 1)
+    S = list(itertools.accumulate(inc[2:], lambda s, i: s + ev + i, initial=s1))  # S_1..S_K
+    parts = [np.empty(0)] + [np.empty(n) for n in tree.level_size[:K]]
+    parts[1][0] = tail[K] * S[-1] + ev * model.z_excess_mean(K) + np.dot(pmf[1:K], S[:-1])
+    deeper = np.searchsorted(lev, np.arange(K), "right")  # deeper[j]: the first state below level j
+    for j in range(1, K):
+        np.add(parts[j], b1mu, out=parts[j + 1].reshape(m, -1))
+        r = np.arange(deeper[j], len(idx))
+        z = lev[r] - j
+        np.add.at(parts[j + 1], idx[r] // m**z, pmf[z] * pi[r, z - 1] * D[r])
+    return parts
+
+
+def whole_level_improve(model, tree, parts, lam, eta):
+    """Reference for the sweep's improvement: every node of every level tested; returns B1 as ``(lev, idx)``."""
+    K, m = tree.K, tree.m
+    reach, b1mu = model.reach_bounds(eta), tree.values / model.mu
+    best = np.full(m, lam)  # C_h(b, s(b)) of the previous level
+    found = [(1, np.zeros(0, dtype=np.int64))]
+    for l in range(2, K + 1):
+        n = tree.level_size[l - 1]
+        c1 = parts[l] + eta * (l - 1)
+        new = np.empty((m, n))
+        for d in range(m):
+            new[d] = best + b1mu[d]
+            if l <= reach[d]:
+                take = c1 < new[d] - solver.TIE_TOL
+                found.append((l, np.flatnonzero(take) + d * n))
+                new[d][take] = c1[take]
+        best = new.ravel()
+    lev = np.repeat([l for l, _ in found], [len(i) for _, i in found])
+    return lev, np.concatenate([i for _, i in found])
+
+
+def sweep_against_whole_levels(model, tree, lev, idx, D, s1, lam, eta):
+    """``_sweep`` of D at ``(lev, idx)``, checked against the whole-level references; returns it."""
+    law, pi = solver._gap_law(model, tree.K), solver._newest(tree, idx)[1]
+    keys, parts, b1 = sweep = solver._sweep(model, tree, lev, idx, pi, D, s1, law, lam, eta)
+    whole = whole_level_parts(model, tree, lev, idx, pi, D, s1, law)
+    for got, want in zip(b1, whole_level_improve(model, tree, whole, lam, eta), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.all(np.diff(keys) > 0) and keys[0] == 0
+    assert parts.tobytes() == np.concatenate(whole[1:])[keys].tobytes()
+    return sweep
+
+
+def _solved_case(case, fig1, three_level):
+    """(model, solution) of a named solved-table case."""
+    three = Model(ImportanceDist((1.0, 5.0, 20.0), (0.5, 0.3, 0.2)), Geometric(0.2))
+    if case == "three-K11":
+        return three_level
+    if case == "three-K7":
+        return three, policy_iteration(three, 0.7, 7)
+    if case == "gapped":
+        model = Model(ImportanceDist((1.0, 4.0, 9.0), (0.3, 0.4, 0.3)), FinitePMF((0.4, 0.0, 0.6)))
+        return model, policy_iteration(model, 0.4, 7)
+    if case == "one-value":
+        model = Model(ImportanceDist((3.0,), (1.0,)), Geometric(0.25))
+        return model, policy_iteration(model, 1.0, 5)
+    K = int(case.split("K")[1])
+    return fig1, policy_iteration(fig1, 0.2 if K == 19 else 0.5, K)
+
+
+SOLVED_CASES = ["fig1-K1", "fig1-K2", "fig1-K8", "fig1-K10", "fig1-K19", "three-K7", "three-K11", "gapped", "one-value"]
+
+
+@pytest.mark.parametrize("case", SOLVED_CASES + ["S1-K8"])
+def test_sweep_matches_whole_levels_on_solved_tables(case, fig1, three_level):
+    # the solve's sweep from its own u: the same B1 and bitwise the same parts at its candidates.  S1 is
+    # no fixed point, so some of its B1 parents are candidates only because the residual gate reads them
+    if case == "S1-K8":
+        model, eta, actions = fig1, 1.0, window_table(fig1, "S1", 8).actions
+    else:
+        model, sol = _solved_case(case, fig1, three_level)
+        eta, actions = sol.eta, sol.actions
+    tree = StateTree(model, len(actions) - 1)
+    lev, idx = solver._b1_list(tree, actions)
+    law = solver._gap_law(model, tree.K)
+    P, cost, (sys_par, edges, _) = solver._assemble(model, tree, lev, idx, law)
+    lam, _, _, u = solver.age_distortion_solve(P, cost, eta)
+    D = u[1:] - np.cumsum(np.column_stack([u[sys_par], edges]), axis=1)[:, -1]
+    keys, parts, b1 = sweep_against_whole_levels(model, tree, lev, idx, D, 0.0, lam, eta)
+    got = solver._evaluate(model, tree, lev, idx, eta)[4]
+    assert got[0].tobytes() == keys.tobytes() and got[1].tobytes() == parts.tobytes()
+    converged = np.array_equal(b1[0], lev) and np.array_equal(b1[1], idx)
+    assert converged == (case != "S1-K8")  # a solved table is its own improvement
+
+
+@pytest.mark.parametrize("support", [0.05, 0.5, 1.0])
+def test_sweep_matches_whole_levels_on_random_departures(support, fig1):
+    # D on a seeded random share of the nodes below level 1, lambda near the level-2 C-values so that
+    # states take at every level: the pruning keeps every take, and the parts at the candidates are
+    # bitwise the whole-level ones
+    three = Model(ImportanceDist((1.0, 5.0, 20.0), (0.5, 0.3, 0.2)), Geometric(0.2))
+    gapped = Model(ImportanceDist((1.0, 4.0, 9.0), (0.3, 0.4, 0.3)), FinitePMF((0.4, 0.0, 0.6)))
+    rng = np.random.default_rng(int(support * 100))
+    for model, K in [(fig1, K) for K in (2, 5, 8)] + [(three, K) for K in (3, 6)] + [(gapped, 5)]:
+        tree = StateTree(model, K)
+        nodes = tree.level_offset[K + 1] - tree.level_offset[2]
+        at = np.sort(rng.choice(nodes, size=max(1, round(support * nodes)), replace=False)) + tree.level_offset[2]
+        lev = np.searchsorted(tree.level_offset, at, "right") - 1
+        idx = at - np.asarray(tree.level_offset)[lev]
+        pi, law = solver._newest(tree, idx)[1], solver._gap_law(model, K)
+        for eta in (0.3, 1.5):
+            D, s1 = rng.normal(size=len(idx)), rng.normal()
+            lam = whole_level_parts(model, tree, lev, idx, pi, D, s1, law)[1][0] + eta + rng.normal()
+            keys, _, (b1_lev, _) = sweep_against_whole_levels(model, tree, lev, idx, D, s1, lam, eta)
+            assert len(b1_lev) > 0 and (K == 2 or b1_lev.max() > 2)
+            assert len(keys) < tree.level_offset[K] or support > 0.05 or K < 5
+
+
 def _streamed_and_reference_parts(model, sol):
-    """The parts of a solved table's h, built by a solve from its B1 values and reduced from whole h levels."""
+    """A solve's parts of a solved table's h at its candidates, and the parts reduced from whole h levels there."""
     tree = StateTree(model, sol.K)
     lev, idx = solver._b1_list(tree, sol.actions)
-    ws = solver._Workspace(tree)
-    u = solver._evaluate(model, tree, lev, idx, sol.eta, ws)[3]
+    u, (keys, parts, _) = solver._evaluate(model, tree, lev, idx, sol.eta)[3:]
     b1mu = (tree.values / model.mu)[:, None]
     h = [np.zeros(1), np.zeros(tree.m)]
     for l in range(2, tree.K + 1):  # the chain identity, a whole level at a time
         h.append((h[l - 1] + b1mu).ravel())
         h[l][idx[lev == l]] = u[1:][lev == l]
-    return ws.parts, reference_parts(model, tree, h)
+    return parts, np.concatenate(reference_parts(model, tree, h)[1:])[keys]
 
 
 @pytest.mark.parametrize("case", ["fig1-K1", "fig1-K2", "fig1-K8", "fig1-K19", "three-K11", "gapped", "one-value"])
 def test_streamed_parts_bitwise_equal_whole_level_reference(case, fig1, three_level):
     # the chain identity adds in another order than the reductions, so the parts agree to rounding;
     # a correction scattered after the whole propagation, or weighted by the wrong gap length, differs
-    if case == "three-K11":
-        model, sol = three_level
-    elif case == "gapped":
-        model = Model(ImportanceDist((1.0, 4.0, 9.0), (0.3, 0.4, 0.3)), FinitePMF((0.4, 0.0, 0.6)))
-        sol = policy_iteration(model, 0.4, 7)
-    elif case == "one-value":
-        model = Model(ImportanceDist((3.0,), (1.0,)), Geometric(0.25))
-        sol = policy_iteration(model, 1.0, 5)
-    else:
-        K = int(case.split("K")[1])
-        model, sol = fig1, policy_iteration(fig1, 0.2 if K == 19 else 0.5, K)
+    model, sol = _solved_case(case, fig1, three_level)
     if case == "gapped":
         assert sol.b1_size > 0 and model.z_pmf(2) == 0.0
     streamed, want = _streamed_and_reference_parts(model, sol)
-    assert len(streamed) == len(want) == sol.K + 1
-    for got, ref in zip(streamed[1:], want[1:]):
-        np.testing.assert_array_less(np.abs(got - ref), 1e-12 * np.maximum(1.0, np.abs(ref)))
+    np.testing.assert_array_less(np.abs(streamed - want), 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def _traced_peak(solve):
+    tracemalloc.start()
+    try:
+        sol = solve()
+        return sol, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_deep_solve_traced_peak(fig1):
-    # one buffer set per solve: the parts and the improvement's values, and no h level
-    tracemalloc.start()
-    try:
-        sol = policy_iteration(fig1, 0.2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the sweep holds no per-node buffer: the peak is the final uint8 table, 1.05 MB at K = 19
+    sol, peak = _traced_peak(lambda: policy_iteration(fig1, 0.2))
     assert sol.K == 19
-    assert peak < 13e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert peak < 1.5e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_deepest_solve_traced_peak(fig1):
+    # fig1's last exact point at the dense cap: a 16.8 MB table
+    sol, peak = _traced_peak(lambda: policy_iteration(fig1, 0.17))
+    assert sol.K == 23
+    assert peak < 20e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_level_reductions(fig1):
@@ -951,6 +1072,15 @@ def _huge_action(doc):
     doc["actions"][3] = [[2**40, 8]]
 
 
+def _wrapping_action(doc):
+    # (20, 1) may send its oldest packet: 257 would read as action 1 in uint8
+    doc["actions"][2] = [[2, 2], [257, 1], [1, 1]]
+
+
+def _root_action(doc):
+    doc["actions"][0] = [[256, 1]]
+
+
 @pytest.mark.parametrize(
     "mangle, match",
     [
@@ -975,6 +1105,8 @@ def _huge_action(doc):
         (_huge_count, "level 3 has shape \\(10000000000,\\)"),
         (_zero_count, "level 3 has a run-length count below 1"),
         (_huge_action, "level 3 has an action outside int32"),
+        (_wrapping_action, "level 2 is not chain-structured at state \\(20.0, 1.0\\)"),
+        (_root_action, "level 0: the root must hold the placeholder action 0"),
     ],
 )
 def test_policy_file_validated_at_load(fig1, tmp_path, mangle, match):
@@ -987,6 +1119,25 @@ def test_policy_file_validated_at_load(fig1, tmp_path, mangle, match):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
         PolicySolution.from_json(str(path), fig1)
+
+
+def test_tables_share_one_dtype(fig1, tmp_path):
+    # every stored table keeps its actions in the smallest unsigned type that holds K, and a
+    # narrowed table writes the same policy file
+    sol = policy_iteration(fig1, 1.0)
+    path = tmp_path / "pol.json"
+    sol.to_json(str(path))
+    back = PolicySolution.from_json(str(path), fig1)
+    tree = StateTree(fig1, sol.K)
+    evaluate_policy(fig1, tree, [a.astype(np.int64) for a in sol.actions], sol.eta)
+    tables = [sol.actions, back.actions, tree.last_actions, window_table(fig1, "S1", sol.K).actions]
+    tables.append(generic_policy_iteration(fig1, 1.0, sol.K).actions)
+    assert {a.dtype for table in tables for a in table} == {np.dtype(np.uint8)}
+    again = tmp_path / "again.json"
+    back.to_json(str(again))
+    assert again.read_bytes() == path.read_bytes()
+    deep = policy_iteration(Model(ImportanceDist((3.0,), (1.0,)), Geometric(0.25)), 1.0, 300)
+    assert deep.actions[300].dtype == np.uint16 and deep.actions[300].tolist() == [300]
 
 
 def test_action_for_rejects_unknown_value(fig1):

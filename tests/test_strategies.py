@@ -151,15 +151,15 @@ def test_window_tables_match_per_buffer_rules(fig1, K):
 
 
 def test_deepest_window_table_builds_without_copies(fig1):
-    # the S2 table at the depth cap is 2**24 - 1 int32 actions, 64 MB
+    # the S2 table at the depth cap is 2**24 - 1 uint8 actions, 16 MB
     tracemalloc.start()
     try:
         table = window_table(fig1, "S2", 23)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(a.nbytes for a in table.actions) == 4 * ((1 << 24) - 1)
-    assert peak < 96 << 20
+    assert sum(a.nbytes for a in table.actions) == (1 << 24) - 1
+    assert peak < 24 << 20
     # all v_min sends the newest; otherwise the newest important packet
     assert table.actions[23][[0, 1, 2, 1 << 22]].tolist() == [23, 23, 22, 1]
 
