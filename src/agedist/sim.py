@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Geometric, Model
+from .model import Geometric, Model, is_number
 from .solver import check_chain_table
 from .statetree import StateTree
 
@@ -85,6 +85,9 @@ class SimConfig:
     model: Model | None = None
 
     def __post_init__(self):
+        for name, x in (("horizon", self.horizon), ("seed", self.seed)):
+            if not is_number(x, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {x!r}")
         if self.horizon < 10_000:
             raise ValueError(f"horizon must be at least 10^4, got {self.horizon}")
         if self.horizon > MAX_HORIZON:
@@ -135,9 +138,10 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 
 
 def _uniforms(rng: np.random.Generator, n: int):
-    """(offset, uniforms) pairs that together are the stream of ``rng.random(n)``."""
+    """(offset, uniforms) pairs that together are the stream of ``rng.random(n)``, each drawn into one reused buffer."""
+    buf = np.empty(min(DRAW_CHUNK, n))
     for lo in range(0, n, DRAW_CHUNK):
-        yield lo, rng.random(min(DRAW_CHUNK, n - lo))
+        yield lo, rng.random(out=buf[: min(DRAW_CHUNK, n - lo)])
 
 
 def _inverse_cdf(probs, u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -178,10 +182,9 @@ def _speak_slots(model: Model, rng: np.random.Generator, horizon: int) -> np.nda
     """1-based slots at which the sender speaks."""
     if isinstance(model.z, Geometric):
         return _slots_where(_flags(rng, model.z.p, horizon))
-    chunks = []
-    t = 0
+    chunks, t, u, gaps = [], 0, np.empty(DRAW_CHUNK), np.empty(DRAW_CHUNK, np.uint8)
     while t <= horizon:  # gap - 1 is below FINITE_PMF_MAX_SUPPORT, so it fits uint8
-        gaps = _inverse_cdf(model.z.probs, rng.random(DRAW_CHUNK), np.empty(DRAW_CHUNK, np.uint8))
+        _inverse_cdf(model.z.probs, rng.random(out=u), gaps)
         ends = t + np.cumsum(gaps + np.int64(1))
         chunks.append(ends[ends <= horizon])
         t = int(ends[-1])

@@ -47,6 +47,7 @@ PRUNE_TOL = 1e-9  # relative margin of the improvement's pruning: rounding along
 RESIDUAL_TOL = 1e-9
 MAX_ITERS = 1000
 B1_CAP = 8192  # reduced-system states: the dense solve holds a few 537 MB arrays at the cap
+CHECK_BLOCK = 1 << 16  # table entries per comparison of the chain check
 CORRECTION_CAP = 1 << 25  # suffix corrections of one assembly: about 104 bytes each, 3.5 GB, at its peak
 
 POLICY_FORMAT = "agedist-policy-v1"
@@ -124,26 +125,49 @@ def c_value(model: Model, tree: StateTree, h_levels, state, s: int, eta: float) 
 # ---------------------------------------------------------------------------
 
 
-def _gap_law(model: Model, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Pr(Z = k), Pr(Z >= k)) for k = 0..K, both 0 at k = 0."""
-    return tuple(np.array([0.0] + [f(k) for k in range(1, K + 1)]) for f in (model.z_pmf, model.z_tail))
+class _Solve:
+    """The constants every evaluation of one (model, K, eta) solve shares: gap law, v/mu, m**k, pruning bounds."""
+
+    def __init__(self, model: Model, tree: StateTree, eta: float):
+        K, m, reach, mu = tree.K, tree.m, model.reach_bounds(eta), model.mu
+        self.model, self.tree, self.eta, self.offset = model, tree, eta, np.asarray(tree.level_offset)
+        self.law = tuple(np.array([0.0] + [f(k) for k in range(1, K + 1)]) for f in (model.z_pmf, model.z_tail))
+        self.b1mu, self.ev, self.pw = tree.values / mu, model.mean_importance / mu, m ** np.arange(K + 1)
+        self.forget = self.ev * model.z_excess_mean(K)  # the root's charge for the packets that fall off
+        self.span = K * (self.b1mu.max() + eta)  # the most K levels add to a value along nodes off the candidates
+        self.sends = [[d for d, r in enumerate(reach.tolist()) if r > j] for j in range(K)]  # level j + 1 may send d
+        self.top = np.where(reach >= np.arange(K + 2)[:, None], self.b1mu, -math.inf).max(axis=1) - TIE_TOL
 
 
-def _newest(tree: StateTree, idx: np.ndarray):
-    """The digits of level indices ``idx``, newest first, and ``pi[y, t - 1]``, the probability of y's newest t."""
-    digits = idx[:, None] // tree.m ** np.arange(tree.K) % tree.m
-    return digits, np.cumprod(tree.probs[digits], axis=1)
+def _pairs(sv: _Solve, lev: np.ndarray, idx: np.ndarray):
+    """What an evaluation reads of its states ``(lev, idx)`` (level-major, ascending), for every level at once.
+
+    Returns ``(par, digits, whole, pairs, subs)``: the parents ``y[2:]`` as level indices, the digits newest
+    first, pi(y).  ``pairs = (y, j, pre, w, cut)`` lists each (state y, 1 <= j < |y|), level j at ``cut[j -
+    1]:cut[j]`` with the states in order: the prefix y[:j] as a level-j index and ``w = Pr(Z = |y| - j)
+    pi(y[j+1:])``.  ``subs[0][subs[1][j - 1]:subs[1][j]]``: the length-j substrings of longer states, sorted."""
+    K, pw, n = sv.tree.K, sv.pw, len(idx)
+    digits = idx[:, None] // pw[:K] % sv.tree.m
+    pi = np.cumprod(sv.tree.probs[digits], axis=1)  # pi[y, t - 1]: the newest t digits of y
+    cnt = n - np.searchsorted(lev, np.arange(1, K), "right")  # the states longer than j = 1..K-1, a tail of them
+    y, j = _ranges(cnt) + np.repeat(n - cnt, cnt), np.repeat(np.arange(1, K), cnt)
+    z = lev[y] - j
+    pairs = y, j, idx[y] // pw[z], sv.law[0][z] * pi[y, z - 1], np.searchsorted(j, np.arange(1, K + 1))
+    js, t = np.repeat(j, z + 1), _ranges(z + 1)  # each pair's length-j windows
+    subs = np.sort(js * pw[K] + idx[np.repeat(y, z + 1)] // pw[t] % pw[js])
+    bounds = np.searchsorted(subs, np.arange(1, K + 1) * pw[K])
+    return idx % pw[lev - 1], digits, pi[np.arange(n), lev - 1], pairs, (subs % pw[K], bounds)
 
 
-def _sweep(model: Model, tree: StateTree, lev, idx, pi, D, s1: float, law, lam: float, eta: float):
+def _sweep(sv: _Solve, lev, idx, ev, D, s1: float, lam: float):
     """The parts of C_h(b, 1) and one improvement sweep, at the candidate nodes only.
 
     Returns ``(keys, parts, (lev, idx))``: ``parts[k]`` is the part of the level-j node x at
     ``keys[k] = level_offset[j] + x`` (ascending), so ``C_h(b, 1) = eta * (l - 1) + part(parent b)``,
     and the new B1 is level-major with ascending indices.  The part of x is kappa(x) + sum_z p_z
     E[h(x || V^z)], kappa the forgetting charge.  h is given by ``s1`` = E[h_1] and ``D(y) = h(y) -
-    y_1/mu - h(parent y)`` at the states ``(lev, idx)`` (level-major, ascending; pi from ``_newest``)
-    where it may not be zero, B1 for a chain h.  Sending x's oldest packet costs x_1/mu with
+    y_1/mu - h(parent y)`` at the states ``(lev, idx)`` (level-major, ascending; ``ev`` their
+    ``_pairs``) where it may not be zero, B1 for a chain h.  Sending x's oldest packet costs x_1/mu with
     probability 1, through h when the arrivals fit and as the forgetting charge when they push it
     off; the rest is as from x[2:]: ``part(x) = x_1/mu + part(x[2:]) + sigma(x)``, ``sigma(x) =
     sum_{y[:j] = x} p_{|y| - j} pi(y[j+1:]) D(y)`` in state order.  The root is Pr(Z >= K) S_K +
@@ -158,41 +182,38 @@ def _sweep(model: Model, tree: StateTree, lev, idx, pi, D, s1: float, law, lam: 
     any node below it.  A level's candidates are the children of the last level's candidates within
     that margin and the level's substrings of the states, which hold their prefixes, their parents
     ``y[2:]`` (the residual gate reads those) and the parents of both; every take and every value is
-    bitwise the whole-level sweep's.
+    bitwise the whole-level sweep's.  Only the recursion from parent to child loops over the levels.
     """
-    K, m, (pmf, tail) = tree.K, tree.m, law
-    ev, b1mu = model.mean_importance / model.mu, tree.values / model.mu
-    inc = np.bincount(lev, weights=pi[np.arange(len(idx)), lev - 1] * D, minlength=K + 1)
-    S = list(itertools.accumulate(inc[2:], lambda s, i: s + ev + i, initial=s1))  # S_1..S_K
-    root = tail[K] * S[-1] + ev * model.z_excess_mean(K) + np.dot(pmf[1:K], S[:-1])
-    deeper = np.searchsorted(lev, np.arange(K), "right")  # deeper[j]: the first state below level j
-    reach = model.reach_bounds(eta)
-    top = [max((b1mu[d] for d in range(m) if l <= reach[d]), default=-math.inf) - TIE_TOL for l in range(K + 2)]
-    span = K * (b1mu.max() + eta)  # the most K levels add to a value along nodes off the candidates
-    keys, parts, found = [np.zeros(1, dtype=np.int64)], [np.array([root])], [(1, np.zeros(0, dtype=np.int64))]
-    x, kids, best = keys[0], np.arange(m), np.full((m, 1), lam)  # best: C_h(b, s(b)) of x's children
+    K, m, (pmf, tail), b1mu, eta = sv.tree.K, sv.tree.m, sv.law, sv.b1mu, sv.eta
+    _, _, whole, (y, _, pre, w, cut), (subs, bounds) = ev
+    inc = np.bincount(lev, weights=whole * D, minlength=K + 1)
+    S = list(itertools.accumulate(inc[2:], lambda s, i: s + sv.ev + i, initial=s1))  # S_1..S_K
+    root = tail[K] * S[-1] + sv.forget + np.dot(pmf[1:K], S[:-1])
+    sigma = w * D[y]  # the corrections, level-major with the states in order within a level
+    xs, parts, found = [np.zeros(1, dtype=np.int64)], [np.array([root])], [(1, np.zeros(0, dtype=np.int64))]
+    kids, best = np.arange(m), np.full((m, 1), lam)  # best: C_h(b, s(b)) of the children of the last level
+    heads, col = kids[:, None], b1mu[:, None]
     for j in range(1, K):
-        r = np.arange(deeper[j], len(idx))
-        z = lev[r] - j
-        y, t = np.repeat(r, z + 1), _ranges(z + 1)  # each state below level j, each of its length-j substrings
-        at = np.sort(np.concatenate([idx[y] // m**t % m**j, kids]))
-        at = at[np.diff(at, prepend=-1) > 0]  # np.unique would import numpy.ma, 1.7 MB, on its first call
-        par, digit = np.searchsorted(x, at % m ** (j - 1)), at // m ** (j - 1)
+        x = np.concatenate(([-1], subs[bounds[j - 1] : bounds[j]], kids))  # -1 sorts first and is dropped
+        x.sort()
+        x = x[1:][x[1:] != x[:-1]]  # distinct: np.unique would import numpy.ma, 1.7 MB, on its first call
+        digit, low = np.divmod(x, sv.pw[j - 1])
+        par = xs[-1].searchsorted(low)
         part = parts[-1][par] + b1mu[digit]
-        np.add.at(part, np.searchsorted(at, idx[r] // m**z), pmf[z] * pi[r, z - 1] * D[r])
-        x, best = at, best[digit, par]
-        keys.append(tree.level_offset[j] + x)
+        np.add.at(part, x.searchsorted(pre[cut[j - 1] : cut[j]]), sigma[cut[j - 1] : cut[j]])
+        xs.append(x)
         parts.append(part)
-        c1 = part + eta * j
-        rows = np.add(best, b1mu[:, None])
-        for d in np.flatnonzero(reach > j):
+        c1, best = part + eta * j, best[digit, par]
+        rows = best + col
+        for d in sv.sends[j]:
             take = c1 < rows[d] - TIE_TOL
-            found.append((j + 1, x[take] + d * m**j))
+            found.append((j + 1, x[take] + d * sv.pw[j]))
             np.copyto(rows[d], c1, where=take)
-        near = c1 - best + eta < top[j + 2] + PRUNE_TOL * (1.0 + np.abs(c1) + np.abs(best) + span)
-        kids, best = (np.arange(m)[:, None] * m**j + x[near]).ravel(), rows
+        near = c1 - best + eta < sv.top[j + 2] + PRUNE_TOL * (1.0 + np.abs(c1) + np.abs(best) + sv.span)
+        kids, best = (heads * sv.pw[j] + x[near]).ravel(), rows
+    keys = np.concatenate(xs) + np.repeat(sv.offset[:K], [len(x) for x in xs])
     lev = np.repeat([l for l, _ in found], [len(i) for _, i in found])
-    return np.concatenate(keys), np.concatenate(parts), (lev, np.concatenate([i for _, i in found]))
+    return keys, np.concatenate(parts), (lev, np.concatenate([i for _, i in found]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +251,16 @@ def check_chain_table(tree: StateTree, actions) -> None:
     every longer state sends its oldest packet or takes its parent's action
     plus one; anything else cannot be represented by the reduced system, and
     a checked table narrows to ``np.min_scalar_type(K)`` without wrapping.
-    Each level is checked one oldest digit at a time, so no temporary spans
-    a whole level.
+    Each level is checked in blocks of about ``CHECK_BLOCK`` entries, whole
+    oldest digits at a time while they fit, in state order: a small level is
+    one comparison and no temporary spans a big one.
     """
     if len(actions) != tree.K + 1:
-        raise ValueError(
-            f"action table has {len(actions)} levels, expected {tree.K + 1} (levels 0..{tree.K})"
-        )
+        raise ValueError(f"action table has {len(actions)} levels, expected {tree.K + 1} (levels 0..{tree.K})")
     for l, acts in enumerate(actions):
         acts = np.asarray(acts)
         if acts.shape != (tree.level_size[l],):
-            raise ValueError(
-                f"action table level {l} has shape {acts.shape}, expected ({tree.level_size[l]},)"
-            )
+            raise ValueError(f"action table level {l} has shape {acts.shape}, expected ({tree.level_size[l]},)")
         if acts.dtype.kind not in "iu":
             raise ValueError(f"action table level {l} has dtype {acts.dtype}, expected integers")
     if np.asarray(actions[0])[0] != 0:
@@ -250,20 +268,21 @@ def check_chain_table(tree: StateTree, actions) -> None:
     if not np.all(np.asarray(actions[1]) == 1):
         raise ValueError("action table level 1: length-1 states must take action 1")
     for l in range(2, tree.K + 1):
-        chained = np.add(actions[l - 1], 1)
-        for digit, row in enumerate(np.reshape(actions[l], (tree.m, -1))):
-            ok = row == chained
-            ok |= row == 1
+        prev, n = np.asarray(actions[l - 1]), tree.level_size[l - 1]
+        view, rows, cols = np.reshape(actions[l], (tree.m, n)), max(1, CHECK_BLOCK // n), min(n, CHECK_BLOCK)
+        for digit, lo in itertools.product(range(0, tree.m, rows), range(0, n, cols)):
+            block = view[digit : digit + rows, lo : lo + cols]
+            ok = block == prev[lo : lo + cols] + 1
+            ok |= block == 1
             if not ok.all():
-                bad = digit * len(row) + int(np.argmin(ok))
-                raise ValueError(
-                    f"action table level {l} is not chain-structured at state {tree.entries_of(l, bad)}"
-                )
+                r, c = divmod(int(np.argmin(ok)), ok.shape[1])
+                bad = tree.entries_of(l, (digit + r) * n + lo + c)
+                raise ValueError(f"action table level {l} is not chain-structured at state {bad}")
 
 
-def _narrow(tree: StateTree, actions) -> list[np.ndarray]:
-    """Copies of a checked chain table's levels in ``np.min_scalar_type(K)``, as every stored table is kept."""
-    return [np.asarray(acts).astype(np.min_scalar_type(tree.K)) for acts in actions]
+def _narrow(tree: StateTree, actions, copy: bool = True) -> list[np.ndarray]:
+    """A checked chain table in ``np.min_scalar_type(K)``, the stored type; ``copy=False`` copies only to narrow."""
+    return [np.asarray(acts).astype(np.min_scalar_type(tree.K), copy=copy) for acts in actions]
 
 
 def _b1_list(tree: StateTree, actions) -> tuple[np.ndarray, np.ndarray]:
@@ -293,8 +312,8 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _assemble(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray, law):
-    """The reduced system over the singletons and B1: (P, [age, distortion] cost, (sys_par, edges, pi)).
+def _assemble(sv: _Solve, lev: np.ndarray, idx: np.ndarray, ev):
+    """The reduced system over the singletons and B1: (P, [age, distortion] cost, (sys_par, edges)).
 
     Relies on the chain identity: every node outside B1 has the value
     ``b1/mu + h(parent)``, so its value is its accumulated edge cost plus the
@@ -315,24 +334,24 @@ def _assemble(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray, l
     ``delta(y)``, where ``cost`` is the edge cost accumulated from a node up
     to its nearest B1 ancestor, plus sum(a)/mu for the entries the row forgets
     or keeps and E[V]/mu (E[Z] - 1) for the all-fresh ones.  No trie block is
-    read.  ``sys_par[y]`` is the row of y's nearest B1 ancestor, ``edges[y, t]``
-    the edge cost of y's newest digit t out to y.  A table with more than
-    ``CORRECTION_CAP`` suffix corrections is rejected before they are matched.
+    read: the pairs and their weights come from ``_pairs`` (``ev``).
+    ``sys_par[y]``, found by one search over every suffix length, is the row
+    of y's nearest B1 ancestor, ``edges[y, t]`` the edge cost of y's newest
+    digit t out to y.  A table with over ``CORRECTION_CAP`` suffix corrections
+    is rejected before they are matched.
     """
-    K, m, n, mu, (pmf, tail) = tree.K, tree.m, len(idx) + 1, model.mu, law
-    par, ys = idx % m ** (lev - 1), np.arange(n - 1)
-    digits, pi = _newest(tree, idx)  # pi[y, t - 1]: the newest t digits of y
-    # the row of y's parent is that of its longest suffix in B1, of length anchor (1: row 0)
-    keys = lev * m**K + idx
-    sys_par, anchor = np.zeros(n - 1, dtype=np.int64), np.ones(n - 1, dtype=np.int64)
-    for q in range(2, K):
-        key = q * m**K + par % m**q
-        row = np.searchsorted(keys, key)
-        hit = (q < lev) & (keys[np.minimum(row, n - 2)] == key)
-        sys_par[hit], anchor[hit] = row[hit] + 1, q
+    K, n, mu, (pmf, tail), pw = sv.tree.K, len(idx) + 1, sv.model.mu, sv.law, sv.pw
+    par, digits, whole, (y, j, pre, w, _), _ = ev
+    # the row of y's parent is that of its longest proper suffix in B1, the deepest hit (none: row 0)
+    keys, q = lev * pw[K] + idx, np.arange(2, K)
+    key = q * pw[K] + par[:, None] % pw[q]
+    row = np.searchsorted(keys, key)
+    hit = (q < lev[:, None]) & (keys[np.minimum(row, n - 2)] == key)
+    sys_par = np.max(np.where(hit, row + 1, 0), axis=1, initial=0)  # a deeper suffix sorts later
+    anchor = np.concatenate(([1], lev))[sys_par]
     # y_1/mu + cost[parent y]: the edge costs b1/mu, added one at a time from the anchor out to y
     t = np.arange(K)
-    edges = np.where((anchor[:, None] <= t) & (t < lev[:, None]), tree.values[digits] / mu, 0.0)
+    edges = np.where((anchor[:, None] <= t) & (t < lev[:, None]), sv.b1mu[digits], 0.0)
     c_hat = np.cumsum(edges, axis=1)[:, -1]
 
     def scatter(out, rows, y, w):
@@ -341,14 +360,12 @@ def _assemble(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray, l
         np.add.at(out, at, np.concatenate([w, -w, -w * c_hat[y]]))
 
     gamma = np.eye(1, n + 1).ravel()
-    scatter(gamma, np.zeros(n - 1, dtype=np.int64), ys, tail[lev] * pi[ys, lev - 1])
+    scatter(gamma, np.zeros(n - 1, dtype=np.int64), np.arange(n - 1), tail[lev] * whole)
     # every (B1 state y, 1 <= j < |y|): prefix y[:j] and the length-j suffix of row y's parent
-    y = np.repeat(ys, lev - 1)
-    j = _ranges(lev - 1) + 1
-    prefix = j * m**K + idx[y] // m ** (lev[y] - j)
+    prefix = j * pw[K] + pre
     order = np.argsort(prefix, kind="stable")
     prefix = prefix[order]
-    suffix = j * m**K + par[y] % m**j
+    suffix = j * pw[K] + par[y] % pw[j]
     lo = np.searchsorted(prefix, suffix, "left")
     hits = np.searchsorted(prefix, suffix, "right") - lo
     count = int(hits.sum())
@@ -358,17 +375,16 @@ def _assemble(model: Model, tree: StateTree, lev: np.ndarray, idx: np.ndarray, l
         )
     match = order[np.repeat(lo, hits) + _ranges(hits)]
     aug = np.tile(gamma, (n, 1))
-    w = pmf[lev[y] - j] * pi[y, lev[y] - j - 1]
     scatter(aug.reshape(-1), np.repeat(y + 1, hits), y[match], w[match])
-    asum = np.where(np.arange(K) < (lev - 1)[:, None], tree.values[digits], 0.0).sum(axis=1)
+    asum = np.where(t < (lev - 1)[:, None], sv.tree.values[digits], 0.0).sum(axis=1)
     cost = np.zeros((n, 2))  # [age, distortion] one-step costs
     cost[1:, 0] = lev - 1
-    cost[:, 1] = aug[:, n] + model.mean_importance / mu * (mu - 1.0)
+    cost[:, 1] = aug[:, n] + sv.model.mean_importance / mu * (mu - 1.0)
     cost[1:, 1] += asum / mu
-    return aug[:, :n], cost, (sys_par, edges, pi)
+    return aug[:, :n], cost, (sys_par, edges)
 
 
-def _evaluate(model: Model, tree: StateTree, lev, idx, eta: float):
+def _evaluate(sv: _Solve, lev, idx):
     """Evaluate the chain policy with B1 ``(lev, idx)``, gated on the residuals of its parts of C_h(b, 1).
 
     Returns (lambda, delta_e, d, u, sweep), u as ``_assemble`` orders the states and sweep the
@@ -377,18 +393,17 @@ def _evaluate(model: Model, tree: StateTree, lev, idx, eta: float):
     """
     if len(idx) > B1_CAP:
         raise ValueError(f"action table has |B1|={len(idx)} states, over the cap of {B1_CAP}")
-    law = _gap_law(model, tree.K)
-    P, cost, (sys_par, edges, pi) = _assemble(model, tree, lev, idx, law)
+    eta, ev = sv.eta, _pairs(sv, lev, idx)
+    P, cost, (sys_par, edges) = _assemble(sv, lev, idx, ev)
     lam, delta_e, d, u = age_distortion_solve(P, cost, eta)
     # h(y) - y_1/mu - h(parent y), the chain value added up from the anchor as evaluate_policy builds h
     chained = np.cumsum(np.column_stack([u[sys_par], edges]), axis=1)[:, -1]
-    sweep = keys, parts, _ = _sweep(model, tree, lev, idx, pi, u[1:] - chained, 0.0, law, lam, eta)
+    sweep = keys, parts, _ = _sweep(sv, lev, idx, ev, u[1:] - chained, 0.0, lam)
     # worst residual of the root and B1 equations, where h is u
-    at = np.searchsorted(keys, np.asarray(tree.level_offset)[lev - 1] + idx % tree.m ** (lev - 1))
-    c1 = eta * (lev - 1) + parts[at]
+    c1 = eta * (lev - 1) + parts[np.searchsorted(keys, sv.offset[lev - 1] + ev[0])]
     worst = float(np.max(np.abs(u[1:] + lam - c1), initial=abs(lam - float(parts[0]))))
     if not worst <= RESIDUAL_TOL:
-        raise RuntimeError(f"policy evaluation residual {worst:.3e} exceeds {RESIDUAL_TOL} (eta={eta}, K={tree.K})")
+        raise RuntimeError(f"policy evaluation residual {worst:.3e} exceeds {RESIDUAL_TOL} (eta={eta}, K={sv.tree.K})")
     return lam, delta_e, d, u, sweep
 
 
@@ -401,7 +416,7 @@ def evaluate_policy(model: Model, tree: StateTree, actions, eta: float):
     is recorded as ``tree.last_actions`` for ``evaluate_components``.
     """
     lev, idx = _b1_list(tree, actions)
-    lam, _, _, u, _ = _evaluate(model, tree, lev, idx, eta)
+    lam, _, _, u, _ = _evaluate(_Solve(model, tree, eta), lev, idx)
     tree.last_actions = _narrow(tree, actions)
     b1mu, h = (tree.values / model.mu)[:, None], [np.zeros(1), np.zeros(tree.m)]
     for l in range(2, tree.K + 1):  # the chain identity outside B1
@@ -421,7 +436,7 @@ def evaluate_components(model: Model, tree: StateTree, actions=None):
         actions = tree.last_actions
         if actions is None:
             raise ValueError("no action table given and none recorded on the tree")
-    _, delta_e, d, _, _ = _evaluate(model, tree, *_b1_list(tree, actions), 1.0)
+    _, delta_e, d, _, _ = _evaluate(_Solve(model, tree, 1.0), *_b1_list(tree, actions))
     return delta_e, d
 
 
@@ -440,8 +455,8 @@ def _h_parts(model: Model, tree: StateTree, h_levels, lam: float, eta: float):
             at = np.flatnonzero(D)
             found.append((np.full(len(at), l), at + d * n, D[at]))
     lev, idx, D = (np.concatenate(a) for a in zip(*found))
-    pi, s1 = _newest(tree, idx)[1], float(h_levels[1] @ tree.probs)
-    return _sweep(model, tree, lev, idx, pi, D, s1, _gap_law(model, tree.K), lam, eta)
+    sv = _Solve(model, tree, eta)
+    return _sweep(sv, lev, idx, _pairs(sv, lev, idx), D, float(h_levels[1] @ tree.probs), lam)
 
 
 def policy_improve(model: Model, tree: StateTree, h_levels, lam: float, eta: float):
@@ -544,12 +559,9 @@ class PolicySolution:
         if not (isinstance(rles, list) and all(isinstance(rle, list) for rle in rles)):
             raise ValueError("policy file actions must be a list of run-length lists")
         if len(rles) != tree.K + 1:
-            raise ValueError(
-                f"action table has {len(rles)} levels, expected {tree.K + 1} (levels 0..{tree.K})"
-            )
-        actions = [_rle_decode(rle, l, n) for l, (rle, n) in enumerate(zip(rles, tree.level_size))]
+            raise ValueError(f"action table has {len(rles)} levels, expected {tree.K + 1} (levels 0..{tree.K})")
+        actions = [_rle_decode(rle, l, n, tree.K) for l, (rle, n) in enumerate(zip(rles, tree.level_size))]
         check_chain_table(tree, actions)
-        actions = _narrow(tree, actions)
         return cls(
             eta=eta,
             K=tree.K,
@@ -558,7 +570,7 @@ class PolicySolution:
             d=d,
             iters=0,
             values=values,
-            actions=actions,
+            actions=_narrow(tree, actions, copy=False),  # a copy only where K + 1 needs a wider type than K
             model_hash=doc["model_hash"],
         )
 
@@ -571,29 +583,26 @@ def _rle_encode(arr) -> list[list[int]]:
     return [list(pair) for pair in zip(arr[starts].tolist(), counts.tolist())]
 
 
-def _rle_decode(rle, level: int, size: int) -> np.ndarray:
-    """Expand one level's run-length pairs; the counts are checked before anything is expanded."""
+def _rle_decode(rle, level: int, size: int, K: int) -> np.ndarray:
+    """Expand one level's run-length pairs, their counts checked first, into ``np.min_scalar_type(K + 1)``: a run
+    value outside 0..K becomes K + 1, which the chain check rejects at the same state."""
     try:
         pairs = [(value, count) for value, count in rle]
     except (TypeError, ValueError):
         raise ValueError("policy file actions must be a list of run-length lists") from None
     bad = next((pair for pair in pairs if not all(is_number(x, int) for x in pair)), None)
     if bad is not None:
-        raise ValueError(
-            f"action table level {level} has a non-integer run-length pair {list(bad)}"
-        )
+        raise ValueError(f"action table level {level} has a non-integer run-length pair {list(bad)}")
     counts = [count for _, count in pairs]
     if any(count < 1 for count in counts):
         raise ValueError(f"action table level {level} has a run-length count below 1")
     if sum(counts) != size:
-        raise ValueError(
-            f"action table level {level} has shape ({sum(counts)},), expected ({size},)"
-        )
+        raise ValueError(f"action table level {level} has shape ({sum(counts)},), expected ({size},)")
     try:
         values = np.array([value for value, _ in pairs], dtype=np.int32)
     except OverflowError:
         raise ValueError(f"action table level {level} has an action outside int32") from None
-    return np.repeat(values, counts)
+    return np.repeat(np.where((values < 0) | (values > K), K + 1, values).astype(np.min_scalar_type(K + 1)), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +636,9 @@ def policy_iteration(
             raise ValueError(f"start policy values {start.values} differ from the model's")
         lev, idx = _b1_list(StateTree(model, start.K), start.actions)  # its deeper levels chain
     tree = StateTree(model, K)
+    sv = _Solve(model, tree, eta)
     for it in range(1, MAX_ITERS + 1):
-        lam, delta_e, d, _, (_, _, (new_lev, new_idx)) = _evaluate(model, tree, lev, idx, eta)
+        lam, delta_e, d, _, (_, _, (new_lev, new_idx)) = _evaluate(sv, lev, idx)
         if np.array_equal(new_lev, lev) and np.array_equal(new_idx, idx):
             iters = it
             break
@@ -787,6 +797,8 @@ class TradeoffCurve:
 
 def sweep_eta(model: Model, etas) -> TradeoffCurve:
     """Solve a decreasing eta sequence with warm starts; emit the converse family."""
+    if isinstance(etas, (str, bytes, bytearray)):  # each character would be read as an eta
+        raise ValueError(f"eta sequence must be a sequence of numbers, got {etas!r}")
     etas = [float(e) for e in etas]
     if not etas:
         raise ValueError("empty eta sequence")

@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import agedist
+from agedist import policy_iteration
 from agedist.bufferignorant import (
     BinarySource,
     PlainThresholdBitPolicy,
@@ -505,3 +509,29 @@ def test_bits_threshold_past_the_horizon(fig1_file, capsys, coded):
     assert main([*base, "--tau", "99999999999"]) == 0  # its rest row stops at the horizon
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == at_horizon
+
+
+def test_commands_never_import_numpy_ma(fig1, fig1_file, tmp_path):
+    # np.unique imports numpy.ma on its first call, which adds about 1.7 MB to a simulation's resident
+    # memory; a fresh process runs the benchmark's tradeoff sweep and one simulation of each kind
+    policy = tmp_path / "policy.json"
+    policy_iteration(fig1, 1.0).to_json(str(policy))
+    sim = ["simulate", "--model", fig1_file, "--horizon", "20000", "--seed", "1"]
+    runs = [
+        ["tradeoff", "--model", fig1_file, "--out", str(tmp_path / "sweep"), "--eta-grid", "3.8:0.2:24"],
+        sim + ["--policy", str(policy), "--mode", "direct"],
+        sim + ["--policy", str(policy), "--mode", "erasure"],
+        sim + ["--strategy", "S3", "--k", "6"],
+        sim + ["--mode", "bits", "--n-bits", "3", "--tau", "3", "--tunstall"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from agedist import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(agedist.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * len(runs), False]

@@ -48,6 +48,17 @@ def test_config_validation(fig1):
         SimConfig(horizon=100_000, seed=-1, model=fig1)
     cfg = SimConfig(horizon=100_000, seed=1, model=fig1)
     assert cfg.burn == 1000
+    assert SimConfig(np.int64(100_000), np.uint32(1), fig1).burn == 1000
+    # a float horizon or seed used to fail later with a numpy TypeError, and seed=True ran as seed 1
+    for horizon, seed, match in [
+        (1e5, 1, r"^horizon must be an integer, got 100000\.0$"),
+        (True, 1, "^horizon must be an integer, got True$"),
+        (100_000, 1.5, r"^seed must be an integer, got 1\.5$"),
+        (100_000, True, "^seed must be an integer, got True$"),
+        (100_000, "1", "^seed must be an integer, got '1'$"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            SimConfig(horizon, seed, fig1)
 
 
 def test_reproducibility(fig1):
@@ -615,8 +626,10 @@ def test_deep_table_is_read_in_place(fig1):
 class _TopDraws:
     """A generator stub whose every uniform is the largest double below 1."""
 
-    def random(self, n):
-        return np.full(n, np.nextafter(1.0, 0.0))
+    def random(self, size=None, *, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = np.nextafter(1.0, 0.0)
+        return out
 
 
 def test_top_draw_stays_in_finite_pmf_support():

@@ -248,11 +248,16 @@ def whole_level_improve(model, tree, parts, lam, eta):
     return lev, np.concatenate([i for _, i in found])
 
 
+def newest_pi(tree, idx):
+    """``pi[y, t - 1]``, the probability of the newest t digits of each level index y in ``idx``."""
+    return np.cumprod(tree.probs[idx[:, None] // tree.m ** np.arange(tree.K) % tree.m], axis=1)
+
+
 def sweep_against_whole_levels(model, tree, lev, idx, D, s1, lam, eta):
     """``_sweep`` of D at ``(lev, idx)``, checked against the whole-level references; returns it."""
-    law, pi = solver._gap_law(model, tree.K), solver._newest(tree, idx)[1]
-    keys, parts, b1 = sweep = solver._sweep(model, tree, lev, idx, pi, D, s1, law, lam, eta)
-    whole = whole_level_parts(model, tree, lev, idx, pi, D, s1, law)
+    sv, pi = solver._Solve(model, tree, eta), newest_pi(tree, idx)
+    keys, parts, b1 = sweep = solver._sweep(sv, lev, idx, solver._pairs(sv, lev, idx), D, s1, lam)
+    whole = whole_level_parts(model, tree, lev, idx, pi, D, s1, sv.law)
     for got, want in zip(b1, whole_level_improve(model, tree, whole, lam, eta), strict=True):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.all(np.diff(keys) > 0) and keys[0] == 0
@@ -291,12 +296,12 @@ def test_sweep_matches_whole_levels_on_solved_tables(case, fig1, three_level):
         eta, actions = sol.eta, sol.actions
     tree = StateTree(model, len(actions) - 1)
     lev, idx = solver._b1_list(tree, actions)
-    law = solver._gap_law(model, tree.K)
-    P, cost, (sys_par, edges, _) = solver._assemble(model, tree, lev, idx, law)
+    sv = solver._Solve(model, tree, eta)
+    P, cost, (sys_par, edges) = solver._assemble(sv, lev, idx, solver._pairs(sv, lev, idx))
     lam, _, _, u = solver.age_distortion_solve(P, cost, eta)
     D = u[1:] - np.cumsum(np.column_stack([u[sys_par], edges]), axis=1)[:, -1]
     keys, parts, b1 = sweep_against_whole_levels(model, tree, lev, idx, D, 0.0, lam, eta)
-    got = solver._evaluate(model, tree, lev, idx, eta)[4]
+    got = solver._evaluate(sv, lev, idx)[4]
     assert got[0].tobytes() == keys.tobytes() and got[1].tobytes() == parts.tobytes()
     converged = np.array_equal(b1[0], lev) and np.array_equal(b1[1], idx)
     assert converged == (case != "S1-K8")  # a solved table is its own improvement
@@ -316,7 +321,7 @@ def test_sweep_matches_whole_levels_on_random_departures(support, fig1):
         at = np.sort(rng.choice(nodes, size=max(1, round(support * nodes)), replace=False)) + tree.level_offset[2]
         lev = np.searchsorted(tree.level_offset, at, "right") - 1
         idx = at - np.asarray(tree.level_offset)[lev]
-        pi, law = solver._newest(tree, idx)[1], solver._gap_law(model, K)
+        pi, law = newest_pi(tree, idx), solver._Solve(model, tree, 1.0).law
         for eta in (0.3, 1.5):
             D, s1 = rng.normal(size=len(idx)), rng.normal()
             lam = whole_level_parts(model, tree, lev, idx, pi, D, s1, law)[1][0] + eta + rng.normal()
@@ -329,7 +334,7 @@ def _streamed_and_reference_parts(model, sol):
     """A solve's parts of a solved table's h at its candidates, and the parts reduced from whole h levels there."""
     tree = StateTree(model, sol.K)
     lev, idx = solver._b1_list(tree, sol.actions)
-    u, (keys, parts, _) = solver._evaluate(model, tree, lev, idx, sol.eta)[3:]
+    u, (keys, parts, _) = solver._evaluate(solver._Solve(model, tree, sol.eta), lev, idx)[3:]
     b1mu = (tree.values / model.mu)[:, None]
     h = [np.zeros(1), np.zeros(tree.m)]
     for l in range(2, tree.K + 1):  # the chain identity, a whole level at a time
@@ -646,8 +651,8 @@ def test_assembly_matches_block_reference(fig1):
                 density = min(density, 150 / tree.node_count())
                 takes = [None, None] + [rng.random(n) < density for n in tree.level_size[2:]]
                 actions = _chain_actions(tree, takes)
-                law = solver._gap_law(model, K)
-                P, cost, _ = solver._assemble(model, tree, *solver._b1_list(tree, actions), law)
+                sv, (lev, idx) = solver._Solve(model, tree, 1.0), solver._b1_list(tree, actions)
+                P, cost, _ = solver._assemble(sv, lev, idx, solver._pairs(sv, lev, idx))
                 want_P, want_cost = _block_assembly(model, tree, actions)
                 np.testing.assert_allclose(P, want_P, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(cost, want_cost, rtol=0, atol=1e-12)
@@ -674,13 +679,44 @@ def test_three_level_deep_solve_pinned(three_level):
     )
 
 
+# (lambda, delta_e, d as float.hex, K, |B1|, iters) of every point of the warm-started fig1 grid of the
+# tradeoff benchmark, 3.8 down to 0.2, recorded at commit 35027ac, whose sweep still built each trie
+# level's substrings and corrections inside its level loop; the batched build must reproduce every bit.
+FIG1_GRID_PINNED = [
+    ("0x1.570a3d70a3d71p+2", "0x0.0p+0", "0x1.570a3d70a3d71p+2", 1, 0, 1),
+    ("0x1.522162a2be75fp+2", "0x1.5810624dd2f1bp-3", "0x1.2e2eb1c432ca6p+2", 2, 1, 2),
+    ("0x1.4dcf8efcb08c2p+2", "0x1.5810624dd2f1bp-3", "0x1.2e2eb1c432ca6p+2", 2, 1, 1),
+    ("0x1.4a029c98e7e6fp+2", "0x1.5810624dd2f1bp-3", "0x1.2e2eb1c432ca6p+2", 2, 1, 1),
+    ("0x1.46aa93d620442p+2", "0x1.5810624dd2f1bp-3", "0x1.2e2eb1c432ca6p+2", 2, 1, 1),
+    ("0x1.43b9684213b42p+2", "0x1.5810624dd2f1bp-3", "0x1.2e2eb1c432ca6p+2", 2, 1, 1),
+    ("0x1.3f7bafc9c427bp+2", "0x1.6cb5350092cd0p-2", "0x1.174d594f26aecp+2", 3, 2, 2),
+    ("0x1.3aa7a52c557bfp+2", "0x1.6cb5350092cd0p-2", "0x1.174d594f26aecp+2", 3, 2, 1),
+    ("0x1.36682175de675p+2", "0x1.6cb5350092cd0p-2", "0x1.174d594f26aecp+2", 3, 2, 1),
+    ("0x1.32003c7ce36fcp+2", "0x1.07471c1e43b7fp-1", "0x1.0a7d3c40cdfb7p+2", 4, 3, 2),
+    ("0x1.2d40c882872e2p+2", "0x1.07471c1e43b7fp-1", "0x1.0a7d3c40cdfb7p+2", 4, 3, 1),
+    ("0x1.28eb90ae55364p+2", "0x1.43b36f3ee350ep-1", "0x1.03505f2e87d48p+2", 5, 4, 2),
+    ("0x1.2466ba8ee3a17p+2", "0x1.43b36f3ee350ep-1", "0x1.03505f2e87d48p+2", 5, 4, 1),
+    ("0x1.203609f0ad1f8p+2", "0x1.6dff4308eca25p-1", "0x1.fe9774d7f44a3p+1", 6, 5, 2),
+    ("0x1.1b9b07e1b3a0cp+2", "0x1.cad01cd065882p-1", "0x1.ee9a48a8bdfb0p+1", 7, 7, 2),
+    ("0x1.170192e616654p+2", "0x1.f475b851335e8p-1", "0x1.e8547404919aap+1", 7, 8, 2),
+    ("0x1.1294730686db3p+2", "0x1.1235c4f500bf2p+0", "0x1.e1f9a94825a8fp+1", 8, 10, 2),
+    ("0x1.0e2824dde4525p+2", "0x1.4580e4d8b8cc7p+0", "0x1.d625189174e6cp+1", 9, 13, 2),
+    ("0x1.09b8beaef1526p+2", "0x1.69b32ba3a452ep+0", "0x1.ced75119dab15p+1", 11, 17, 2),
+    ("0x1.055b06640b994p+2", "0x1.9fd335a3a367cp+0", "0x1.c551fa48d19e3p+1", 12, 22, 2),
+    ("0x1.00ff4ce1ec4e8p+2", "0x1.c4a13c9676f20p+0", "0x1.bf89c00831164p+1", 13, 27, 2),
+    ("0x1.f96eb589b5c8cp+1", "0x1.fbca60b7e421ap+0", "0x1.b7d6024868521p+1", 15, 36, 2),
+    ("0x1.f104ff1eab327p+1", "0x1.213cd72f27dd7p+1", "0x1.af457f864715cp+1", 17, 48, 2),
+    ("0x1.e8b8dc32f263ep+1", "0x1.42b881d7fc54dp+1", "0x1.a82d8f07bfec8p+1", 19, 63, 3),
+]
+
+
 def test_fig1_sweep_grid_end_pinned(fig1):
-    # the warm-started fig1 grid of the tradeoff benchmark, 3.8 down to 0.2
     start = None
-    for eta in np.geomspace(3.8, 0.2, 24):
+    for eta, want in zip(np.geomspace(3.8, 0.2, 24), FIG1_GRID_PINNED, strict=True):
         K = fig1.buffer_bound(eta) if start is None else max(fig1.buffer_bound(eta), start.K)
         start = policy_iteration(fig1, float(eta), K, start=start)
-    assert (start.K, start.b1_size, start.iters) == (19, 63, 3)
+        got = (start.lam.hex(), start.delta_e.hex(), start.d.hex(), start.K, start.b1_size, start.iters)
+        assert got == want, eta
     assert actions_digest(start.actions) == (
         "a9c0f0e4318d5a66d555ef7318f3c5d5fec13fd839820513e28356a91d29f26a"
     )
@@ -1121,6 +1157,23 @@ def test_policy_file_validated_at_load(fig1, tmp_path, mangle, match):
         PolicySolution.from_json(str(path), fig1)
 
 
+def test_policy_file_loads_near_its_table_size(fig1, tmp_path):
+    # each level is decoded straight into the table's dtype and kept: the S1 K=20 table (2.1 MB) loaded at
+    # an 11.8 MB traced peak when every level was decoded to int32 and then narrowed into a copy
+    table = window_table(fig1, "S1", 20).actions
+    path = tmp_path / "s1.json"
+    PolicySolution(1.0, 20, 1.0, 1.0, 1.0, 0, tuple(fig1.v.values), table, fig1.config_hash()).to_json(str(path))
+    tracemalloc.start()
+    try:
+        back = PolicySolution.from_json(str(path), fig1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = sum(a.nbytes for a in table)
+    assert peak < 2.5 * table_bytes, f"{peak / table_bytes:.2f}x the table"
+    assert [(a.dtype, a.tobytes()) for a in back.actions] == [(a.dtype, a.tobytes()) for a in table]
+
+
 def test_tables_share_one_dtype(fig1, tmp_path):
     # every stored table keeps its actions in the smallest unsigned type that holds K, and a
     # narrowed table writes the same policy file
@@ -1222,6 +1275,9 @@ def test_warm_start_validated(fig1):
 
 
 def test_sweep_validation_and_failures(fig1):
+    for etas in ("31", b"31", bytearray(b"31")):  # iterated, "31" would solve eta = 3 and then eta = 1
+        with pytest.raises(ValueError, match="^eta sequence must be a sequence of numbers, got "):
+            sweep_eta(fig1, etas)
     with pytest.raises(ValueError):
         sweep_eta(fig1, [])
     with pytest.raises(ValueError):
