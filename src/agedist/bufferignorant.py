@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Geometric, Model, check_eta
+from .model import Geometric, Model, check_eta, is_number
 from .solver import MAX_ITERS, TIE_TOL, age_distortion_solve
 
 # Length-MDP state cap: the solve holds a few dense L_cap x L_cap float arrays
@@ -44,8 +44,8 @@ class BinarySource:
             raise ValueError(f"important-bit weight v must be >= 1, got {self.v}")
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"speaking parameter p must be in (0, 1], got {self.p}")
-        if self.N < 1:
-            raise ValueError(f"bits per transmission N must be >= 1, got {self.N}")
+        if not (is_number(self.N, (int, np.integer)) and self.N >= 1):
+            raise ValueError(f"bits per transmission N must be an integer >= 1, got {self.N!r}")
 
     @property
     def mu_v(self) -> float:
@@ -244,8 +244,8 @@ def threshold_point(source: BinarySource, tau: int) -> ThresholdPoint:
     * (1-p)^N / p: the skipped-bit count per speaking instant gets charged
     at rate 1/mu, which the stated tau = 0 value mu_V (1-p)^N pins down.
     """
-    if tau < 0:
-        raise ValueError(f"threshold tau must be >= 0, got {tau}")
+    if not (is_number(tau, (int, np.integer)) and tau >= 0):
+        raise ValueError(f"threshold tau must be an integer >= 0, got {tau!r}")
     p, N = source.p, source.N
     pb = 1.0 - p
     if tau > 0 and pb == 0.0:
@@ -322,8 +322,8 @@ def tunstall_build(p_one: float, M: int) -> TunstallDictionary:
     Ties split the lexicographically smallest word, which the heap ordering
     on (-prob, word) gives for free.
     """
-    if not 2 <= M <= TUNSTALL_CAP:
-        raise ValueError(f"dictionary size M={M} must lie in [2, {TUNSTALL_CAP}] (the cap)")
+    if not (is_number(M, (int, np.integer)) and 2 <= M <= TUNSTALL_CAP):
+        raise ValueError(f"dictionary size M={M!r} must lie in [2, {TUNSTALL_CAP}] (the cap) and be an integer")
     if not (0.0 < p_one < 1.0):
         raise ValueError(f"bit probability must be in (0, 1), got {p_one}")
     p0, p1 = 1.0 - p_one, p_one
@@ -356,8 +356,8 @@ class PlainThresholdBitPolicy:
     max_buffer = None
 
     def __init__(self, source: BinarySource, tau: int):
-        if tau < 0:
-            raise ValueError(f"threshold tau must be >= 0, got {tau}")
+        if not (is_number(tau, (int, np.integer)) and tau >= 0):
+            raise ValueError(f"threshold tau must be an integer >= 0, got {tau!r}")
         self.tau = tau
         self.n_bits = source.N
 

@@ -22,9 +22,9 @@ FINITE_PMF_MAX_SUPPORT = 64
 
 
 def check_eta(eta: float) -> None:
-    """Reject an age weight that is not a finite positive number."""
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be finite and positive, got {eta}")
+    """Reject an age weight that is not a finite positive number (a bool or a string included)."""
+    if not (is_number(eta, (int, float, np.number)) and math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta!r}")
 
 
 def is_number(x, kind=(int, float)) -> bool:
@@ -99,11 +99,6 @@ class Geometric:
     def mean(self) -> float:
         return 1.0 / self.p
 
-    @property
-    def second_factorial_moment(self) -> float:
-        # E[Z(Z+1)]/2 = 1/p^2 for the geometric law
-        return 1.0 / (self.p * self.p)
-
     def pmf(self, k: int) -> float:
         if k < 1:
             return 0.0
@@ -143,10 +138,6 @@ class FinitePMF:
     @property
     def mean(self) -> float:
         return float(sum(k * x for k, x in enumerate(self.probs, start=1)))
-
-    @property
-    def second_factorial_moment(self) -> float:
-        return float(sum(k * (k + 1) * x for k, x in enumerate(self.probs, start=1))) / 2.0
 
     def pmf(self, k: int) -> float:
         if 1 <= k <= len(self.probs):

@@ -10,7 +10,8 @@ is one Bernoulli(p) success flag per slot, which is both the speaking
 process and the erasure process, and a commitment made at an erased slot
 is lost with it.  So ``simulate_erasure`` checks its model and runs
 ``simulate_policy``, and every route asks its policy at delivering slots
-only.
+only; ``test_accounting_matches_per_slot_loop`` checks this identity
+against a loop that commits at every slot.
 
 Deliveries and window drops both take entries from the oldest end, so the
 buffer at slot t is the newest l arrivals, ``arrivals[t - l:t]``, and the
@@ -71,7 +72,7 @@ from .statetree import StateTree
 
 MAX_HORIZON = 2**31 - 1  # slots and lengths are int32 in the trajectory
 BATCHES = 32  # equal slot spans behind each batch-means standard error
-KEY_CHUNK = 4096  # deliveries per list comprehension of a walk, per pass of its table, per age-area sum
+KEY_CHUNK = 4096  # deliveries per list comprehension of a walk, per pass of its table
 ACCOUNT_BLOCK = 1 << 13  # arrivals per accounting pass: its two buffers stay in cache, reused
 DRAW_CHUNK = 1 << 14  # uniforms per rng.random call: one stream, no horizon-long float64 array
 
@@ -109,7 +110,6 @@ class SimResult:
     horizon: int
     seed: int
     batches: int
-    raw_age: float = float("nan")
     batch_delta: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
     batch_d: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
 
@@ -307,17 +307,6 @@ def _account(config: SimConfig, weights, codes, K, speaks, dl, ds, dr) -> SimRes
     first = np.zeros(len(dl), np.int32)
     np.subtract(speaks, dl[1:], out=first[1:])
     bounds = np.maximum(first[at] + dr[at], ends - K).tolist()
-    # excess age tau - left_k over the post-burn-in slots tau in (t_k, t_(k+1)], t_(n+1) = horizon,
-    # read off max(t, burn) and added in delivery order KEY_CHUNK at a time
-    t = np.maximum(np.concatenate(([0], speaks, [horizon])), burn)
-    raw_age = 0.0
-    for lo in range(0, len(dl), KEY_CHUNK):
-        chunk = slice(lo, lo + KEY_CHUNK)
-        a, b, left = t[:-1][chunk], t[1:][chunk], first[chunk] + dr[chunk]
-        areas = (a + 1 + b) * (b - a) / 2.0 - (b - a) * left
-        areas[0] += raw_age
-        raw_age = np.cumsum(areas, out=areas)[-1]
-    del t, a, b  # views of t
     sent, count = first[1:], dr[1:] - ds[1:]  # delivery k at index k - 1 sends sent_k .. sent_k + count_k - 1
     sent += ds[1:]
     charge = np.zeros(nb + 1)
@@ -337,10 +326,10 @@ def _account(config: SimConfig, weights, codes, K, speaks, dl, ds, dr) -> SimRes
             c[np.clip(idx, 0, hi - lo - 1, out=idx)] = 0.0
             c[0] += charge[i]
             charge[i] = np.cumsum(c, out=c)[-1]
-    return _batch_means(config, age[1:], np.diff(at)[1:], charge[1:], np.diff(ends)[1:], raw_age)
+    return _batch_means(config, age[1:], np.diff(at)[1:], charge[1:], np.diff(ends)[1:])
 
 
-def _batch_means(config: SimConfig, age, speaks, charge, slot_counts, raw_age) -> SimResult:
+def _batch_means(config: SimConfig, age, speaks, charge, slot_counts) -> SimResult:
     """SimResult from the per-batch sums of age, deliveries and charge."""
     n_eff = config.horizon - config.burn
     ok = speaks > 0
@@ -360,7 +349,6 @@ def _batch_means(config: SimConfig, age, speaks, charge, slot_counts, raw_age) -
         horizon=config.horizon,
         seed=config.seed,
         batches=nb,
-        raw_age=float(raw_age / n_eff),
         batch_delta=bm_delta,
         batch_d=bm_d,
     )
@@ -421,9 +409,8 @@ def simulate_erasure(config: SimConfig, policy) -> SimResult:
     probability 1 - p).  The sender commits to the packet its policy would
     select from the current buffer before knowing whether the slot's
     transmission will survive; on success the commitment becomes the
-    selection and everything older is charged.  The successful slots are
-    direct mode's speaking slots and an erased commitment is lost, so this
-    is ``simulate_policy`` on the same streams.
+    selection and everything older is charged.  By the identity in the
+    module docstring, this is ``simulate_policy``.
     """
     if config.model is None:
         raise ValueError("simulate_erasure needs a model in the config")

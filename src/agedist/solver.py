@@ -132,7 +132,7 @@ class _Solve:
         K, m, reach, mu = tree.K, tree.m, model.reach_bounds(eta), model.mu
         self.model, self.tree, self.eta, self.offset = model, tree, eta, np.asarray(tree.level_offset)
         self.law = tuple(np.array([0.0] + [f(k) for k in range(1, K + 1)]) for f in (model.z_pmf, model.z_tail))
-        self.b1mu, self.ev, self.pw = tree.values / mu, model.mean_importance / mu, m ** np.arange(K + 1)
+        self.b1mu, self.ev, self.pw = tree.values / mu, model.mean_importance / mu, m ** np.arange(K)
         self.forget = self.ev * model.z_excess_mean(K)  # the root's charge for the packets that fall off
         self.span = K * (self.b1mu.max() + eta)  # the most K levels add to a value along nodes off the candidates
         self.sends = [[d for d, r in enumerate(reach.tolist()) if r > j] for j in range(K)]  # level j + 1 may send d
@@ -145,18 +145,18 @@ def _pairs(sv: _Solve, lev: np.ndarray, idx: np.ndarray):
     Returns ``(par, digits, whole, pairs, subs)``: the parents ``y[2:]`` as level indices, the digits newest
     first, pi(y).  ``pairs = (y, j, pre, w, cut)`` lists each (state y, 1 <= j < |y|), level j at ``cut[j -
     1]:cut[j]`` with the states in order: the prefix y[:j] as a level-j index and ``w = Pr(Z = |y| - j)
-    pi(y[j+1:])``.  ``subs[0][subs[1][j - 1]:subs[1][j]]``: the length-j substrings of longer states, sorted."""
+    pi(y[j+1:])``.  ``subs = (keys, bounds)``: the length-j substrings x of longer states, sorted, at
+    ``keys[bounds[j - 1]:bounds[j]]`` as ``level_offset[j] + x``, the one node key of the solver."""
     K, pw, n = sv.tree.K, sv.pw, len(idx)
-    digits = idx[:, None] // pw[:K] % sv.tree.m
+    digits = idx[:, None] // pw % sv.tree.m
     pi = np.cumprod(sv.tree.probs[digits], axis=1)  # pi[y, t - 1]: the newest t digits of y
     cnt = n - np.searchsorted(lev, np.arange(1, K), "right")  # the states longer than j = 1..K-1, a tail of them
     y, j = _ranges(cnt) + np.repeat(n - cnt, cnt), np.repeat(np.arange(1, K), cnt)
     z = lev[y] - j
     pairs = y, j, idx[y] // pw[z], sv.law[0][z] * pi[y, z - 1], np.searchsorted(j, np.arange(1, K + 1))
     js, t = np.repeat(j, z + 1), _ranges(z + 1)  # each pair's length-j windows
-    subs = np.sort(js * pw[K] + idx[np.repeat(y, z + 1)] // pw[t] % pw[js])
-    bounds = np.searchsorted(subs, np.arange(1, K + 1) * pw[K])
-    return idx % pw[lev - 1], digits, pi[np.arange(n), lev - 1], pairs, (subs % pw[K], bounds)
+    subs = np.sort(sv.offset[js] + idx[np.repeat(y, z + 1)] // pw[t] % pw[js])
+    return idx % pw[lev - 1], digits, pi[np.arange(n), lev - 1], pairs, (subs, subs.searchsorted(sv.offset[1:-1]))
 
 
 def _sweep(sv: _Solve, lev, idx, ev, D, s1: float, lam: float):
@@ -194,7 +194,7 @@ def _sweep(sv: _Solve, lev, idx, ev, D, s1: float, lam: float):
     kids, best = np.arange(m), np.full((m, 1), lam)  # best: C_h(b, s(b)) of the children of the last level
     heads, col = kids[:, None], b1mu[:, None]
     for j in range(1, K):
-        x = np.concatenate(([-1], subs[bounds[j - 1] : bounds[j]], kids))  # -1 sorts first and is dropped
+        x = np.concatenate(([-1], subs[bounds[j - 1] : bounds[j]] - sv.offset[j], kids))  # -1 sorts first, is dropped
         x.sort()
         x = x[1:][x[1:] != x[:-1]]  # distinct: np.unique would import numpy.ma, 1.7 MB, on its first call
         digit, low = np.divmod(x, sv.pw[j - 1])
@@ -343,8 +343,8 @@ def _assemble(sv: _Solve, lev: np.ndarray, idx: np.ndarray, ev):
     K, n, mu, (pmf, tail), pw = sv.tree.K, len(idx) + 1, sv.model.mu, sv.law, sv.pw
     par, digits, whole, (y, j, pre, w, _), _ = ev
     # the row of y's parent is that of its longest proper suffix in B1, the deepest hit (none: row 0)
-    keys, q = lev * pw[K] + idx, np.arange(2, K)
-    key = q * pw[K] + par[:, None] % pw[q]
+    keys, q = sv.offset[lev] + idx, np.arange(2, K)
+    key = sv.offset[q] + par[:, None] % pw[q]
     row = np.searchsorted(keys, key)
     hit = (q < lev[:, None]) & (keys[np.minimum(row, n - 2)] == key)
     sys_par = np.max(np.where(hit, row + 1, 0), axis=1, initial=0)  # a deeper suffix sorts later
@@ -362,10 +362,10 @@ def _assemble(sv: _Solve, lev: np.ndarray, idx: np.ndarray, ev):
     gamma = np.eye(1, n + 1).ravel()
     scatter(gamma, np.zeros(n - 1, dtype=np.int64), np.arange(n - 1), tail[lev] * whole)
     # every (B1 state y, 1 <= j < |y|): prefix y[:j] and the length-j suffix of row y's parent
-    prefix = j * pw[K] + pre
+    prefix = sv.offset[j] + pre
     order = np.argsort(prefix, kind="stable")
     prefix = prefix[order]
-    suffix = j * pw[K] + par[y] % pw[j]
+    suffix = sv.offset[j] + par[y] % pw[j]
     lo = np.searchsorted(prefix, suffix, "left")
     hits = np.searchsorted(prefix, suffix, "right") - lo
     count = int(hits.sum())

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Geometric, Model
+from .model import Geometric, Model, is_number
 from .solver import _chain_actions, average_cost_solve
 from .statetree import StateTree
 
@@ -49,8 +49,8 @@ def _binary_geometric_params(model: Model) -> tuple[float, float, float, float]:
 
 
 def _check_window(K: int) -> None:
-    if K < 1:
-        raise ValueError(f"window size K must be >= 1, got {K}")
+    if not (is_number(K, (int, np.integer)) and K >= 1):
+        raise ValueError(f"window size K must be an integer >= 1, got {K!r}")
 
 
 def _reversible_law(model: Model, coef: np.ndarray, exponents: np.ndarray) -> np.ndarray:

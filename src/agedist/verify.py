@@ -1,10 +1,22 @@
 """Desk-scale verification battery behind the `verify` CLI command.
 
-Each check is a scaled-down version of one acceptance criterion: exact
-closed-form values, solver-vs-oracle agreement, structural properties of
-solved policies, converse dominance of the baseline strategies, and
-solver-vs-simulator consistency.  The battery returns per-check rows so
-the CLI can print a table and exit nonzero on any failure.
+Each check is a scaled-down version of the acceptance criterion of its
+number, and each rests on a route independent of the efficient solver:
+
+- 1 d_min, 2 send-latest above eta_max, 3 extreme-state threshold flip: closed
+  forms (the floors 2.7 and 0.7, E[V] (mu - 1) / mu, (v_max - v_min) / (mu (L - 1))).
+- 4 efficient vs generic policy iteration: the generic dense oracle.
+- 5+6 reach bound and properties 1-2: the closed-form reach bounds, and h from
+  the generic dense oracle's evaluation of the table (``_evaluate_full``).
+- 7 solver vs simulator: the simulator.
+- 8 strategy stationary + converse dominance: an explicit-chain stationary solve
+  of the S1 and S3 chains, then the closed forms against the solver's converse.
+- 9 threshold-policy closed forms: an explicit-chain stationary solve.
+- 10 tunstall: the simulator's bits run against the exact coded distortion.
+
+There is no erasure check: with geometric gaps ``simulate_erasure`` is
+``simulate_policy`` on the same streams (see ``sim``).  The battery returns
+per-check rows so the CLI can print a table and exit nonzero on any failure.
 
 ``lambda_perturbation`` deliberately shifts the converse intercepts before
 the dominance check; it exists as a negative-control hook.
@@ -13,7 +25,7 @@ the dominance check; it exists as a negative-control hook.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +39,7 @@ from .bufferignorant import (
     tunstall_threshold_point,
 )
 from .model import Geometric, ImportanceDist, Model
-from .sim import SimConfig, simulate_bit_policy, simulate_erasure, simulate_policy
+from .sim import SimConfig, simulate_bit_policy, simulate_policy
 from .solver import PolicySolution, _evaluate_full, generic_policy_iteration, policy_iteration, sweep_eta
 from .statetree import StateTree, picked_digits
 from .strategies import (
@@ -230,7 +242,6 @@ def run_battery(
         add(ok, detail)
 
     # 7. solver vs simulator
-    direct = None
     with check("solver vs simulator") as add:
         sol = policy_iteration(fig1, 1.0)
         direct = simulate_policy(cfg, sol)
@@ -281,18 +292,6 @@ def run_battery(
         ok &= bit.d <= plain.d + 2 * bit.se_d
         ok &= exact.d <= plain.d and abs(bit.d - exact.d) < 4 * bit.se_d
         add(ok, f"bit d {bit.d:.4f} (exact {exact.d:.4f}) vs plain {plain.d:.4f}")
-
-    # 11. erasure-commitment equivalence, against the direct run of check 7
-    with check("erasure equivalence", None if geometric else "geometric gaps") as add:
-        if add:
-            if direct is None:
-                raise RuntimeError("the direct run of check 7 failed")
-            same = simulate_erasure(cfg, sol)
-            other = simulate_erasure(replace(cfg, seed=seed + 1), sol)
-            ok = same.d == direct.d and same.delta_e == direct.delta_e
-            ok &= abs(other.d - direct.d) <= 4 * (other.se_d + direct.se_d)
-            ok &= abs(other.delta_e - direct.delta_e) <= 4 * (other.se_delta + direct.se_delta)
-            add(ok)
 
     return checks
 

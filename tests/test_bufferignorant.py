@@ -22,7 +22,8 @@ from agedist.bufferignorant import (
     _leftover_table,
 )
 from agedist.sim import SimConfig, simulate_bit_policy
-from agedist.strategies import stationary_distribution
+from agedist.solver import policy_iteration
+from agedist.strategies import S3Policy, s1_point, stationary_distribution
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,30 @@ def test_source_validation(fig1):
     got = BinarySource.from_model(fig1, 3)
     assert got.q == 0.3 and got.v == 20.0 and got.p == 0.2
     assert got.mu_v == pytest.approx(6.7)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("tau", lambda src, fig1: threshold_point(src, 2.5), id="threshold_point-float"),
+        pytest.param("tau", lambda src, fig1: threshold_point(src, True), id="threshold_point-bool"),
+        pytest.param("tau", lambda src, fig1: PlainThresholdBitPolicy(src, 2.5), id="plain-policy"),
+        pytest.param(
+            "tau", lambda src, fig1: tunstall_threshold_point(src, 2.5, tunstall_build(src.q, 8)), id="tunstall-point"
+        ),
+        pytest.param("M", lambda src, fig1: tunstall_build(0.3, 4.5), id="tunstall_build"),
+        pytest.param("N", lambda src, fig1: BinarySource(0.3, 20.0, 0.2, 2.5), id="source-float"),
+        pytest.param("N", lambda src, fig1: BinarySource(0.3, 20.0, 0.2, True), id="source-bool"),
+        pytest.param("K", lambda src, fig1: s1_point(fig1, 2.5), id="s1_point"),
+        pytest.param("K", lambda src, fig1: S3Policy(fig1, 2.5), id="S3Policy"),
+        pytest.param("eta", lambda src, fig1: policy_iteration(fig1, True), id="eta-bool"),
+        pytest.param("eta", lambda src, fig1: policy_iteration(fig1, "1"), id="eta-string"),
+    ],
+)
+def test_integer_parameters_reject_other_types(src, fig1, name, call):
+    """A float or bool count, or a bool or string eta, is a ValueError naming it, not a TypeError or a coercion."""
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(src, fig1)
 
 
 def test_one_step_cost_examples(src):

@@ -395,7 +395,7 @@ def test_verify_pass_and_negative_control(fig1_file, capsys):
     "cfg, skipped",
     [
         ({"values": [1, 5, 20], "probs": [0.5, 0.3, 0.2], "z": {"geometric": 0.2}}, ["dominance"]),
-        ({"values": [1, 20], "probs": [0.7, 0.3], "z": {"pmf": [0.1, 0.3, 0.6]}}, ["dominance", "erasure"]),
+        ({"values": [1, 20], "probs": [0.7, 0.3], "z": {"pmf": [0.1, 0.3, 0.6]}}, ["dominance"]),
         # eta_max = 0, and every run has delta_e = 0 with a standard error of 0
         ({"values": [3.0], "probs": [1.0], "z": {"geometric": 0.2}}, ["eta_max", "threshold flip", "dominance"]),
         # every slot speaks: the closed forms need p < 1, both simulation gates see SE 0,
@@ -409,10 +409,10 @@ def test_verify_skips_closed_form_checks_on_other_models(tmp_path, capsys, cfg, 
     path.write_text(json.dumps(cfg))
     assert main(["verify", "--model", str(path)]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert len(rows) == 11 and rows[-1] == "all checks passed"
+    assert len(rows) == 10 and rows[-1] == "all checks passed"
     skip_rows = [r for r in rows if "  SKIP  (needs " in r]
     assert len(skip_rows) == len(skipped) and all(s in r for s, r in zip(skipped, skip_rows))
-    assert sum("  PASS" in r for r in rows) == 10 - len(skipped)
+    assert sum("  PASS" in r for r in rows) == 9 - len(skipped)
 
 
 @pytest.mark.parametrize(
@@ -445,9 +445,9 @@ def test_verify_reports_a_check_that_raises(tmp_path, capsys):
     path.write_text(json.dumps({"values": [1, 1000], "probs": [0.7, 0.3], "z": {"geometric": 0.2}}))
     assert main(["verify", "--model", str(path)]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 11 and out[-1] == "FAILURES present"
+    assert len(out) == 10 and out[-1] == "FAILURES present"
     failed = [r for r in out if "  FAIL  " in r]
-    assert [r.split("  FAIL")[0].strip() for r in failed] == ["solver vs simulator", "erasure equivalence"]
+    assert [r.split("  FAIL")[0].strip() for r in failed] == ["solver vs simulator"]
     assert "error: K=200 exceeds the dense-storage cap" in failed[0]
 
 

@@ -31,15 +31,12 @@ def test_geometric_sum_and_tail_identities(p):
     for k in range(1, 51):
         tail = sum(z.pmf(j) for j in range(k, k + 600))
         assert z.tail(k) == pytest.approx(tail, abs=1e-12)
-    # minimum achievable age offset
-    assert z.second_factorial_moment / z.mean == pytest.approx(1.0 / p, abs=1e-12)
 
 
 def test_moment_ordering():
-    # Z >= 1 forces mu >= 1 and nu >= mu for any admissible law
+    # Z >= 1 forces mu >= 1 for any admissible law
     for z in (Geometric(0.2), Geometric(1.0), FinitePMF((0.25, 0.5, 0.25)), FinitePMF((1.0,))):
         assert z.mean >= 1.0
-        assert z.second_factorial_moment >= z.mean
 
 
 def test_finite_pmf_moments_and_excess():

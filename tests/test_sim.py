@@ -1,9 +1,7 @@
-import bisect
 import contextlib
 import dataclasses
 import hashlib
 import io
-import itertools
 import json
 import random
 import tracemalloc
@@ -23,6 +21,7 @@ from agedist.bufferignorant import (
 from agedist.sim import SimConfig, SimResult, simulate_bit_policy, simulate_erasure, simulate_policy
 from agedist.statetree import StateTree
 from agedist.strategies import S3Policy, WindowTable, window_table
+from slot_loop import loop_run, reference_packets, table_pick
 
 
 def _latest(model):
@@ -76,8 +75,6 @@ def test_send_latest_matches_renewal_value(fig1):
     res = simulate_policy(SimConfig(horizon=600_000, seed=7, model=fig1), _latest(fig1))
     assert res.delta_e == 0.0
     assert abs(res.d - 5.36) < 4 * res.se_d
-    # raw age = excess age + nu/mu; with nothing stale it tends to 1/p
-    assert res.raw_age == pytest.approx(5.0, abs=0.05)
 
 
 def test_deterministic_unit_gaps():
@@ -92,26 +89,6 @@ def test_solved_policy_consistency(fig1):
     res = simulate_policy(SimConfig(horizon=500_000, seed=20, model=fig1), sol)
     gap = abs(res.d + 0.5 * res.delta_e - sol.lam)
     assert gap < 4 * res.combined_se(0.5)
-
-
-def test_erasure_equivalence(fig1):
-    sol = policy_iteration(fig1, 1.0)
-    cfg = SimConfig(horizon=300_000, seed=9, model=fig1)
-    direct = simulate_policy(cfg, sol)
-    shared = simulate_erasure(cfg, sol)
-    # shared seed: identical trajectories for a stationary policy
-    assert shared.d == direct.d
-    assert shared.delta_e == direct.delta_e
-    other = simulate_erasure(SimConfig(horizon=300_000, seed=10, model=fig1), sol)
-    assert abs(other.d - direct.d) < 4 * (other.se_d + direct.se_d)
-    assert abs(other.delta_e - direct.delta_e) < 4 * (other.se_delta + direct.se_delta)
-
-
-def test_s1_table_erasure_equals_direct(fig1):
-    """A window table takes the table route, so erasure walks direct mode's slots."""
-    cfg = SimConfig(horizon=100_000, seed=23, model=fig1)
-    table = window_table(fig1, "S1", 5)
-    _assert_same_result(simulate_policy(cfg, table), simulate_erasure(cfg, table))
 
 
 def test_erasure_probability_zero(fig1):
@@ -174,11 +151,11 @@ def test_missing_model_rejected(fig1):
 
 THREE_GEO = Model(ImportanceDist((0.3, 1.7, 5.1), (0.5, 0.3, 0.2)), Geometric(0.3))
 
-# (delta_e, se_delta, d, se_d, batches, raw_age, digest of batch_delta, digest
-# of batch_d), recorded with the per-mode simulation loops of commit 9917e7b;
+# (delta_e, se_delta, d, se_d, batches, digest of batch_delta, digest of
+# batch_d), recorded with the per-mode simulation loops of commit 9917e7b;
 # the one loop that replaced them must reproduce every bit.  "S1-K4-erasure"
 # and "S2-K4" were recorded at 660426a with the per-buffer S1/S2 classes that
-# the window tables replaced.  raw_age, "S3-K6-erasure", "three-geo-K2" and
+# the window tables replaced.  "S3-K6-erasure", "three-geo-K2" and
 # "three-geo-K10" were recorded at d699059, whose loop still charged each
 # fall-off and skip and added each age area as it went.  "three-solved" and
 # "three-geo-K10" were re-recorded when the accounting began to charge each
@@ -186,19 +163,18 @@ THREE_GEO = Model(ImportanceDist((0.3, 1.7, 5.1), (0.5, 0.3, 0.2)), Geometric(0.
 # on their non-integer values that moves d by rounding only (6.1e-16 and
 # 3.4e-15 relative), and with it se_d and batch_d.
 PINNED = {
-    "direct-eta1": (0.509125475285171, 0.010675292380909866, 4.216843434343434, 0.03980112710807024, 32, 5.447878787878788, "09e7ed908b24dc87", "30588d951a1212f8"),
-    "erasure-eta1": (0.509125475285171, 0.010675292380909866, 4.216843434343434, 0.03980112710807024, 32, 5.447878787878788, "09e7ed908b24dc87", "30588d951a1212f8"),
-    "S1-K4": (1.1316975463194792, 0.016813491853025858, 3.921818181818182, 0.05096496713323175, 32, 6.123080808080808, "f4f4737102e4d476", "6d1a9a0ad738dc5d"),
-    "S1-K4-erasure": (1.1645869727976041, 0.01648268264862117, 3.949469696969697, 0.04193051015010204, 32, 6.133661616161616, "47fc881f77b5432d", "4d72ef16a28c0929"),
-    "S2-K4": (0.514179104477612, 0.008906570490638907, 4.077878787878788, 0.045325732391995416, 32, 5.3781060606060604, "20afc007759a22ec", "5b0fd60e07059f43"),
-    "S3-K6": (4.826654717705799, 0.05720708813020016, 3.151010101010101, 0.04818434768672347, 32, 9.938535353535354, "4266610a36926f7a", "ed7c14b9572aafdd"),
-    "S3-K6-erasure": (4.7730263157894735, 0.055546028166402486, 3.1221717171717174, 0.05373977009521275, 32, 9.825530303030304, "f512a34c794242a8", "57eda5709e6d4795"),
-    "three-latest": (0.0, 0.0, 0.8404015151515143, 0.0063223318200095815, 32, 1.6503282828282828, "fab19e942d1b9314", "4d712d0e25d21b5a"),
-    "three-solved": (0.1592195713708047, 0.0029016290960440084, 0.5444065656565654, 0.004837700181539535, 32, 1.8097979797979797, "f9e28b44d524ebe0", "59e62c6566ed8b75"),
-    "three-geo-K2": (0.1118756371049949, 0.00265695063969561, 1.0241363636363594, 0.00842627065911905, 32, 3.469419191919192, "d1b1294dde19dcf7", "92b4e220b9c0d655"),
-    "three-geo-K10": (1.0403651285486977, 0.016066774215594482, 0.7246691919191891, 0.00831923135733737, 32, 4.362550505050505, "387a6bae96a876b9", "4fa1241c866f7f2e"),
-    "bits-tunstall": (2.033806711072012, 0.02210058500748691, 2.6965151515151513, 0.05141628040701598, 32, 6.993156565656566, "e4c76b20e31cac5c", "fbfab8f682aa4b2d"),
-    "bits-length": (1.2456229383405226, 0.010762052801207619, 2.9307575757575757, 0.03563471584468595, 32, 6.222676767676767, "91c8f3e10f1aff9d", "7c8bc10f5963ec1f"),
+    "direct-eta1": (0.509125475285171, 0.010675292380909866, 4.216843434343434, 0.03980112710807024, 32, "09e7ed908b24dc87", "30588d951a1212f8"),
+    "S1-K4": (1.1316975463194792, 0.016813491853025858, 3.921818181818182, 0.05096496713323175, 32, "f4f4737102e4d476", "6d1a9a0ad738dc5d"),
+    "S1-K4-erasure": (1.1645869727976041, 0.01648268264862117, 3.949469696969697, 0.04193051015010204, 32, "47fc881f77b5432d", "4d72ef16a28c0929"),
+    "S2-K4": (0.514179104477612, 0.008906570490638907, 4.077878787878788, 0.045325732391995416, 32, "20afc007759a22ec", "5b0fd60e07059f43"),
+    "S3-K6": (4.826654717705799, 0.05720708813020016, 3.151010101010101, 0.04818434768672347, 32, "4266610a36926f7a", "ed7c14b9572aafdd"),
+    "S3-K6-erasure": (4.7730263157894735, 0.055546028166402486, 3.1221717171717174, 0.05373977009521275, 32, "f512a34c794242a8", "57eda5709e6d4795"),
+    "three-latest": (0.0, 0.0, 0.8404015151515143, 0.0063223318200095815, 32, "fab19e942d1b9314", "4d712d0e25d21b5a"),
+    "three-solved": (0.1592195713708047, 0.0029016290960440084, 0.5444065656565654, 0.004837700181539535, 32, "f9e28b44d524ebe0", "59e62c6566ed8b75"),
+    "three-geo-K2": (0.1118756371049949, 0.00265695063969561, 1.0241363636363594, 0.00842627065911905, 32, "d1b1294dde19dcf7", "92b4e220b9c0d655"),
+    "three-geo-K10": (1.0403651285486977, 0.016066774215594482, 0.7246691919191891, 0.00831923135733737, 32, "387a6bae96a876b9", "4fa1241c866f7f2e"),
+    "bits-tunstall": (2.033806711072012, 0.02210058500748691, 2.6965151515151513, 0.05141628040701598, 32, "e4c76b20e31cac5c", "fbfab8f682aa4b2d"),
+    "bits-length": (1.2456229383405226, 0.010762052801207619, 2.9307575757575757, 0.03563471584468595, 32, "91c8f3e10f1aff9d", "7c8bc10f5963ec1f"),
 }
 
 
@@ -212,7 +188,6 @@ def _pinned_run(name, fig1):
     src = BinarySource.from_model(fig1, 3)
     runs = {
         "direct-eta1": lambda: simulate_policy(SimConfig(H, 11, fig1), policy_iteration(fig1, 1.0)),
-        "erasure-eta1": lambda: simulate_erasure(SimConfig(H, 11, fig1), policy_iteration(fig1, 1.0)),
         "S1-K4": lambda: simulate_policy(SimConfig(H, 12, fig1), window_table(fig1, "S1", 4)),
         "S1-K4-erasure": lambda: simulate_erasure(SimConfig(H, 18, fig1), window_table(fig1, "S1", 4)),
         "S2-K4": lambda: simulate_policy(SimConfig(H, 17, fig1), window_table(fig1, "S2", 4)),
@@ -236,7 +211,7 @@ def _pinned_run(name, fig1):
 
 def _assert_pinned(name, fig1):
     res = _pinned_run(name, fig1)
-    got = (res.delta_e, res.se_delta, res.d, res.se_d, res.batches, res.raw_age)
+    got = (res.delta_e, res.se_delta, res.d, res.se_d, res.batches)
     assert got + (_digest(res.batch_delta), _digest(res.batch_d)) == PINNED[name]
 
 
@@ -250,22 +225,11 @@ def test_results_pinned_bit_for_bit(fig1, name):
     ["three-geo-K10", "three-solved", "S1-K4-erasure", "S3-K6", "S3-K6-erasure", "bits-tunstall", "bits-length"],
 )
 def test_chunk_sizes_keep_pinned_results(fig1, monkeypatch, name):
-    """Draws (gaps of a finite PMF too), walks, age areas and accounting blocks cut at other sizes."""
+    """Draws (gaps of a finite PMF too), walks and accounting blocks cut at other sizes."""
     monkeypatch.setattr(sim, "DRAW_CHUNK", 1000)
     monkeypatch.setattr(sim, "KEY_CHUNK", 7)
     monkeypatch.setattr(sim, "ACCOUNT_BLOCK", 7)  # sends and spans straddle the blocks
     _assert_pinned(name, fig1)
-
-
-class _Called:
-    """A solved policy without its action table, so it takes the callable route."""
-
-    def __init__(self, sol):
-        self._sol = sol
-        self.max_buffer = sol.max_buffer
-
-    def __call__(self, entries):
-        return self._sol.action_for(entries)
 
 
 @pytest.mark.parametrize("mode", ["direct", "erasure"])
@@ -280,52 +244,7 @@ def test_table_route_matches_callable_route(fig1, which, eta, mode):
         assert sol.K >= 9  # rolling keys reach m**j >= 256, wider than a uint8 digit
     run = simulate_erasure if mode == "erasure" else simulate_policy
     cfg = SimConfig(horizon=40_000, seed=21, model=model)
-    _assert_same_result(run(cfg, sol), run(cfg, _Called(sol)))
-
-
-def _area(a, b, s, burn):
-    """Sum of tau - s over the post-burn-in slots tau in (a, b]."""
-    a = max(a, burn)
-    return (a + 1 + b) * (b - a) / 2.0 - (b - a) * s if b > a else 0.0
-
-
-def _loop_run(config, weights, codes, speaks, select, max_buffer, success=None):
-    """Reference for every route: a per-slot loop charging each fall-off, skip and age area at once.
-
-    ``select(t, l)`` returns ``(skipped, removed)`` for the newest l arrivals at slot t.
-    """
-    importance = [float(weights[c]) for c in codes]
-    horizon, burn, nb = config.horizon, config.burn, sim.BATCHES
-    ends = [burn + (i * (horizon - burn) + nb - 1) // nb for i in range(nb + 1)]
-    age, count, charge = [0] * (nb + 1), [0] * (nb + 1), [0.0] * (nb + 1)
-    if success is None:
-        queries = zip(speaks.tolist(), itertools.repeat(True))
-    else:
-        queries = zip(range(1, horizon + 1), success.tolist())
-    K, raw_age = max_buffer, 0.0
-    l = prev = last_t = last_s = 0
-    for t, deliver in itertools.chain(queries, [(horizon, None)]):
-        l += t - prev
-        prev = t
-        if K is not None and l > K:
-            for u in range(t - l + 1 + K, t + 1):  # slot u - K's arrival falls off at u
-                charge[bisect.bisect_left(ends, u)] += importance[u - K - 1]
-            l = K
-        if deliver is None:
-            break
-        skipped, removed = select(t, l)
-        if deliver:
-            i = bisect.bisect_left(ends, t)
-            age[i] += l - removed
-            count[i] += 1
-            for x in importance[t - l : t - l + skipped]:
-                charge[i] += x
-            raw_age += _area(last_t, t, last_s, burn)
-            last_t, last_s = t, t - l + removed
-            l -= removed
-    raw_age += _area(last_t, horizon, last_s, burn)
-    age, count, charge = np.array(age[1:], dtype=float), np.array(count[1:]), np.array(charge[1:])
-    return sim._batch_means(config, age, count, charge, np.diff(ends), raw_age)
+    _assert_same_result(run(cfg, sol), run(cfg, table_pick(sol)))
 
 
 class _RandomPick:
@@ -348,33 +267,8 @@ class _StationaryRandomPick(_RandomPick):
         return super().__call__(entries)
 
 
-def _reference_packets(cfg, policy, erasure=False):
-    """``_loop_run`` on a packet run's draws, calling ``policy`` with each buffer slice.
-
-    In direct mode the calls are at the delivering slots, as the simulator
-    makes them.  In erasure mode the policy commits at every slot, the
-    literal erasure process: for a policy that depends on the buffer alone,
-    it agrees with the simulator, which asks at the delivering slots only.
-    """
-    arr_rng, tim_rng = sim._streams(cfg.seed)
-    digits = sim._draw_arrival_digits(cfg.model, arr_rng, cfg.horizon)
-    if erasure:
-        success = sim._flags(tim_rng, cfg.model.z.p, cfg.horizon)
-        speaks = sim._slots_where(success)
-    else:
-        success, speaks = None, sim._speak_slots(cfg.model, tim_rng, cfg.horizon)
-    values = cfg.model.v.values
-    arrivals = [values[d] for d in digits.tolist()]
-
-    def select(t, l):
-        s = policy(arrivals[t - l : t])
-        return s - 1, s
-
-    return _loop_run(cfg, values, digits, speaks, select, policy.max_buffer, success)
-
-
 def _reference_bits(cfg, src, policy):
-    """``_loop_run`` on a bits run's draws, asking ``policy`` per delivery: the scalar Tunstall parse."""
+    """``loop_run`` on a bits run's draws, asking ``policy`` per delivery: the scalar Tunstall parse."""
     arr_rng, tim_rng = sim._streams(cfg.seed)
     bits = sim._flags(arr_rng, src.q, cfg.horizon).view(np.int8)
     speaks = sim._slots_where(sim._flags(tim_rng, src.p, cfg.horizon))
@@ -387,7 +281,7 @@ def _reference_bits(cfg, src, policy):
         s = policy.action(l)
         return max(s - N, 0), s
 
-    return _loop_run(cfg, (1.0, src.v), bits, speaks, select, policy.max_buffer)
+    return loop_run(cfg, (1.0, src.v), bits, speaks, select, policy.max_buffer)
 
 
 # geometric p and seed of fig1-valued runs that never deliver, or deliver within one batch only
@@ -402,6 +296,7 @@ SPARSE = {"no-delivery": (1e-9, 32), "one-batch": (1e-4, 31)}
         "random-untruncated",
         "table-eta0.3",
         "table-erasure",
+        "S1-K5-erasure",
         "S3-K6",
         "S3-K6-erasure",
         "bits-tunstall",
@@ -433,6 +328,7 @@ def test_accounting_matches_per_slot_loop(fig1, name):
             "random-untruncated": (cfg, False, lambda: _RandomPick(THREE_GEO, None)),
             "table-eta0.3": (fig1_cfg, False, lambda: policy_iteration(fig1, 0.3)),
             "table-erasure": (cfg, True, lambda: policy_iteration(THREE_GEO, 0.15)),
+            "S1-K5-erasure": (fig1_cfg, True, lambda: window_table(fig1, "S1", 5)),
             "S3-K6": (fig1_cfg, False, lambda: S3Policy(fig1, 6)),
             "S3-K6-erasure": (fig1_cfg, True, lambda: S3Policy(fig1, 6)),
             "table": (fig1_cfg, False, lambda: policy_iteration(fig1, 1.0)),
@@ -441,10 +337,7 @@ def test_accounting_matches_per_slot_loop(fig1, name):
         }
         config, erasure, make = cases[route]
         got = (simulate_erasure if erasure else simulate_policy)(config, make())
-        policy = make()
-        if isinstance(policy, PolicySolution):
-            policy = _Called(policy)  # the reference asks the solved policy per query
-        _assert_same_result(got, _reference_packets(config, policy, erasure))
+        _assert_same_result(got, reference_packets(config, make(), erasure))
     if run:
         assert got.batches == {"no-delivery": 0, "one-batch": 1}[run]
 

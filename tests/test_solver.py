@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -936,15 +937,23 @@ def test_property2_catches_off_chain_edit(fig1):
 
 def test_solution_holds_only_its_table(fig1):
     policy_iteration(fig1, 0.3)  # warm-up: the model's cached sums
-    tracemalloc.start()
+    tracemalloc.start(8)  # frames per allocation, for the failure message
     try:
+        before = tracemalloc.take_snapshot()  # before the base reading, which so counts the snapshot
+        gc.collect()
         base = tracemalloc.get_traced_memory()[0]
         sol = policy_iteration(fig1, 0.3)
+        gc.collect()
         held = tracemalloc.get_traced_memory()[0] - base
+        after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     table_bytes = sum(a.nbytes for a in sol.actions)
-    assert held < 1.5 * table_bytes, f"{held / table_bytes:.2f}x the action table"
+    growth = [
+        f"{st.size_diff:+} B in {st.count_diff:+} blocks at\n" + "\n".join(st.traceback.format(4, True))
+        for st in after.compare_to(before, "traceback")[:5]
+    ]
+    assert held < 1.5 * table_bytes, f"{held / table_bytes:.2f}x the action table; grew most at:\n" + "\n".join(growth)
 
 
 def test_policy_solution_round_trip(fig1, tmp_path):
