@@ -38,6 +38,10 @@ class BinarySource:
     N: int
 
     def __post_init__(self):
+        for name in ("q", "v", "p"):
+            x = getattr(self, name)
+            if not (is_number(x, (int, float, np.integer, np.floating)) and math.isfinite(x)):
+                raise ValueError(f"source parameter {name} must be a finite number, got {x!r}")
         if not (0.0 < self.q < 1.0):
             raise ValueError(f"bit probability q must be in (0, 1), got {self.q}")
         if self.v < 1.0:

@@ -21,13 +21,15 @@ and solves for the age and the distortion parts of the cost as two
 right-hand sides: their average costs are ``delta_e`` and ``d``, and lambda
 and h are the eta-weighted sums.
 
-A solve carries its policy as B1, (level, index) arrays, and builds the
-action table once, at the end, in ``np.min_scalar_type(K)`` (uint8 up to
-K = 255).  It holds no per-node buffer and builds no h level: the parts of
-C_h(b, 1) follow the chain identity a trie level at a time, and one sweep
-(``_sweep``) computes them, and the improvement's values, only at the nodes
-that can send their oldest packet, the prefixes of B1 and the B1 parents
-the residual gate reads; every other node provably chains.
+A solve carries its policy as B1, (level, index) arrays, from its start to
+the ``PolicySolution`` it returns, which builds the action table, in
+``np.min_scalar_type(K)`` (uint8 up to K = 255), only when it is first read;
+a warm-started sweep builds none.  A solve holds no per-node buffer and
+builds no h level: the parts of C_h(b, 1) follow the chain identity a trie
+level at a time, and one sweep (``_sweep``) computes them, and the
+improvement's values, only at the nodes that can send their oldest packet,
+the prefixes of B1 and the B1 parents the residual gate reads; every other
+node provably chains.
 """
 
 from __future__ import annotations
@@ -286,15 +288,15 @@ def _narrow(tree: StateTree, actions, copy: bool = True) -> list[np.ndarray]:
 
 
 def _b1_list(tree: StateTree, actions) -> tuple[np.ndarray, np.ndarray]:
-    """B1 of a checked chain policy, the states of length >= 2 that send their oldest packet.
-
-    Returned as int64 arrays ``(lev, idx)``, level by level with ascending indices.
-    """
+    """B1 of a checked chain policy, the states of length >= 2 that send their oldest packet."""
     check_chain_table(tree, actions)
-    idx = [np.zeros(0, dtype=np.int64)]  # level 1 holds no B1 state
-    idx += [np.flatnonzero(np.asarray(actions[l]) == 1) for l in range(2, tree.K + 1)]
-    lev = np.repeat(np.arange(1, tree.K + 1), [len(i) for i in idx])
-    return lev, np.concatenate(idx)
+    return _ones(actions)
+
+
+def _ones(actions) -> tuple[np.ndarray, np.ndarray]:
+    """The states of length >= 2 that take action 1, as int64 ``(lev, idx)``, level by level with ascending indices."""
+    idx = [np.zeros(0, dtype=np.int64)] + [np.flatnonzero(np.asarray(acts) == 1) for acts in actions[2:]]
+    return np.repeat(np.arange(1, len(actions)), [len(i) for i in idx]), np.concatenate(idx)
 
 
 def _b1_actions(tree: StateTree, lev: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
@@ -474,7 +476,12 @@ def policy_improve(model: Model, tree: StateTree, h_levels, lam: float, eta: flo
 
 @dataclass
 class PolicySolution:
-    """A converged policy: its action table, which ``evaluate_policy`` rebuilds h from, and costs."""
+    """A converged policy and its costs, without h.
+
+    A solve's solution holds its B1, ``_b1 = (model, lev, idx)``, and builds the action table on the first
+    read of ``actions``, an idempotent cache; one given a table (a policy file, the generic route,
+    ``replace(sol, actions=...)``) holds that table and no B1.
+    """
 
     eta: float
     K: int
@@ -483,8 +490,17 @@ class PolicySolution:
     d: float
     iters: int
     values: tuple[float, ...]
-    actions: list[np.ndarray]
+    actions: list[np.ndarray]  # a property over the table cache, set below the class
     model_hash: str = ""
+    _b1: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _get_actions(self) -> list[np.ndarray]:
+        if self._table is None:
+            self._table = _b1_actions(StateTree(self._b1[0], self.K), *self._b1[1:])
+        return self._table
+
+    def _set_actions(self, actions) -> None:
+        self._table, self._b1 = actions, None
 
     @property
     def m(self) -> int:
@@ -492,6 +508,8 @@ class PolicySolution:
 
     @property
     def b1_size(self) -> int:
+        if self._b1 is not None:
+            return len(self._b1[2])
         return sum(int(np.count_nonzero(acts == 1)) for acts in self.actions[2:])
 
     @property
@@ -509,11 +527,8 @@ class PolicySolution:
 
     def b1_states(self):
         """The states of length >= 2 that send their oldest packet, level by level."""
-        return (
-            buffer_entries(self.values, l, i)
-            for l in range(2, self.K + 1)
-            for i in np.flatnonzero(self.actions[l] == 1).tolist()
-        )
+        lev, idx = self._b1[1:] if self._b1 is not None else _ones(self.actions)
+        return (buffer_entries(self.values, l, i) for l, i in zip(lev.tolist(), idx.tolist()))
 
     def to_json(self, path: str) -> None:
         doc = {
@@ -575,6 +590,10 @@ class PolicySolution:
         )
 
 
+# after the decorator, so that ``actions`` stays a required field of __init__ and replace()
+PolicySolution.actions = property(PolicySolution._get_actions, PolicySolution._set_actions)
+
+
 def _rle_encode(arr) -> list[list[int]]:
     """One level's [value, count] runs; a run starts wherever the action changes."""
     arr = np.ravel(arr)
@@ -622,8 +641,9 @@ def policy_iteration(
     Starts from send-latest, or from ``start`` (a converged policy of depth
     at most K, as in a warm-started eta sweep) with its deeper levels chaining
     to their parents, and alternates the reduced evaluation with the chain
-    improvement until the action table is a fixed point.  B1 is read off the
-    start's table as it is, so a table off the chain rule raises a ValueError.
+    improvement until B1 is a fixed point.  A solved start hands over its B1;
+    a table start's is read off its table as it is, so a table off the chain
+    rule raises a ValueError.  The solution builds its table on first read.
     """
     check_eta(eta)
     if K is None:
@@ -634,7 +654,7 @@ def policy_iteration(
             raise ValueError(f"start policy depth {start.K} exceeds K={K}")
         if start.values != tuple(model.v.values):
             raise ValueError(f"start policy values {start.values} differ from the model's")
-        lev, idx = _b1_list(StateTree(model, start.K), start.actions)  # its deeper levels chain
+        lev, idx = start._b1[1:] if start._b1 is not None else _b1_list(StateTree(model, start.K), start.actions)
     tree = StateTree(model, K)
     sv = _Solve(model, tree, eta)
     for it in range(1, MAX_ITERS + 1):
@@ -648,8 +668,9 @@ def policy_iteration(
             f"policy iteration did not converge within {MAX_ITERS} iterations "
             f"(eta={eta}, K={K}, lambda={lam})"
         )
-    actions = _b1_actions(tree, lev, idx)
-    return PolicySolution(eta, K, lam, delta_e, d, iters, tuple(model.v.values), actions, model.config_hash())
+    sol = PolicySolution(eta, K, lam, delta_e, d, iters, tuple(model.v.values), None, model.config_hash())
+    sol._b1 = model, lev, idx
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,23 @@ def test_integer_parameters_reject_other_types(src, fig1, name, call):
         call(src, fig1)
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        pytest.param("v", (0.3, True, True, 3), id="bools"),
+        pytest.param("q", (True, 20.0, 0.2, 3), id="bool-q"),
+        pytest.param("v", (0.3, math.inf, 0.2, 3), id="inf-v"),
+        pytest.param("p", (0.3, 20.0, math.nan, 3), id="nan-p"),
+        pytest.param("q", ("0.3", 20.0, 0.2, 3), id="string-q"),
+        pytest.param("p", (0.3, 20.0, None, 3), id="none-p"),
+    ],
+)
+def test_source_float_fields_reject_other_types(name, args):
+    """A bool, a non-finite value or a non-number is a ValueError naming the field, not a TypeError or a d = inf."""
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        BinarySource(*args)
+
+
 def test_one_step_cost_examples(src):
     assert bi_one_step_cost(src, 1.0, src.N, src.N) == 0.0
     assert bi_one_step_cost(src, 1.0, 10, 7) == pytest.approx(6.7 * 0.2 * 4 + 3, abs=1e-12)

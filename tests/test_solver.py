@@ -25,6 +25,7 @@ from agedist import (
     sweep_eta,
 )
 from agedist import solver
+from agedist.cli import main
 from agedist.solver import (
     PolicySolution,
     _chain_actions,
@@ -936,24 +937,29 @@ def test_property2_catches_off_chain_edit(fig1):
 
 
 def test_solution_holds_only_its_table(fig1):
-    policy_iteration(fig1, 0.3)  # warm-up: the model's cached sums
+    # a solve's solution holds its B1, not the 2^20-entry table at K = 19, and builds the
+    # table on the first read of ``actions``, then returns that same cached object
+    policy_iteration(fig1, 0.2)  # warm-up: the model's cached sums
     tracemalloc.start(8)  # frames per allocation, for the failure message
     try:
         before = tracemalloc.take_snapshot()  # before the base reading, which so counts the snapshot
         gc.collect()
         base = tracemalloc.get_traced_memory()[0]
-        sol = policy_iteration(fig1, 0.3)
+        sol = policy_iteration(fig1, 0.2)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - base
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    table_bytes = sum(a.nbytes for a in sol.actions)
+    assert sol.K == 19
+    table = sol.actions
+    assert sol.actions is table
+    table_bytes = sum(a.nbytes for a in table)
     growth = [
         f"{st.size_diff:+} B in {st.count_diff:+} blocks at\n" + "\n".join(st.traceback.format(4, True))
         for st in after.compare_to(before, "traceback")[:5]
     ]
-    assert held < 1.5 * table_bytes, f"{held / table_bytes:.2f}x the action table; grew most at:\n" + "\n".join(growth)
+    assert held < 0.01 * table_bytes, f"{held / table_bytes:.4f}x the action table; grew most at:\n" + "\n".join(growth)
 
 
 def test_policy_solution_round_trip(fig1, tmp_path):
@@ -1247,6 +1253,45 @@ def test_sweep_eta_basics(fig1):
         assert p.d >= fig1.d_min() - 1e-9
     p, q = curve.points[-2], curve.points[-1]
     assert curve.exact_until == pytest.approx((p.lam - q.lam) / (p.eta - q.eta))
+
+
+def test_sweep_builds_and_reads_no_table(fig1, fig1_file, tmp_path, monkeypatch):
+    # each warm start hands its B1 to the next solve, so neither the sweep nor `agedist tradeoff`
+    # builds an action table or checks one; the last solve's table is built once the patch is lifted
+    def no_table(*args):
+        raise AssertionError("action table built or read")
+
+    solved, real_pi = [], solver.policy_iteration
+
+    def recording_pi(*args, **kwargs):
+        solved.append(real_pi(*args, **kwargs))
+        return solved[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_chain_actions", no_table)
+        mp.setattr(solver, "check_chain_table", no_table)
+        mp.setattr(solver, "policy_iteration", recording_pi)
+        curve = sweep_eta(fig1, np.geomspace(3.8, 0.2, 24))
+        assert not curve.failures
+        for p, want in zip(curve.points, FIG1_GRID_PINNED, strict=True):
+            assert (p.lam.hex(), p.delta_e.hex(), p.d.hex(), p.K, p.b1_size, p.iters) == want, p.eta
+        out = str(tmp_path / "sweep")
+        assert main(["tradeoff", "--model", fig1_file, "--out", out, "--eta-grid", "3.8:0.2:24"]) == 0
+    assert len(solved) == 48 and {a.dtype for a in solved[-1].actions} == {np.dtype(np.uint8)}
+    assert actions_digest(solved[-1].actions) == (
+        "a9c0f0e4318d5a66d555ef7318f3c5d5fec13fd839820513e28356a91d29f26a"
+    )
+
+
+def test_warm_start_from_file_equals_solved_start(fig1, tmp_path):
+    # the solved start hands its B1 arrays over; the loaded one's B1 is read off its checked table
+    start = policy_iteration(fig1, 0.5)
+    path = tmp_path / "start.json"
+    start.to_json(str(path))
+    loaded = PolicySolution.from_json(str(path), fig1)
+    a, b = (policy_iteration(fig1, 0.3, start=s) for s in (start, loaded))
+    assert [(x.dtype, x.tobytes()) for x in a.actions] == [(x.dtype, x.tobytes()) for x in b.actions]
+    assert (a.lam.hex(), a.delta_e.hex(), a.d.hex(), a.K, a.iters) == (b.lam.hex(), b.delta_e.hex(), b.d.hex(), b.K, b.iters)
 
 
 def test_sweep_warm_start_equals_cold(fig1):
